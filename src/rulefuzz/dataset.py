@@ -83,9 +83,7 @@ class LabeledDataset:
         """(values matrix as uint64, presence mask).  Cached until append."""
         if self._cache is None:
             n = len(self._rows)
-            x = np.zeros((n, len(self.field_names)), dtype=np.uint64)
-            for i, row in enumerate(self._rows):
-                x[i, :] = row
+            x = np.array(self._rows, dtype=np.uint64).reshape(n, len(self.field_names))
             y = np.fromiter(
                 (lbl == PRESENCE for lbl in self._labels), dtype=bool, count=n
             )

@@ -10,13 +10,26 @@ by description length.  The learner only ever emits <= / >= atoms; the
 split value sits between two observed adjacent values, snapped to the
 integer on the covered side.
 
+The split search sorts nothing per call.  learn() rank-encodes each
+column once, so every (field, observed value) pair is one bin, numbered
+by field and then by value.  Counting the covered rows and the covered
+positives per bin (two bincounts) and taking running sums gives, for
+every bin, how many covered rows and positives have a value <= the bin's
+value in its field: the same integers a per-field sort and cumulative
+sum would give, so the same FOIL gains, bit for bit.  Every covered row
+sits in exactly one bin per field, so the running sum through field f
+starts from f times the covered count.  Candidate splits are the
+nonempty bins below a field's last nonempty bin; a ">=" split takes the
+value of the next nonempty bin.  Among equal gains the first in the
+order field, then "<=" before ">=", then ascending value wins.
+
 Everything is deterministic under a fixed seed.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,46 +84,82 @@ def _union_mask(rules: Sequence[Sequence[_IAtom]], x: np.ndarray) -> np.ndarray:
 # Growing
 # ---------------------------------------------------------------------------
 
-def _best_atom(x: np.ndarray, y: np.ndarray, mask: np.ndarray) -> tuple[float, _IAtom] | None:
+class _Bins(NamedTuple):
+    """A value matrix rank-encoded so that each (field, value) pair is one bin.
+
+    Bins run by field, then by ascending value: codes[i, f] is the bin of
+    row i's value in field f, and field[b], value[b] name bin b.
+    """
+
+    codes: np.ndarray
+    field: np.ndarray
+    value: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "_Bins":
+        return self._replace(codes=self.codes[rows])
+
+
+def _encode(x: np.ndarray) -> _Bins:
+    codes = np.empty(x.shape, dtype=np.intp)
+    uniques = []
+    start = 0
+    for f in range(x.shape[1]):
+        uniq, inverse = np.unique(x[:, f], return_inverse=True)
+        codes[:, f] = inverse + start
+        start += uniq.size
+        uniques.append(uniq)
+    field = np.repeat(np.arange(x.shape[1]), [u.size for u in uniques])
+    return _Bins(codes, field, np.concatenate([np.empty(0, np.uint64), *uniques]))
+
+
+def _best_atom(bins: _Bins, y: np.ndarray, mask: np.ndarray) -> tuple[float, _IAtom] | None:
     """Highest-FOIL-gain threshold atom over the currently covered samples."""
     idx = np.nonzero(mask)[0]
-    if idx.size == 0:
+    m = idx.size
+    if m == 0:
         return None
     yy = y[idx]
     pos = int(yy.sum())
-    neg = idx.size - pos
+    neg = m - pos
     if pos == 0:
         return None
     base = math.log2(pos / (pos + neg))
-    best: tuple[float, _IAtom] | None = None
-    for f in range(x.shape[1]):
-        v = x[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = yy[order]
-        change = np.nonzero(vs[1:] != vs[:-1])[0]
-        if change.size == 0:
-            continue
-        cp = np.cumsum(ys)
-        cn = np.cumsum(~ys)
-        for op, p_arr, n_arr, thr_arr in (
-            ("<=", cp[change], cn[change], vs[change]),
-            (">=", cp[-1] - cp[change], cn[-1] - cn[change], vs[change + 1]),
-        ):
-            p = p_arr.astype(np.float64)
-            n = n_arr.astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = p * (np.log2(p / (p + n)) - base)
-            gains = np.where(p > 0, gains, -np.inf)
-            j = int(np.argmax(gains))
-            g = float(gains[j])
-            if g > _GAIN_EPS and (best is None or g > best[0]):
-                best = (g, (f, op, int(thr_arr[j])))
-    return best
+    codes = bins.codes[idx]
+    total = np.bincount(codes.ravel(), minlength=bins.field.size)
+    nonempty = np.nonzero(total)[0]
+    field = bins.field[nonempty]
+    # Covered rows and positives with a value <= each nonempty bin's, per field.
+    t_le = np.cumsum(total)[nonempty] - field * m
+    p_le = (
+        np.cumsum(np.bincount(codes[yy].ravel(), minlength=bins.field.size))[nonempty]
+        - field * pos
+    )
+    split = t_le < m
+    if not split.any():
+        return None
+    at = nonempty[split]
+    above = nonempty[1:][split[:-1]]
+    p_le, n_le = p_le[split], t_le[split] - p_le[split]
+    p = np.concatenate((p_le, pos - p_le)).astype(np.float64)
+    n = np.concatenate((n_le, neg - n_le)).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = p * (np.log2(p / (p + n)) - base)
+    gains[p == 0] = -np.inf
+    best = float(gains.max())
+    if not best > _GAIN_EPS:
+        return None
+    k = at.size
+    fields = np.tile(field[split], 2)
+    thresholds = np.concatenate((bins.value[at], bins.value[above]))
+    ties = np.nonzero(gains == best)[0]
+    # Scan order of a per-field search: field, then "<=" before ">=", then value.
+    w = ties[np.argmin(fields[ties] * 2 + ties // k)]
+    return best, (int(fields[w]), "<=" if w < k else ">=", int(thresholds[w]))
 
 
 def _grow(
     x: np.ndarray,
+    bins: _Bins,
     y: np.ndarray,
     base_atoms: Sequence[_IAtom] = (),
 ) -> list[_IAtom]:
@@ -122,7 +171,7 @@ def _grow(
         covered_y = y[mask]
         if covered_y.size == 0 or not (~covered_y).any():
             break
-        found = _best_atom(x, y, mask)
+        found = _best_atom(bins, y, mask)
         if found is None:
             break
         _, atom = found
@@ -238,6 +287,7 @@ def _stratified_split(
 
 def _induce(
     x: np.ndarray,
+    bins: _Bins,
     y: np.ndarray,
     params: RipperParams,
     rng: np.random.Generator,
@@ -253,7 +303,7 @@ def _induce(
         if rem.size == 0 or not y[rem].any():
             break
         grow_idx, prune_idx = _stratified_split(rem, y, params.grow_fraction, rng)
-        atoms = _grow(x[grow_idx], y[grow_idx])
+        atoms = _grow(x[grow_idx], bins.take(grow_idx), y[grow_idx])
         if not atoms:
             break
         if prune_idx.size:
@@ -277,6 +327,7 @@ def _induce(
 def _optimize(
     rules: list[list[_IAtom]],
     x: np.ndarray,
+    bins: _Bins,
     y: np.ndarray,
     params: RipperParams,
     rng: np.random.Generator,
@@ -291,12 +342,13 @@ def _optimize(
                 continue
             grow_idx, prune_idx = _stratified_split(ctx, y, params.grow_fraction, rng)
             candidates = []
-            replacement = _grow(x[grow_idx], y[grow_idx])
+            grow = (x[grow_idx], bins.take(grow_idx), y[grow_idx])
+            replacement = _grow(*grow)
             if replacement and prune_idx.size:
                 replacement = _prune_by_error(replacement, x[prune_idx], y[prune_idx])
             if replacement:
                 candidates.append(replacement)
-            revision = _grow(x[grow_idx], y[grow_idx], base_atoms=rules[i])
+            revision = _grow(*grow, base_atoms=rules[i])
             if revision and prune_idx.size:
                 revision = _prune_by_error(revision, x[prune_idx], y[prune_idx])
             if revision:
@@ -308,7 +360,7 @@ def _optimize(
                 if dl < best_dl - _DL_EPS:
                     best, best_dl = cand, dl
             rules[i] = best
-        rules = _induce(x, y, params, rng, n_possible, exp_fp, rules=rules)
+        rules = _induce(x, bins, y, params, rng, n_possible, exp_fp, rules=rules)
     # Drop rules whose removal shortens the description.
     changed = True
     while changed and rules:
@@ -334,10 +386,26 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     dataset.  A dataset with fewer than two samples, a single class, or no
     learnable structure yields a degenerate rule set (default rule only).
     """
-    params = params or RipperParams()
-    n = len(dataset)
-    counts = dataset.class_counts()
-    minority = dataset.minority_label()
+    x, presence = dataset.to_arrays()
+    return _learn_arrays(x, presence, _encode(x), dataset.field_names, params or RipperParams())
+
+
+def _learn_arrays(
+    x: np.ndarray,
+    presence: np.ndarray,
+    bins: _Bins,
+    names: Sequence[str],
+    params: RipperParams,
+) -> RuleSet:
+    """learn() on a value matrix, its presence mask and the matching bins.
+
+    The bins may come from a larger matrix that x was sliced from; only
+    the bins x occupies count towards the theory description length.
+    """
+    n = len(x)
+    counts = {PRESENCE: int(presence.sum())}
+    counts[ABSENCE] = n - counts[PRESENCE]
+    minority = PRESENCE if counts[PRESENCE] <= counts[ABSENCE] else ABSENCE
     majority = ABSENCE if minority == PRESENCE else PRESENCE
 
     def degenerate() -> RuleSet:
@@ -347,20 +415,18 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     if n < 2 or counts[minority] == 0 or counts[majority] == 0:
         return degenerate()
 
-    x, y_presence = dataset.to_arrays()
-    y = y_presence if minority == PRESENCE else ~y_presence
+    y = presence if minority == PRESENCE else ~presence
     rng = np.random.default_rng(params.seed)
-    n_possible = sum(
-        2 * len(np.unique(x[:, f])) for f in range(x.shape[1])
+    n_possible = 2 * np.count_nonzero(
+        np.bincount(bins.codes.ravel(), minlength=bins.field.size)
     )
     exp_fp = counts[minority] / n
-    rules = _induce(x, y, params, rng, n_possible, exp_fp)
+    rules = _induce(x, bins, y, params, rng, n_possible, exp_fp)
     if rules:
-        rules = _optimize(rules, x, y, params, rng, n_possible, exp_fp)
+        rules = _optimize(rules, x, bins, y, params, rng, n_possible, exp_fp)
     if not rules:
         return degenerate()
 
-    names = dataset.field_names
     minority_rules = []
     union = np.zeros(n, dtype=bool)
     for atoms in rules:
@@ -410,9 +476,13 @@ def _condition_mask(cond: Condition, x: np.ndarray, index: Mapping[str, int]) ->
 def predict_mask(ruleset: RuleSet, dataset: LabeledDataset) -> np.ndarray:
     """Vectorized first-match classification; True means presence."""
     x, _ = dataset.to_arrays()
-    index = {name: i for i, name in enumerate(dataset.field_names)}
-    pred = np.full(len(dataset), ruleset.default_rule.prediction == PRESENCE)
-    assigned = np.zeros(len(dataset), dtype=bool)
+    return _predict(ruleset, x, dataset.field_names)
+
+
+def _predict(ruleset: RuleSet, x: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    index = {name: i for i, name in enumerate(names)}
+    pred = np.full(len(x), ruleset.default_rule.prediction == PRESENCE)
+    assigned = np.zeros(len(x), dtype=bool)
     for rule in ruleset.minority_rules:
         m = _condition_mask(rule.condition, x, index) & ~assigned
         pred[m] = rule.prediction == PRESENCE
@@ -436,7 +506,8 @@ def cross_validate(
         raise TooFewSamplesError(f"need at least {k} samples, got {len(dataset)}")
     base_seed = params.seed if seed is None else seed
     rng = np.random.default_rng(base_seed)
-    _, y = dataset.to_arrays()
+    x, y = dataset.to_arrays()
+    bins = _encode(x)
     pos_idx = rng.permutation(np.nonzero(y)[0])
     neg_idx = rng.permutation(np.nonzero(~y)[0])
     tp = fp = fn = 0
@@ -444,13 +515,14 @@ def cross_validate(
         test_idx = np.concatenate((pos_idx[fold::k], neg_idx[fold::k]))
         if test_idx.size == 0:
             continue
-        test_set = set(test_idx.tolist())
-        train_idx = [i for i in range(len(dataset)) if i not in test_set]
+        train = np.ones(len(x), dtype=bool)
+        train[test_idx] = False
         fold_params = replace(params, seed=(base_seed * 1000003 + fold) % (2**63))
-        model = learn(dataset.subset(train_idx), fold_params)
-        test_ds = dataset.subset(test_idx.tolist())
-        pred = predict_mask(model, test_ds)
-        _, y_test = test_ds.to_arrays()
+        model = _learn_arrays(
+            x[train], y[train], bins.take(train), dataset.field_names, fold_params
+        )
+        pred = _predict(model, x[test_idx], dataset.field_names)
+        y_test = y[test_idx]
         tp += int((pred & y_test).sum())
         fp += int((pred & ~y_test).sum())
         fn += int((~pred & y_test).sum())

@@ -1,14 +1,22 @@
 """Rule induction: recovery of planted predicates, stats, and cross-validation."""
 
 import itertools
+import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
 from rulefuzz.learner import (
+    _GAIN_EPS,
     RipperParams,
     TooFewSamplesError,
+    _best_atom,
+    _encode,
     classify,
     cross_validate,
     learn,
@@ -225,3 +233,148 @@ def test_learned_atoms_use_interval_operators_only():
         for atom in rule.condition.atoms:
             assert atom.op in ("<=", ">=")
             assert isinstance(atom, Atom)
+
+
+# ---------------------------------------------------------------------------
+# The bin-count split search against a per-field sort-based reference
+# ---------------------------------------------------------------------------
+
+def sorted_best_atom(x, y, mask):
+    """Per-field sort and cumulative-sum FOIL-gain search over covered rows."""
+    idx = np.nonzero(mask)[0]
+    if idx.size == 0:
+        return None
+    yy = y[idx]
+    pos = int(yy.sum())
+    neg = idx.size - pos
+    if pos == 0:
+        return None
+    base = math.log2(pos / (pos + neg))
+    best = None
+    for f in range(x.shape[1]):
+        v = x[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        ys = yy[order]
+        change = np.nonzero(vs[1:] != vs[:-1])[0]
+        if change.size == 0:
+            continue
+        cp = np.cumsum(ys)
+        cn = np.cumsum(~ys)
+        for op, p_arr, n_arr, thr_arr in (
+            ("<=", cp[change], cn[change], vs[change]),
+            (">=", cp[-1] - cp[change], cn[-1] - cn[change], vs[change + 1]),
+        ):
+            p = p_arr.astype(np.float64)
+            n = n_arr.astype(np.float64)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = p * (np.log2(p / (p + n)) - base)
+            gains = np.where(p > 0, gains, -np.inf)
+            j = int(np.argmax(gains))
+            g = float(gains[j])
+            if g > _GAIN_EPS and (best is None or g > best[0]):
+                best = (g, (f, op, int(thr_arr[j])))
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    """(x, y, rows, mask): bins are encoded on x, searched on x[rows]."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("draw", "constant", "copy", "mirror")))
+        top = (1 << draw(st.sampled_from((1, 2, 8, 32)))) - 1
+        if kind == "copy" and columns:  # ties between fields, same op
+            col = list(columns[-1])
+        elif kind == "mirror" and columns:  # ties between <= and >= of two fields
+            col = [(1 << 32) - 1 - v for v in columns[-1]]
+        elif kind == "constant":
+            col = [draw(st.integers(0, top))] * n
+        else:  # few distinct values, so many tied values
+            pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=4))
+            col = draw(st.lists(st.sampled_from(pool) | st.integers(0, top),
+                                min_size=n, max_size=n))
+        columns.append(col)
+    x = np.array(columns, dtype=np.uint64).T
+    y = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    rows = np.nonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))[0]
+    kind = draw(st.sampled_from(("random", "all", "positives", "none")))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=rows.size,
+                                      max_size=rows.size)), dtype=bool)
+    elif kind == "all":
+        mask = np.ones(rows.size, dtype=bool)
+    elif kind == "positives":  # no negatives covered
+        mask = y[rows].copy()
+    else:
+        mask = np.zeros(rows.size, dtype=bool)
+    return x, y, rows, mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_problems())
+def test_bin_count_search_matches_sorted_search(problem):
+    x, y, rows, mask = problem
+    got = _best_atom(_encode(x).take(rows), y[rows], mask)
+    assert got == sorted_best_atom(x[rows], y[rows], mask)
+
+
+def test_bin_count_search_tie_order():
+    y = np.array([True, False, True])
+    # one field: "a <= 0" and "a >= 2" both isolate one positive; <= wins
+    a = np.array([[0], [1], [2]], dtype=np.uint64)
+    assert _best_atom(_encode(a), y, np.ones(3, bool))[1] == (0, "<=", 0)
+    # a copied and a mirrored field tie with field 0; the first field wins
+    x = np.array([[2, 2, 7], [1, 1, 8], [0, 0, 9]], dtype=np.uint64)
+    for mask in (np.ones(3, bool), np.array([True, True, False])):
+        got = _best_atom(_encode(x), y, mask)
+        assert got == sorted_best_atom(x, y, mask)
+        assert got[1][0] == 0
+    assert _best_atom(_encode(x), y, np.zeros(3, bool)) is None
+    assert _best_atom(_encode(x), y, y) is None  # no negatives: nothing to gain
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation on array folds against a subset-and-learn reference
+# ---------------------------------------------------------------------------
+
+def subset_cross_validate(dataset, k, params):
+    """cross_validate's folds run through learn(subset) and predict_mask(subset)."""
+    rng = np.random.default_rng(params.seed)
+    _, y = dataset.to_arrays()
+    pos_idx = rng.permutation(np.nonzero(y)[0])
+    neg_idx = rng.permutation(np.nonzero(~y)[0])
+    tp = fp = fn = 0
+    for fold in range(k):
+        test_idx = np.concatenate((pos_idx[fold::k], neg_idx[fold::k]))
+        if test_idx.size == 0:
+            continue
+        test_set = set(test_idx.tolist())
+        train_idx = [i for i in range(len(dataset)) if i not in test_set]
+        fold_params = replace(params, seed=(params.seed * 1000003 + fold) % (2**63))
+        model = learn(dataset.subset(train_idx), fold_params)
+        test_ds = dataset.subset(test_idx.tolist())
+        pred = predict_mask(model, test_ds)
+        _, y_test = test_ds.to_arrays()
+        tp += int((pred & y_test).sum())
+        fp += int((pred & ~y_test).sum())
+        fn += int((~pred & y_test).sum())
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return precision, recall
+
+
+MIXED = make_schema({"a": 8, "b": 8, "c": 32, "d": 1, "e": 7})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cross_validate_matches_subset_folds(seed):
+    rng = random.Random(seed)
+    cond = parse_condition("a >= 100 AND c <= 2000000000")
+    ds = balanced_dataset(MIXED, cond, 60 * seed, rng, flip=0.05)
+    # a few extra absences so the classes are not balanced
+    for _ in range(15):
+        ds.append(draw(MIXED, rng), ABSENCE)
+    params = RipperParams(seed=seed)
+    assert cross_validate(ds, k=10, params=params) == subset_cross_validate(ds, 10, params)

@@ -55,10 +55,6 @@ class FieldSpec:
         """Largest value representable in width_bits."""
         return (1 << self.width_bits) - 1
 
-    @property
-    def domain_size(self) -> int:
-        return self.domain_hi - self.domain_lo + 1
-
 
 @dataclass(frozen=True)
 class MessageSchema:

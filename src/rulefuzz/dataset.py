@@ -64,10 +64,6 @@ class LabeledDataset:
         self._iterations.append(iteration)
         self._cache = None
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self._labels)
-
     def class_counts(self) -> dict[str, int]:
         return {
             PRESENCE: self._labels.count(PRESENCE),
@@ -102,13 +98,6 @@ class LabeledDataset:
 
     def header(self) -> tuple[str, ...]:
         return (ITERATION_COLUMN,) + self.field_names + (LABEL_COLUMN,)
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.header())
-            for it, row, label in zip(self._iterations, self._rows, self._labels):
-                writer.writerow([it, *row, label])
 
     def append_csv(self, path: str | Path, start: int = 0) -> None:
         """Append rows[start:] to an existing CSV (header written if new)."""

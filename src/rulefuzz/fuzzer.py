@@ -114,12 +114,6 @@ def apply_plan(msg: ControlMessage, plan: FuzzPlan) -> tuple[ControlMessage, Fuz
     return after, action
 
 
-def initial_fuzz(msg: ControlMessage, rng: random.Random) -> ControlMessage:
-    """Replace a random nonempty field subset with valid-domain draws."""
-    fuzzed, _ = apply_plan(msg, make_initial_plan(msg.schema, rng))
-    return fuzzed
-
-
 def select_budget_entry(
     budget: BudgetDistribution, rng: random.Random
 ) -> tuple[DecisionRule, BudgetDistribution]:
@@ -135,22 +129,3 @@ def select_budget_entry(
         del entries[i]
     return entry.rule, BudgetDistribution(tuple(entries))
 
-
-def guided_fuzz(
-    msg: ControlMessage,
-    budget: BudgetDistribution,
-    mutation_rate: float,
-    rng: random.Random,
-    minority_conditions: Sequence[Condition] = (),
-) -> tuple[ControlMessage, FuzzAction, BudgetDistribution]:
-    """One guided fuzz step: select a rule, satisfy it, mutate the rest.
-
-    minority_conditions supplies the avoidance set used when the selected
-    rule is the default one.  UnsatisfiableError propagates to the caller,
-    which should drop the rule's budget entry.
-    """
-    rule, remaining = select_budget_entry(budget, rng)
-    avoid = minority_conditions if rule.condition.is_empty else ()
-    plan = make_guided_plan(msg.schema, rule, mutation_rate, rng, avoid=avoid)
-    fuzzed, action = apply_plan(msg, plan)
-    return fuzzed, action, remaining

@@ -34,11 +34,12 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .dataset import ABSENCE, PRESENCE, LabeledDataset
-from .rules import Atom, Condition, DecisionRule, RuleSet
+from .rules import OPS, Atom, Condition, DecisionRule, RuleSet
 from . import sampler
 
 _GAIN_EPS = 1e-12
 _DL_EPS = 1e-9
+_U64_MAX = 2**64 - 1
 
 
 class TooFewSamplesError(Exception):
@@ -62,8 +63,7 @@ _IAtom = tuple[int, str, int]
 
 def _atom_mask(atom: _IAtom, x: np.ndarray) -> np.ndarray:
     idx, op, thr = atom
-    col = x[:, idx]
-    return col <= np.uint64(thr) if op == "<=" else col >= np.uint64(thr)
+    return OPS[op](x[:, idx], np.uint64(thr))
 
 
 def _rule_mask(atoms: Sequence[_IAtom], x: np.ndarray) -> np.ndarray:
@@ -442,14 +442,6 @@ def _learn_arrays(
     return RuleSet(tuple(minority_rules), default)
 
 
-def classify(ruleset: RuleSet, values: Mapping[str, int]) -> str:
-    """First matching minority rule wins; otherwise the default fires."""
-    for rule in ruleset.minority_rules:
-        if sampler.evaluate(rule.condition, values):
-            return rule.prediction
-    return ruleset.default_rule.prediction
-
-
 def _condition_mask(cond: Condition, x: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
     mask = np.ones(len(x), dtype=bool)
     for atom in cond.atoms:
@@ -457,19 +449,11 @@ def _condition_mask(cond: Condition, x: np.ndarray, index: Mapping[str, int]) ->
             col = x[:, index[atom.field]]
         except KeyError:
             raise sampler.MissingFieldError(f"values lack field {atom.field!r}") from None
-        thr = np.uint64(atom.value) if atom.value >= 0 else atom.value
-        if atom.op == "=":
-            mask &= col == thr
-        elif atom.op == "!=":
-            mask &= col != thr
-        elif atom.op == "<=":
-            mask &= col <= thr
-        elif atom.op == ">=":
-            mask &= col >= thr
-        elif atom.op == "<":
-            mask &= col < thr
+        if 0 <= atom.value <= _U64_MAX:
+            mask &= OPS[atom.op](col, np.uint64(atom.value))
         else:
-            mask &= col > thr
+            # every uint64 compares alike with a constant outside their range
+            mask &= OPS[atom.op](0, atom.value)
     return mask
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from random import Random
 
@@ -114,21 +114,6 @@ class IterationRecord:
     recall: float
     rule_count: int
     clamp: str | None
-
-    def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "fuzz_mode": self.fuzz_mode,
-            "rows": self.rows,
-            "presence": self.presence,
-            "absence": self.absence,
-            "cumulative_presence": self.cumulative_presence,
-            "cumulative_absence": self.cumulative_absence,
-            "precision": self.precision,
-            "recall": self.recall,
-            "rule_count": self.rule_count,
-            "clamp": self.clamp,
-        }
 
 
 @dataclass
@@ -456,7 +441,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 "noise_rate": oracle.noise_rate,
             },
         },
-        "iterations": [r.as_dict() for r in records],
+        "iterations": [asdict(r) for r in records],
         "stop_reason": stop_reason,
         "totals": {
             "rows": len(dataset),

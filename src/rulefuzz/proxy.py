@@ -9,18 +9,21 @@ direction) can be handed to a fuzz hook and replaced with the hook's
 output.  Everything else, including message types the registry does not
 know, is forwarded unmodified and in order.
 
-One accepted connection is one independent session.  Hooks are dequeued
-in acceptance order; reserve() lets a caller pair a hook with its own
-connection by serializing the register-then-connect step.
+One accepted connection is one independent session.  Hooks pair with
+connections only through reserve(): it queues the hook and serializes
+the register-then-connect step, so accept order matches queue order.  A
+connect that fails inside reserve() retracts its hook, so it cannot be
+handed to a later session.  A session with no queued hook is relayed
+untouched.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import logging
-import queue
 import socket
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .codec import HEADER_BYTES, SchemaRegistry
@@ -34,10 +37,6 @@ Hook = Callable[[bytes], bytes]
 
 class LengthFieldInvalidError(Exception):
     """A framed header declares a length smaller than the header itself."""
-
-
-class UpstreamUnreachableError(Exception):
-    """The proxy could not connect to the upstream endpoint."""
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,8 @@ class StreamSegmenter:
         return frames
 
 
-def segment(data: bytes) -> tuple[list[bytes], bytes]:
-    """One-shot framing: (complete messages, trailing residual)."""
-    seg = StreamSegmenter()
-    frames = seg.feed(data)
-    return frames, seg.residual
-
-
 class _Session:
-    """Relay state shared by the two pump threads of one connection."""
+    """Relay state shared by the two pumps of one connection."""
 
     def __init__(
         self,
@@ -184,50 +176,15 @@ def _pump(
             src.shutdown(socket.SHUT_RD)
 
 
-def _relay(
-    client: socket.socket,
-    upstream: socket.socket,
-    session: _Session,
-) -> None:
-    t1 = threading.Thread(
-        target=_pump,
-        args=(client, upstream, session, "client->upstream", "bytes_client_to_upstream"),
-        daemon=True,
-    )
-    t2 = threading.Thread(
-        target=_pump,
-        args=(upstream, client, session, "upstream->client", "bytes_upstream_to_client"),
-        daemon=True,
-    )
-    t1.start()
-    t2.start()
-    t1.join()
-    t2.join()
-    for sock in (client, upstream):
-        with contextlib.suppress(OSError):
-            sock.close()
-    rec = session.record
-    log.info(
-        "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
-        rec.session_id, rec.target_seen, rec.hook_fired,
-        rec.bytes_client_to_upstream, rec.bytes_upstream_to_client, rec.error,
-    )
-
-
 class InterceptProxy:
     """Long-running proxy serving one session per accepted connection."""
 
-    def __init__(
-        self,
-        config: InterceptConfig,
-        registry: SchemaRegistry,
-        default_hook: Hook | None = None,
-    ):
+    def __init__(self, config: InterceptConfig, registry: SchemaRegistry):
         self.config = config
         self.registry = registry
-        self.default_hook = default_hook
         self.records: list[SessionRecord] = []
-        self._hooks: queue.SimpleQueue[Hook] = queue.SimpleQueue()
+        self._hooks: collections.deque[Hook] = collections.deque()
+        self._hooks_lock = threading.Lock()
         self._reserve_lock = threading.Lock()
         self._records_lock = threading.Lock()
         self._listener: socket.socket | None = None
@@ -259,6 +216,9 @@ class InterceptProxy:
     def stop(self) -> None:
         self._running = False
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
             with contextlib.suppress(OSError):
                 self._listener.close()
         if self._accept_thread is not None:
@@ -266,20 +226,25 @@ class InterceptProxy:
         for t in self._session_threads:
             t.join(timeout=2)
 
-    def submit_hook(self, hook: Hook) -> None:
-        """Queue a hook for the next accepted session."""
-        self._hooks.put(hook)
-
     @contextlib.contextmanager
     def reserve(self, hook: Hook) -> Iterator[tuple[str, int]]:
         """Pair `hook` with the connection made inside the with block.
 
         Connect attempts are serialized so that kernel accept order (FIFO
-        over completed handshakes) matches hook queue order.
+        over completed handshakes) matches hook queue order.  If the block
+        raises before the accept loop took the hook, the hook is retracted.
         """
         with self._reserve_lock:
-            self.submit_hook(hook)
-            yield self.endpoint
+            with self._hooks_lock:
+                self._hooks.append(hook)
+            try:
+                yield self.endpoint
+            except BaseException:
+                with self._hooks_lock:
+                    # nothing is queued behind it while the reserve lock is held
+                    if self._hooks and self._hooks[-1] is hook:
+                        self._hooks.pop()
+                raise
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -288,10 +253,8 @@ class InterceptProxy:
                 client, _ = self._listener.accept()
             except OSError:
                 break
-            try:
-                hook = self._hooks.get_nowait()
-            except queue.Empty:
-                hook = self.default_hook
+            with self._hooks_lock:
+                hook = self._hooks.popleft() if self._hooks else None
             with self._records_lock:
                 self._next_id += 1
                 record = SessionRecord(session_id=self._next_id)
@@ -314,38 +277,19 @@ class InterceptProxy:
                 client.close()
             return
         session = _Session(record, self._target_code, self.config.target_ordinal, hook)
-        _relay(client, upstream, session)
-
-
-def run_session(
-    config: InterceptConfig, hook: Hook | None, registry: SchemaRegistry
-) -> SessionRecord:
-    """Serve exactly one proxied session on the configured listen endpoint.
-
-    Binds, accepts a single connection, relays it to the upstream with the
-    hook armed, and returns the session record once both directions close.
-    Raises UpstreamUnreachableError if the upstream cannot be reached.
-    """
-    target_code = None
-    if config.target_type:
-        target_code = registry.by_name(config.target_type).header_type_code
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    try:
-        listener.bind((config.listen_host, config.listen_port))
-        listener.listen(1)
-        client, _ = listener.accept()
-    finally:
-        listener.close()
-    record = SessionRecord(session_id=0)
-    try:
-        upstream = socket.create_connection(
-            (config.upstream_host, config.upstream_port), timeout=5
+        pump = threading.Thread(
+            target=_pump,
+            args=(client, upstream, session, "client->upstream", "bytes_client_to_upstream"),
+            daemon=True,
         )
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            client.close()
-        raise UpstreamUnreachableError(str(exc)) from exc
-    session = _Session(record, target_code, config.target_ordinal, hook)
-    _relay(client, upstream, session)
-    return record
+        pump.start()
+        _pump(upstream, client, session, "upstream->client", "bytes_upstream_to_client")
+        pump.join()
+        for sock in (client, upstream):
+            with contextlib.suppress(OSError):
+                sock.close()
+        log.info(
+            "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
+            record.session_id, record.target_seen, record.hook_fired,
+            record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
+        )

@@ -11,11 +11,20 @@ The text format is line oriented and round-trips bit-exactly:
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
-COMPARATORS = ("=", "!=", "<=", ">=", "<", ">")
+# The one definition of comparator semantics: sampler, learner and oracle
+# all compare through this table.  It works on ints and numpy arrays alike.
+OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+}
 
 _ATOM_RE = re.compile(r"^\s*(\w+)\s*(<=|>=|!=|=|<|>)\s*(-?\d+)\s*$")
 _RULE_RE = re.compile(
@@ -39,7 +48,7 @@ class Atom:
     value: int
 
     def __post_init__(self) -> None:
-        if self.op not in COMPARATORS:
+        if self.op not in OPS:
             raise ValueError(f"unknown comparator {self.op!r}")
 
     def __str__(self) -> str:

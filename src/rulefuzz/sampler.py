@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .codec import MessageSchema
-from .rules import Condition
+from .rules import OPS, Condition
 
 _MAX_AVOID_ATTEMPTS = 1000
 
@@ -162,18 +162,6 @@ def evaluate(cond: Condition, values: Mapping[str, int]) -> bool:
             v = values[atom.field]
         except KeyError:
             raise MissingFieldError(f"values lack field {atom.field!r}") from None
-        if atom.op == "=":
-            ok = v == atom.value
-        elif atom.op == "!=":
-            ok = v != atom.value
-        elif atom.op == "<=":
-            ok = v <= atom.value
-        elif atom.op == ">=":
-            ok = v >= atom.value
-        elif atom.op == "<":
-            ok = v < atom.value
-        else:
-            ok = v > atom.value
-        if not ok:
+        if not OPS[atom.op](v, atom.value):
             return False
     return True

@@ -9,6 +9,11 @@ driver records channel-level observations and a pure detector maps them
 to a presence/absence label; optional label noise is applied on top by
 the caller, never inside the deterministic endpoints.
 
+One procedure player serves both roles: the mock controller and the
+switch driver run the same step loop, each sending the steps of its own
+role and reading the peer's, and each enacting the failure for the
+checked steps it receives.
+
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
 length field, so the predicate is always evaluated on exactly the field
@@ -17,7 +22,6 @@ values that were injected.
 from __future__ import annotations
 
 import contextlib
-import logging
 import socket
 import socketserver
 import threading
@@ -33,8 +37,6 @@ from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, 
 from .dataset import ABSENCE, PRESENCE
 from .rules import Condition, parse_condition
 from .sampler import evaluate
-
-log = logging.getLogger(__name__)
 
 FAILURE_MODES = ("switch_disconnect", "broadcast_storm")
 STORM_FRAMES = 3
@@ -53,10 +55,6 @@ class OracleConfigError(Exception):
 
 class SutUnavailableError(Exception):
     """The system under test could not be reached."""
-
-
-class SutTimeoutError(Exception):
-    """A procedure step did not complete within the allowed time."""
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +267,7 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
 
 
 def _read_slot(
-    sock: socket.socket,
-    schema: MessageSchema,
-    registry: SchemaRegistry,
-    tolerate_floods: bool,
+    sock: socket.socket, schema: MessageSchema, registry: SchemaRegistry
 ) -> tuple[bytes | None, int]:
     """Read one expected fixed-size slot, skipping unsolicited directives.
 
@@ -283,7 +278,7 @@ def _read_slot(
     """
     floods = 0
     flood_code = None
-    if tolerate_floods and "barrier_request" in registry:
+    if "barrier_request" in registry:
         flood_code = registry.by_name("barrier_request").header_type_code
     while True:
         head = _recv_exact(sock, HEADER_BYTES)
@@ -306,6 +301,76 @@ def _read_slot(
 
 
 # ---------------------------------------------------------------------------
+# Procedure player
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RunOutcome:
+    """Channel-level observations from one driven procedure."""
+
+    observations: dict = field(default_factory=dict)
+    completed: bool = False
+    error: str | None = None
+
+
+def _play(
+    sock: socket.socket,
+    procedure: Procedure,
+    registry: SchemaRegistry,
+    oracle: FailureOracle | None,
+    role: str,
+) -> RunOutcome:
+    """Play `role`'s half of a procedure over an open connection.
+
+    The role sends its own steps and reads the peer's.  The oracle is
+    consulted only for received steps that carry the check mark; on a
+    match this side enacts the failure itself, by dropping the session or
+    by flooding the peer with unsolicited barrier requests.
+    """
+    obs = {"closed_early": False, "ping_ok": False, "flood_count": 0}
+    outcome = RunOutcome(observations=obs)
+    try:
+        for step in procedure.steps:
+            schema = registry.by_name(step.message)
+            if step.sender == role:
+                try:
+                    sock.sendall(encode(default_message(schema)))
+                except OSError:
+                    obs["closed_early"] = True
+                    return outcome
+                continue
+            if step.has(MARK_TARGET):
+                data, floods = _recv_exact(sock, schema.total_bytes), 0
+            else:
+                data, floods = _read_slot(sock, schema, registry)
+            obs["flood_count"] += floods
+            if data is None:
+                obs["closed_early"] = True
+                return outcome
+            if step.has(MARK_ACK):
+                obs["ping_ok"] = True
+            if (
+                step.has(MARK_CHECK)
+                and oracle is not None
+                and oracle.matches(decode_as(data, schema).values)
+            ):
+                if oracle.failure_mode == "switch_disconnect":
+                    obs["closed_early"] = True
+                    return outcome
+                frame = encode(default_message(registry.by_name("barrier_request")))
+                with contextlib.suppress(OSError):
+                    sock.sendall(frame * STORM_FRAMES)
+                obs["flood_count"] += STORM_FRAMES
+        outcome.completed = True
+    except socket.timeout:
+        outcome.error = "timeout"
+    except OSError as exc:
+        outcome.error = str(exc)
+        obs["closed_early"] = True
+    return outcome
+
+
+# ---------------------------------------------------------------------------
 # Mock controller
 # ---------------------------------------------------------------------------
 
@@ -324,38 +389,8 @@ class _ControllerHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         server: _ControllerServer = self.server  # type: ignore[assignment]
-        conn: socket.socket = self.request
-        conn.settimeout(server.step_timeout)
-        registry = server.registry
-        oracle = server.oracle
-        try:
-            for step in server.procedure.steps:
-                schema = registry.by_name(step.message)
-                if step.sender == CONTROLLER:
-                    conn.sendall(encode(default_message(schema)))
-                    continue
-                if step.has(MARK_TARGET):
-                    data = _recv_exact(conn, schema.total_bytes)
-                    floods = 0
-                else:
-                    data, floods = _read_slot(conn, schema, registry, True)
-                if floods:
-                    log.debug("controller skipped %d stray frames", floods)
-                if data is None:
-                    return
-                if step.has(MARK_CHECK) and oracle is not None:
-                    values = decode_as(data, schema).values
-                    if oracle.matches(values):
-                        if oracle.failure_mode == "switch_disconnect":
-                            return  # drop the session before the probe
-                        self._storm(conn, registry)
-        except (socket.timeout, OSError):
-            return
-
-    def _storm(self, conn: socket.socket, registry: SchemaRegistry) -> None:
-        frame = encode(default_message(registry.by_name("barrier_request")))
-        with contextlib.suppress(OSError):
-            conn.sendall(frame * STORM_FRAMES)
+        self.request.settimeout(server.step_timeout)
+        _play(self.request, server.procedure, server.registry, server.oracle, CONTROLLER)
 
 
 class MockController:
@@ -406,15 +441,6 @@ class MockController:
 # Switch driver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunOutcome:
-    """Channel-level observations from one driven procedure."""
-
-    observations: dict = field(default_factory=dict)
-    completed: bool = False
-    error: str | None = None
-
-
 def connect_sut(endpoint: tuple[str, int], timeout: float = 10.0) -> socket.socket:
     """Open the switch-side connection; SutUnavailableError on failure."""
     try:
@@ -431,70 +457,12 @@ def run_procedure_on(
     registry: SchemaRegistry,
     oracle: FailureOracle | None = None,
 ) -> RunOutcome:
-    """Drive the switch half of a procedure over an open connection.
-
-    The oracle is consulted only for steps this side receives and that
-    carry the check mark (controller-to-switch targets); the driver then
-    enacts the failure itself, mirroring a switch crashing or flooding in
-    reaction to a bad message.
-    """
-    obs = {"closed_early": False, "ping_ok": False, "flood_count": 0}
-    outcome = RunOutcome(observations=obs)
+    """Drive the switch half of a procedure over an open connection, then close it."""
     try:
-        for step in procedure.steps:
-            schema = registry.by_name(step.message)
-            if step.sender == SWITCH:
-                try:
-                    sock.sendall(encode(default_message(schema)))
-                except OSError:
-                    obs["closed_early"] = True
-                    return outcome
-                continue
-            if step.has(MARK_TARGET):
-                data = _recv_exact(sock, schema.total_bytes)
-                floods = 0
-            else:
-                data, floods = _read_slot(sock, schema, registry, True)
-            obs["flood_count"] += floods
-            if data is None:
-                obs["closed_early"] = True
-                return outcome
-            if step.has(MARK_ACK):
-                obs["ping_ok"] = True
-            if step.has(MARK_CHECK) and oracle is not None:
-                values = decode_as(data, schema).values
-                if oracle.matches(values):
-                    if oracle.failure_mode == "switch_disconnect":
-                        obs["closed_early"] = True
-                        return outcome
-                    frame = encode(
-                        default_message(registry.by_name("barrier_request"))
-                    )
-                    with contextlib.suppress(OSError):
-                        sock.sendall(frame * STORM_FRAMES)
-                    obs["flood_count"] += STORM_FRAMES
-        outcome.completed = True
-    except socket.timeout:
-        outcome.error = "timeout"
-    except OSError as exc:
-        outcome.error = str(exc)
-        obs["closed_early"] = True
+        return _play(sock, procedure, registry, oracle, SWITCH)
     finally:
         with contextlib.suppress(OSError):
             sock.close()
-    return outcome
-
-
-def run_procedure(
-    endpoint: tuple[str, int],
-    procedure: Procedure,
-    registry: SchemaRegistry,
-    oracle: FailureOracle | None = None,
-    timeout: float = 10.0,
-) -> RunOutcome:
-    """Connect and drive one procedure in a single call."""
-    sock = connect_sut(endpoint, timeout=timeout)
-    return run_procedure_on(sock, procedure, registry, oracle=oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from rulefuzz.codec import FieldSpec, MessageSchema, SchemaRegistry, builtin_registry
+from rulefuzz.dataset import ABSENCE, LabeledDataset
+from rulefuzz.learner import predict_mask
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,11 @@ def random_values(schema, rng, valid=True):
     if valid:
         return {f.name: rng.randint(f.domain_lo, f.domain_hi) for f in schema.fields}
     return {f.name: rng.randrange(f.raw_max + 1) for f in schema.fields}
+
+
+def predict_rows(ruleset, rows):
+    """predict_mask over a list of value dicts; True means presence."""
+    ds = LabeledDataset(tuple(rows[0]))
+    for values in rows:
+        ds.append(values, ABSENCE)
+    return predict_mask(ruleset, ds)

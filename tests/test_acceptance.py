@@ -15,14 +15,14 @@ import pytest
 from rulefuzz.codec import ControlMessage, builtin_registry, decode_as, encode
 from rulefuzz.dataset import LabeledDataset
 from rulefuzz.fuzzer import apply_plan, make_guided_plan
-from rulefuzz.learner import RipperParams, classify, learn
+from rulefuzz.learner import RipperParams, learn
 from rulefuzz.orchestrator import CampaignConfig, run_campaign
 from rulefuzz.planner import distribute_quotas, estimate_class_targets
 from rulefuzz.rules import Atom, Condition, DecisionRule, parse_condition
 from rulefuzz.sampler import UnsatisfiableError, intervals_for, solve
 from rulefuzz.sut import default_message, default_oracle
 
-from .conftest import make_schema
+from .conftest import make_schema, predict_rows
 
 REGISTRY = builtin_registry()
 PACKET_IN = REGISTRY.by_name("packet_in")
@@ -86,11 +86,13 @@ def holdout_quality(ruleset):
     scored against the noise-free ground truth."""
     oracle = default_oracle()
     rng = Random("acceptance/holdout")
+    rows = [
+        {f.name: rng.randrange(f.raw_max + 1) for f in PACKET_IN.fields}
+        for _ in range(HOLDOUT_SIZE)
+    ]
     tp = fp = fn = 0
-    for _ in range(HOLDOUT_SIZE):
-        values = {f.name: rng.randrange(f.raw_max + 1) for f in PACKET_IN.fields}
+    for values, predicted in zip(rows, predict_rows(ruleset, rows)):
         truth = oracle.matches(values)
-        predicted = classify(ruleset, values) == "presence"
         tp += predicted and truth
         fp += predicted and not truth
         fn += (not predicted) and truth
@@ -236,10 +238,9 @@ def test_criterion_06_learner_planted_rule_recovery(check):
             dataset.append(values, "presence" if hit else "absence")
 
     ruleset = learn(dataset, RipperParams(seed=0))
+    rows = [{n: rng.randrange(256) for n in ("a", "b", "c")} for _ in range(5000)]
     tp = fp = fn = 0
-    for _ in range(5000):
-        values = {n: rng.randrange(256) for n in ("a", "b", "c")}
-        predicted = classify(ruleset, values) == "presence"
+    for values, predicted in zip(rows, predict_rows(ruleset, rows)):
         hit = matches(values)
         tp += predicted and hit
         fp += predicted and not hit

@@ -74,7 +74,7 @@ def test_subset(ds):
 
 def test_csv_round_trip(tmp_path, ds):
     p = tmp_path / "d.csv"
-    ds.write_csv(p)
+    ds.append_csv(p)
     back = read_csv(p)
     assert back.field_names == ds.field_names
     assert [s.values for s in back] == [s.values for s in ds]
@@ -91,7 +91,7 @@ def test_append_csv_equals_whole_write(tmp_path):
         d.append({"a": i + 100}, ABSENCE, iteration=i)
         d.append_csv(chunked, start=start)
     whole = tmp_path / "whole.csv"
-    d.write_csv(whole)
+    d.append_csv(whole)  # a fresh path: header plus every row
     assert chunked.read_bytes() == whole.read_bytes()
 
 

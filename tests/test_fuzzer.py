@@ -14,8 +14,6 @@ from rulefuzz.fuzzer import (
     FuzzPlan,
     apply_plan,
     draw_field_subset,
-    guided_fuzz,
-    initial_fuzz,
     make_guided_plan,
     make_initial_plan,
     select_budget_entry,
@@ -106,7 +104,7 @@ def test_initial_fuzz_changes_subset_only():
     rng = random.Random(5)
     msg = base_message()
     for _ in range(200):
-        fuzzed = initial_fuzz(msg, rng)
+        fuzzed, _ = apply_plan(msg, make_initial_plan(SCHEMA, rng))
         assert set(fuzzed.values) == set(msg.values)
         for name, value in fuzzed.values.items():
             spec = SCHEMA.field(name)
@@ -189,7 +187,8 @@ def test_guided_fuzz_end_to_end():
     msg = base_message()
     used = Counter()
     while not budget.is_empty:
-        fuzzed, action, budget = guided_fuzz(msg, budget, 0.2, rng)
+        chosen, budget = select_budget_entry(budget, rng)
+        fuzzed, action = apply_plan(msg, make_guided_plan(SCHEMA, chosen, 0.2, rng))
         assert action.applied_rule in (r1, r2)
         assert evaluate(action.applied_rule.condition, fuzzed.values)
         used[action.applied_rule.condition] += 1
@@ -204,9 +203,9 @@ def test_guided_fuzz_default_rule_avoidance_path():
     minority = [parse_condition("a >= 5")]
     msg = base_message()
     while not budget.is_empty:
-        fuzzed, action, budget = guided_fuzz(
-            msg, budget, 0.2, rng, minority_conditions=minority
-        )
+        chosen, budget = select_budget_entry(budget, rng)
+        plan = make_guided_plan(SCHEMA, chosen, 0.2, rng, avoid=minority)
+        fuzzed, action = apply_plan(msg, plan)
         assert action.applied_rule is default
         assert fuzzed.values["a"] < 5
 

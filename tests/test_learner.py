@@ -17,12 +17,12 @@ from rulefuzz.learner import (
     TooFewSamplesError,
     _best_atom,
     _encode,
-    classify,
     cross_validate,
     learn,
     predict_mask,
 )
 from rulefuzz.rules import (
+    OPS,
     Atom,
     Condition,
     DecisionRule,
@@ -30,9 +30,9 @@ from rulefuzz.rules import (
     format_ruleset,
     parse_condition,
 )
-from rulefuzz.sampler import evaluate
+from rulefuzz.sampler import evaluate, intervals_for
 
-from .conftest import make_schema
+from .conftest import make_schema, predict_rows
 
 WIDE = make_schema({"a": 8, "b": 8, "c": 8})
 PLANTED = parse_condition("a >= 200 AND b <= 40")
@@ -57,11 +57,10 @@ def balanced_dataset(schema, cond, per_class, rng, flip=0.0):
 
 
 def holdout_metrics(ruleset, schema, cond, count, rng):
+    rows = [draw(schema, rng) for _ in range(count)]
     tp = fp = fn = 0
-    for _ in range(count):
-        values = draw(schema, rng)
+    for values, pred in zip(rows, predict_rows(ruleset, rows)):
         truth = evaluate(cond, values)
-        pred = classify(ruleset, values) == PRESENCE
         tp += pred and truth
         fp += pred and not truth
         fn += (not pred) and truth
@@ -87,11 +86,11 @@ def test_exact_on_exhaustive_grid():
     rng = random.Random(7)
     ds = balanced_dataset(tiny, cond, 300, rng)
     model = learn(ds)
+    grid = [{"a": a, "b": b} for a, b in itertools.product(range(16), range(16))]
     mismatches = [
-        (a, b)
-        for a, b in itertools.product(range(16), range(16))
-        if (classify(model, {"a": a, "b": b}) == PRESENCE)
-        != evaluate(cond, {"a": a, "b": b})
+        values
+        for values, pred in zip(grid, predict_rows(model, grid))
+        if pred != evaluate(cond, values)
     ]
     assert mismatches == []
 
@@ -144,9 +143,16 @@ def test_classify_first_match_order():
         DecisionRule.build(parse_condition("b >= 2"), PRESENCE, 8, 1),
     )
     rs = RuleSet(rules, DecisionRule.build(Condition(), ABSENCE, 20, 2))
-    assert classify(rs, {"a": 3, "b": 9}) == PRESENCE
-    assert classify(rs, {"a": 9, "b": 9}) == PRESENCE
-    assert classify(rs, {"a": 9, "b": 0}) == ABSENCE
+    rows = [{"a": 3, "b": 9}, {"a": 9, "b": 9}, {"a": 9, "b": 0}]
+    assert predict_rows(rs, rows).tolist() == [True, True, False]
+
+
+def classify(ruleset, values):
+    """Scalar first-match reference: the first matching minority rule wins."""
+    for rule in ruleset.minority_rules:
+        if evaluate(rule.condition, values):
+            return rule.prediction
+    return ruleset.default_rule.prediction
 
 
 def test_predict_mask_matches_scalar_classify():
@@ -156,6 +162,39 @@ def test_predict_mask_matches_scalar_classify():
     mask = predict_mask(model, ds)
     for i, sample in enumerate(ds):
         assert mask[i] == (classify(model, sample.values) == PRESENCE)
+
+
+U64_MAX = 2**64 - 1
+SPAN64 = make_schema({"a": 64})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    op=st.sampled_from(sorted(OPS)),
+    value=st.one_of(
+        st.integers(max_value=-1),
+        st.just(0),
+        st.integers(1, U64_MAX - 1),
+        st.just(U64_MAX),
+        st.integers(min_value=2**64),
+    ),
+    rows=st.lists(st.integers(0, U64_MAX), max_size=6),
+)
+def test_comparators_agree_on_any_constant(op, value, rows):
+    # evaluate, predict_mask and the sampler's intervals give one answer,
+    # also for constants outside the uint64 range of the value matrix
+    rows = rows + [0, U64_MAX] + [min(max(value + d, 0), U64_MAX) for d in (-1, 0, 1)]
+    cond = Condition((Atom("a", op, value),))
+    ruleset = RuleSet(
+        (DecisionRule.build(cond, PRESENCE, 1, 0),),
+        DecisionRule.build(Condition(), ABSENCE, 1, 0),
+    )
+    (interval,) = intervals_for(cond, SPAN64)
+    mask = predict_rows(ruleset, [{"a": v} for v in rows])
+    for v, predicted in zip(rows, mask):
+        want = evaluate(cond, {"a": v})
+        assert predicted == want, (v, op, value)
+        assert any(lo <= v <= hi for lo, hi in interval.allowed) == want, (v, op, value)
 
 
 def test_minority_class_may_be_absence():

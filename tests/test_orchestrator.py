@@ -4,12 +4,15 @@ Every campaign here drives the real TCP stack (driver, proxy, mock
 controller), so iteration counts and n stay tiny to keep the suite fast.
 """
 import csv
+import hashlib
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import rulefuzz.orchestrator as orchestrator
 from rulefuzz.codec import builtin_registry, decode_as
 from rulefuzz.orchestrator import (
     CampaignConfig,
@@ -29,7 +32,7 @@ from rulefuzz.rules import (
     parse_condition,
 )
 from rulefuzz.sampler import evaluate
-from rulefuzz.sut import FailureOracle, default_oracle
+from rulefuzz.sut import FailureOracle, SutUnavailableError, default_oracle
 
 REGISTRY = builtin_registry()
 PACKET_IN = REGISTRY.by_name("packet_in")
@@ -148,9 +151,58 @@ def test_longer_run_extends_shorter_one_byte_for_byte(tmp_path):
     short_csv = (short.out_dir / "dataset.csv").read_bytes()
     long_csv = (long.out_dir / "dataset.csv").read_bytes()
     assert long_csv.startswith(short_csv)
-    assert [r.as_dict() for r in long.iterations[:2]] == [
-        r.as_dict() for r in short.iterations
-    ]
+    assert long.iterations[:2] == short.iterations
+
+
+# sha256 of the artifacts of a small guided campaign: seed 8, 3 iterations
+# of 40 sessions, 2 % label noise.  Any change to plans, labels, learned
+# rules or report layout shows up here.
+GOLDEN = {
+    "dataset.csv": "37bf8c20de1a0455accb202f7c670fbfb723e405769605d9e4c4968ee6b6b8d7",
+    "ruleset.txt": "6e6ea16a19baaf167cbffd32828ab46c61e44de84618b6ee70f1ec6d74dafe57",
+    "report.json": "3a9a9e8a0a736be39b3d3fce24a206153bfd7ebdd0a7a7b3d2ea5fe7d24b7d47",
+}
+
+
+def test_golden_artifacts(tmp_path):
+    config = CampaignConfig(
+        out_dir=tmp_path,
+        mode="guided",
+        n=40,
+        iterations=3,
+        seed=8,
+        plateau_window=0,
+        oracle=replace(default_oracle(), noise_rate=0.02),
+    )
+    run_campaign(config)
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN
+    }
+    assert got == GOLDEN
+
+
+def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch):
+    # one injected connect failure mid-campaign: the run is retried, and
+    # every row still carries the label of the session that ran its plan
+    real_connect = orchestrator.connect_sut
+    calls = itertools.count()
+
+    def flaky_connect(endpoint, timeout):
+        if next(calls) == 2:
+            raise SutUnavailableError("injected connect failure")
+        return real_connect(endpoint, timeout=timeout)
+
+    monkeypatch.setattr(orchestrator, "connect_sut", flaky_connect)
+    config = small_config(tmp_path, n=20, iterations=2, oracle=EASY_ORACLE)
+    report = run_campaign(config)
+    assert next(calls) > config.n * config.iterations
+    rows = read_rows(report.out_dir / "dataset.csv")
+    assert len(rows) - 1 == config.n * config.iterations
+    names = rows[0][1:-1]
+    for row in rows[1:]:
+        values = {name: int(cell) for name, cell in zip(names, row[1:-1])}
+        assert row[-1] == ("presence" if EASY_ORACLE.matches(values) else "absence")
 
 
 def test_target_stop_reason(tmp_path):

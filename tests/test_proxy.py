@@ -2,8 +2,8 @@
 
 import random
 import socket
+import sys
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +15,6 @@ from rulefuzz.proxy import (
     InterceptProxy,
     LengthFieldInvalidError,
     StreamSegmenter,
-    UpstreamUnreachableError,
-    run_session,
-    segment,
 )
 
 REGISTRY = builtin_registry()
@@ -73,9 +70,9 @@ def test_segmenter_rejects_undersized_declared_length():
 
 def test_segment_one_shot():
     a, b = frame(1, 12), frame(2, 9)
-    frames, residual = segment(a + b + a[:4])
-    assert frames == [a, b]
-    assert residual == a[:4]
+    seg = StreamSegmenter()
+    assert seg.feed(a + b + a[:4]) == [a, b]
+    assert seg.residual == a[:4]
 
 
 @settings(max_examples=150, deadline=None)
@@ -88,9 +85,9 @@ def test_segmenter_chunking_invariance_property(seed):
     ]
     tail = frames[0][: rng.randint(0, HEADER_BYTES - 1)]
     stream = b"".join(frames) + tail
-    got, residual = segment(stream)
-    assert got == frames
-    assert residual == tail
+    seg = StreamSegmenter()
+    assert seg.feed(stream) == frames
+    assert seg.residual == tail
 
 
 class EchoUpstream:
@@ -136,8 +133,14 @@ class EchoUpstream:
             t.join(timeout=2)
 
 
-def roundtrip(endpoint, payload):
-    with socket.create_connection(endpoint, timeout=5) as sock:
+def roundtrip(proxy, payload, hook=None):
+    """One session through the proxy, paired with `hook` when one is given."""
+    if hook is None:
+        sock = socket.create_connection(proxy.endpoint, timeout=5)
+    else:
+        with proxy.reserve(hook) as endpoint:
+            sock = socket.create_connection(endpoint, timeout=5)
+    with sock:
         sock.settimeout(5)
         sock.sendall(payload)
         sock.shutdown(socket.SHUT_WR)
@@ -156,7 +159,7 @@ def upstream():
     server.close()
 
 
-def make_proxy(upstream_port, target_type="packet_in", hook=None, ordinal=1):
+def make_proxy(upstream_port, target_type="packet_in", ordinal=1):
     config = InterceptConfig(
         listen_host="127.0.0.1",
         listen_port=0,
@@ -165,7 +168,7 @@ def make_proxy(upstream_port, target_type="packet_in", hook=None, ordinal=1):
         target_type=target_type,
         target_ordinal=ordinal,
     )
-    proxy = InterceptProxy(config, REGISTRY, default_hook=hook)
+    proxy = InterceptProxy(config, REGISTRY)
     proxy.start()
     return proxy
 
@@ -174,7 +177,7 @@ def test_relay_is_byte_transparent_without_hook(upstream):
     proxy = make_proxy(upstream.port)
     try:
         payload = frame(0, 8) + frame(21, 8) + b"\x01\x02"  # trailing junk too
-        assert roundtrip(proxy.endpoint, payload) == payload
+        assert roundtrip(proxy, payload) == payload
         record = proxy.records[0]
         assert record.error is None
         assert not record.hook_fired  # no packet_in in the stream
@@ -194,10 +197,10 @@ def test_hook_replaces_only_first_target_frame(upstream):
         calls.append(data)
         return replacement
 
-    proxy = make_proxy(upstream.port, hook=hook)
+    proxy = make_proxy(upstream.port)
     try:
         payload = frame(0, 8) + original + original
-        got = roundtrip(proxy.endpoint, payload)
+        got = roundtrip(proxy, payload, hook)
         # first pass through the proxy replaces occurrence one only; the
         # echoed copy must not re-trigger the session's hook
         assert got == frame(0, 8) + replacement + original
@@ -213,9 +216,9 @@ def test_target_ordinal_selects_later_occurrence(upstream):
     first = frame(target.header_type_code, target.total_bytes, fill=0x01)
     second = frame(target.header_type_code, target.total_bytes, fill=0x02)
     replacement = frame(target.header_type_code, target.total_bytes, fill=0xEE)
-    proxy = make_proxy(upstream.port, hook=lambda _data: replacement, ordinal=2)
+    proxy = make_proxy(upstream.port, ordinal=2)
     try:
-        got = roundtrip(proxy.endpoint, first + second)
+        got = roundtrip(proxy, first + second, lambda _data: replacement)
         assert got == first + replacement
     finally:
         proxy.stop()
@@ -223,10 +226,10 @@ def test_target_ordinal_selects_later_occurrence(upstream):
 
 def test_unknown_message_types_pass_through(upstream):
     # 0xEE is not in the registry; the relay must not care
-    proxy = make_proxy(upstream.port, hook=lambda data: b"")
+    proxy = make_proxy(upstream.port)
     try:
         payload = frame(0xEE, 16, fill=0x42)
-        assert roundtrip(proxy.endpoint, payload) == payload
+        assert roundtrip(proxy, payload, lambda data: b"") == payload
         assert not proxy.records[0].hook_fired
     finally:
         proxy.stop()
@@ -239,9 +242,9 @@ def test_hook_exception_keeps_relay_alive(upstream):
     def bad_hook(_data):
         raise RuntimeError("boom")
 
-    proxy = make_proxy(upstream.port, hook=bad_hook)
+    proxy = make_proxy(upstream.port)
     try:
-        assert roundtrip(proxy.endpoint, original) == original
+        assert roundtrip(proxy, original, bad_hook) == original
         record = proxy.records[0]
         assert record.hook_fired
         assert "boom" in record.error
@@ -289,36 +292,17 @@ def test_reserve_pairs_hooks_with_connections(upstream):
         proxy.stop()
 
 
-def test_run_session_single_shot():
-    upstream = EchoUpstream()
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    listener.close()
-    config = InterceptConfig(
-        listen_host="127.0.0.1",
-        listen_port=port,
-        upstream_host="127.0.0.1",
-        upstream_port=upstream.port,
-        target_type="hello",
-    )
+def test_run_session_single_shot(upstream):
+    # one session on a fresh proxy, the hook paired through reserve()
+    proxy = make_proxy(upstream.port, target_type="hello")
     replacement = frame(0, 8, fill=0)
-    holder = {}
-
-    def serve():
-        holder["record"] = run_session(config, lambda _d: replacement, REGISTRY)
-
-    t = threading.Thread(target=serve)
-    t.start()
     try:
-        time.sleep(0.1)  # give the listener time to bind
         payload = frame(0, 8, fill=7) + frame(21, 8)
-        got = roundtrip(("127.0.0.1", port), payload)
-        t.join(timeout=5)
+        got = roundtrip(proxy, payload, lambda _d: replacement)
         assert got == replacement + frame(21, 8)
-        assert holder["record"].hook_fired
+        assert [r.hook_fired for r in proxy.records] == [True]
     finally:
-        upstream.close()
+        proxy.stop()
 
 
 def test_run_session_upstream_unreachable():
@@ -327,29 +311,80 @@ def test_run_session_upstream_unreachable():
     dead_port = gone.getsockname()[1]
     gone.close()
 
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    listener.close()
-    config = InterceptConfig(
-        listen_host="127.0.0.1",
-        listen_port=port,
-        upstream_host="127.0.0.1",
-        upstream_port=dead_port,
-        target_type="hello",
-    )
-    holder = {}
+    proxy = make_proxy(dead_port, target_type="hello")
+    try:
+        # the proxy accepts, fails to reach upstream, and closes the client
+        with socket.create_connection(proxy.endpoint, timeout=5) as sock:
+            assert sock.recv(1) == b""
+        assert proxy.records[0].error.startswith("upstream unreachable")
+    finally:
+        proxy.stop()
 
-    def serve():
+
+def test_failed_connect_retracts_its_hook(upstream):
+    target = REGISTRY.by_name("packet_in")
+    proxy = make_proxy(upstream.port)
+    stale = []
+
+    def stale_hook(data):
+        stale.append(data)
+        return data
+
+    try:
+        with pytest.raises(ConnectionError):
+            with proxy.reserve(stale_hook):
+                raise ConnectionError("connect failed")
+        for tag in range(1, 5):
+            marker = frame(target.header_type_code, target.total_bytes, fill=tag)
+            got = roundtrip(
+                proxy, frame(target.header_type_code, target.total_bytes),
+                lambda _data, m=marker: m,
+            )
+            assert got == marker, f"session {tag} was served another session's hook"
+        assert stale == []
+        assert [r.hook_fired for r in proxy.records] == [True] * 4
+    finally:
+        proxy.stop()
+
+
+def test_failed_connects_keep_concurrent_pairing(upstream):
+    # more clients than cores, each failing one connect before its session,
+    # with frequent thread switches to shake out races on the hook queue
+    target = REGISTRY.by_name("packet_in")
+    request = frame(target.header_type_code, target.total_bytes)
+    proxy = make_proxy(upstream.port)
+    results = {}
+
+    def one(tag):
         try:
-            run_session(config, None, REGISTRY)
-        except UpstreamUnreachableError as exc:
-            holder["error"] = exc
+            with proxy.reserve(lambda data: b"stale" + data):
+                raise ConnectionError("connect failed")
+        except ConnectionError:
+            pass
+        marker = frame(target.header_type_code, target.total_bytes, fill=tag)
+        results[tag] = roundtrip(proxy, request, lambda _data: marker)
 
-    t = threading.Thread(target=serve)
-    t.start()
-    time.sleep(0.1)
-    with socket.create_connection(("127.0.0.1", port), timeout=5):
-        pass
-    t.join(timeout=5)
-    assert "error" in holder
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=one, args=(tag,)) for tag in range(1, 9)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        proxy.stop()
+    assert results == {
+        tag: frame(target.header_type_code, target.total_bytes, fill=tag)
+        for tag in range(1, 9)
+    }
+
+
+def test_stop_ends_accept_thread(upstream):
+    proxy = make_proxy(upstream.port)
+    assert roundtrip(proxy, frame(0, 8)) == frame(0, 8)
+    accept_thread = proxy._accept_thread
+    proxy.stop()
+    assert not accept_thread.is_alive()

@@ -27,10 +27,9 @@ from rulefuzz.sut import (
     detect,
     load_oracle_document,
     observe_label,
-    run_procedure,
     run_procedure_on,
 )
-from rulefuzz.proxy import segment
+from rulefuzz.proxy import StreamSegmenter
 
 REGISTRY = builtin_registry()
 
@@ -139,14 +138,17 @@ def test_build_procedure_shapes():
 # Live sessions
 # ---------------------------------------------------------------------------
 
+def drive(controller, procedure, oracle=None):
+    """Connect to the controller and play the switch half once."""
+    sock = connect_sut(controller.endpoint, timeout=5.0)
+    return run_procedure_on(sock, procedure, REGISTRY, oracle=oracle)
+
+
 def run_once(procedure_name="ping_exchange", target="packet_in", oracle=None,
              driver_oracle=None):
     procedure = build_procedure(procedure_name, target)
     with MockController(REGISTRY, procedure, oracle, step_timeout=5.0) as controller:
-        return run_procedure(
-            controller.endpoint, procedure, REGISTRY,
-            oracle=driver_oracle, timeout=5.0,
-        )
+        return drive(controller, procedure, driver_oracle)
 
 
 def test_unfuzzed_session_is_absence():
@@ -183,8 +185,7 @@ def handshake_then_send(endpoint, values):
             if not chunk:
                 break
             buf += chunk
-        frames, _ = segment(buf)
-        return frames
+        return StreamSegmenter().feed(buf)
     finally:
         sock.close()
 
@@ -244,9 +245,7 @@ def test_switch_connect_check_is_driver_side():
     oracle = FailureOracle("hello", parse_condition("version >= 4"))
     procedure = build_procedure("switch_connect", "hello")
     with MockController(REGISTRY, procedure, oracle, step_timeout=5.0) as controller:
-        outcome = run_procedure(
-            controller.endpoint, procedure, REGISTRY, oracle=oracle, timeout=5.0
-        )
+        outcome = drive(controller, procedure, oracle)
     assert outcome.observations["closed_early"]
     assert not outcome.observations["ping_ok"]
     assert detect(outcome.observations) == PRESENCE
@@ -256,9 +255,7 @@ def test_switch_connect_non_matching_is_absence():
     oracle = FailureOracle("hello", parse_condition("version <= 2"))
     procedure = build_procedure("switch_connect", "hello")
     with MockController(REGISTRY, procedure, oracle, step_timeout=5.0) as controller:
-        outcome = run_procedure(
-            controller.endpoint, procedure, REGISTRY, oracle=oracle, timeout=5.0
-        )
+        outcome = drive(controller, procedure, oracle)
     assert outcome.completed
     assert detect(outcome.observations) == ABSENCE
 

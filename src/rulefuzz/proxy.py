@@ -1,13 +1,16 @@
 """Transparent TCP intercept proxy for control channels.
 
+TcpServer is the package's one socket server: a listener, one accept
+loop and one thread per live session.  The proxy and the mock
+controller in `sut` are both built on it.
+
 The proxy sits as an explicit man-in-the-middle between a switch-side
 client and an upstream controller.  Both directions are relayed byte for
 byte; each direction is additionally segmented into messages using the
-declared 16-bit length field of the common header so that one selected
-message per session (the target_ordinal-th of the target type in its
-direction) can be handed to a fuzz hook and replaced with the hook's
-output.  Everything else, including message types the registry does not
-know, is forwarded unmodified and in order.
+declared 16-bit length field of the common header so that the first
+message of the target type in the session can be handed to a fuzz hook
+and replaced with the hook's output.  Everything else, including message
+types the registry does not know, is forwarded unmodified and in order.
 
 One accepted connection is one independent session.  Hooks pair with
 connections only through reserve(): it queues the hook and serializes
@@ -46,7 +49,6 @@ class InterceptConfig:
     upstream_host: str
     upstream_port: int
     target_type: str
-    target_ordinal: int = 1
 
 
 @dataclass
@@ -88,28 +90,19 @@ class StreamSegmenter:
 class _Session:
     """Relay state shared by the two pumps of one connection."""
 
-    def __init__(
-        self,
-        record: SessionRecord,
-        target_code: int | None,
-        target_ordinal: int,
-        hook: Hook | None,
-    ):
+    def __init__(self, record: SessionRecord, target_code: int | None, hook: Hook | None):
         self.record = record
         self.target_code = target_code
-        self.target_ordinal = target_ordinal
         self.hook = hook
         self._lock = threading.Lock()
 
-    def process(self, frame: bytes, direction: str, seen_of_type: int) -> bytes:
+    def process(self, frame: bytes, direction: str) -> bytes:
         """Apply the hook if this frame is the session's target."""
         if self.target_code is None or frame[1] != self.target_code:
             return frame
         with self._lock:
             self.record.target_seen = True
             if self.record.hook_fired or self.hook is None:
-                return frame
-            if seen_of_type != self.target_ordinal:
                 return frame
             self.record.hook_fired = True
             try:
@@ -134,7 +127,6 @@ def _pump(
 ) -> None:
     """Relay one direction until EOF, framing to spot the target message."""
     segmenter = StreamSegmenter()
-    seen_of_type = 0
     record = session.record
     try:
         while True:
@@ -152,9 +144,7 @@ def _pump(
                 break
             out = b""
             for frame in frames:
-                if session.target_code is not None and frame[1] == session.target_code:
-                    seen_of_type += 1
-                out += session.process(frame, direction, seen_of_type)
+                out += session.process(frame, direction)
             if out:
                 try:
                     dst.sendall(out)
@@ -176,55 +166,106 @@ def _pump(
             src.shutdown(socket.SHUT_RD)
 
 
-class InterceptProxy:
-    """Long-running proxy serving one session per accepted connection."""
+class TcpServer:
+    """Threaded TCP server: one accept loop, one thread per live session.
 
-    def __init__(self, config: InterceptConfig, registry: SchemaRegistry):
-        self.config = config
-        self.registry = registry
-        self.records: list[SessionRecord] = []
-        self._hooks: collections.deque[Hook] = collections.deque()
-        self._hooks_lock = threading.Lock()
-        self._reserve_lock = threading.Lock()
-        self._records_lock = threading.Lock()
-        self._listener: socket.socket | None = None
+    The listener is bound on construction, so `endpoint` is valid before
+    start().  admit() runs on the accept thread, in accept order; the
+    arguments it returns are passed to serve() on the session's own
+    thread, which closes the accepted socket when serve() returns.  A
+    session thread leaves the live set when it ends, so threads do not
+    grow with session count.
+    """
+
+    def __init__(self, host: str, port: int):
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((host, port))
+            listener.listen(128)
+        except OSError:
+            listener.close()
+            raise
+        self._listener = listener
         self._accept_thread: threading.Thread | None = None
-        self._session_threads: list[threading.Thread] = []
-        self._running = False
-        self._next_id = 0
-        code = None
-        if config.target_type:
-            code = registry.by_name(config.target_type).header_type_code
-        self._target_code = code
+        self._sessions: set[threading.Thread] = set()
+        self._sessions_lock = threading.Lock()
 
     @property
     def endpoint(self) -> tuple[str, int]:
-        assert self._listener is not None, "proxy not started"
         host, port = self._listener.getsockname()[:2]
         return host, port
 
     def start(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.listen_host, self.config.listen_port))
-        listener.listen(128)
-        self._listener = listener
-        self._running = True
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
     def stop(self) -> None:
-        self._running = False
-        if self._listener is not None:
-            # close() alone does not wake a thread blocked in accept()
-            with contextlib.suppress(OSError):
-                self._listener.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                self._listener.close()
+        # close() alone does not wake a thread blocked in accept()
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2)
-        for t in self._session_threads:
+        with self._sessions_lock:
+            still_open = list(self._sessions)
+        for t in still_open:
             t.join(timeout=2)
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.stop()
+
+    def admit(self) -> tuple:
+        """Per-session state that must be taken in accept order."""
+        return ()
+
+    def serve(self, sock: socket.socket, *admitted: object) -> None:
+        raise NotImplementedError
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            t = threading.Thread(
+                target=self._run_session, args=(sock, self.admit()), daemon=True
+            )
+            with self._sessions_lock:
+                self._sessions.add(t)
+            t.start()
+
+    def _run_session(self, sock: socket.socket, admitted: tuple) -> None:
+        try:
+            self.serve(sock, *admitted)
+        finally:
+            # shut down first so the peer gets a FIN even when bytes it sent
+            # are still unread here; close() alone would send only a reset
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_WR)
+            sock.close()
+            with self._sessions_lock:
+                self._sessions.discard(threading.current_thread())
+
+
+class InterceptProxy(TcpServer):
+    """Long-running proxy serving one session per accepted connection."""
+
+    def __init__(self, config: InterceptConfig, registry: SchemaRegistry):
+        code = None
+        if config.target_type:
+            code = registry.by_name(config.target_type).header_type_code
+        self._target_code = code
+        self.config = config
+        self.records: list[SessionRecord] = []
+        self._hooks: collections.deque[Hook] = collections.deque()
+        self._hooks_lock = threading.Lock()
+        self._reserve_lock = threading.Lock()
+        super().__init__(config.listen_host, config.listen_port)
 
     @contextlib.contextmanager
     def reserve(self, hook: Hook) -> Iterator[tuple[str, int]]:
@@ -246,26 +287,14 @@ class InterceptProxy:
                         self._hooks.pop()
                 raise
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                break
-            with self._hooks_lock:
-                hook = self._hooks.popleft() if self._hooks else None
-            with self._records_lock:
-                self._next_id += 1
-                record = SessionRecord(session_id=self._next_id)
-                self.records.append(record)
-            t = threading.Thread(
-                target=self._serve, args=(client, hook, record), daemon=True
-            )
-            self._session_threads.append(t)
-            t.start()
+    def admit(self) -> tuple[Hook | None, SessionRecord]:
+        with self._hooks_lock:
+            hook = self._hooks.popleft() if self._hooks else None
+        record = SessionRecord(session_id=len(self.records) + 1)
+        self.records.append(record)
+        return hook, record
 
-    def _serve(self, client: socket.socket, hook: Hook | None, record: SessionRecord) -> None:
+    def serve(self, client: socket.socket, hook: Hook | None, record: SessionRecord) -> None:
         try:
             upstream = socket.create_connection(
                 (self.config.upstream_host, self.config.upstream_port), timeout=5
@@ -273,10 +302,11 @@ class InterceptProxy:
         except OSError as exc:
             record.error = f"upstream unreachable: {exc}"
             log.warning("session %d: %s", record.session_id, record.error)
-            with contextlib.suppress(OSError):
-                client.close()
             return
-        session = _Session(record, self._target_code, self.config.target_ordinal, hook)
+        # the timeout bounds the connect only: a controller that goes quiet
+        # must leave the switch to time out, not look like a dropped session
+        upstream.settimeout(None)
+        session = _Session(record, self._target_code, hook)
         pump = threading.Thread(
             target=_pump,
             args=(client, upstream, session, "client->upstream", "bytes_client_to_upstream"),
@@ -285,9 +315,8 @@ class InterceptProxy:
         pump.start()
         _pump(upstream, client, session, "upstream->client", "bytes_upstream_to_client")
         pump.join()
-        for sock in (client, upstream):
-            with contextlib.suppress(OSError):
-                sock.close()
+        with contextlib.suppress(OSError):
+            upstream.close()
         log.info(
             "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
             record.session_id, record.target_seen, record.hook_fired,

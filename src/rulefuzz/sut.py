@@ -12,7 +12,9 @@ the caller, never inside the deterministic endpoints.
 One procedure player serves both roles: the mock controller and the
 switch driver run the same step loop, each sending the steps of its own
 role and reading the peer's, and each enacting the failure for the
-checked steps it receives.
+checked steps it receives.  The mock controller is a `proxy.TcpServer`
+that plays the controller half once per accepted connection, on that
+connection's own thread.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -23,8 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import socket
-import socketserver
-import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -35,6 +35,7 @@ import yaml
 
 from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, decode_as, encode
 from .dataset import ABSENCE, PRESENCE
+from .proxy import TcpServer
 from .rules import Condition, parse_condition
 from .sampler import evaluate
 
@@ -374,26 +375,7 @@ def _play(
 # Mock controller
 # ---------------------------------------------------------------------------
 
-class _ControllerServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    registry: SchemaRegistry
-    procedure: Procedure
-    oracle: FailureOracle | None
-    step_timeout: float
-
-
-class _ControllerHandler(socketserver.BaseRequestHandler):
-    """Runs the controller half of the scripted procedure once."""
-
-    def handle(self) -> None:
-        server: _ControllerServer = self.server  # type: ignore[assignment]
-        self.request.settimeout(server.step_timeout)
-        _play(self.request, server.procedure, server.registry, server.oracle, CONTROLLER)
-
-
-class MockController:
+class MockController(TcpServer):
     """Threaded scripted controller bound to an ephemeral local port."""
 
     def __init__(
@@ -405,36 +387,15 @@ class MockController:
         port: int = 0,
         step_timeout: float = 10.0,
     ):
-        self._server = _ControllerServer((host, port), _ControllerHandler)
-        self._server.registry = registry
-        self._server.procedure = procedure
-        self._server.oracle = oracle
-        self._server.step_timeout = step_timeout
-        self._thread: threading.Thread | None = None
+        self._registry = registry
+        self._procedure = procedure
+        self._oracle = oracle
+        self._step_timeout = step_timeout
+        super().__init__(host, port)
 
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return host, port
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2)
-
-    def __enter__(self) -> "MockController":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def serve(self, sock: socket.socket) -> None:
+        sock.settimeout(self._step_timeout)
+        _play(sock, self._procedure, self._registry, self._oracle, CONTROLLER)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,30 @@
 """Intercept proxy: framing, transparency, hook pairing, and bookkeeping."""
 
+import contextlib
 import random
 import socket
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rulefuzz.codec import HEADER_BYTES, builtin_registry
+from rulefuzz.codec import HEADER_BYTES, builtin_registry, encode
 from rulefuzz.proxy import (
     InterceptConfig,
     InterceptProxy,
     LengthFieldInvalidError,
     StreamSegmenter,
+    TcpServer,
+)
+from rulefuzz.sut import (
+    MockController,
+    build_procedure,
+    connect_sut,
+    default_message,
+    run_procedure_on,
 )
 
 REGISTRY = builtin_registry()
@@ -90,47 +100,24 @@ def test_segmenter_chunking_invariance_property(seed):
     assert seg.residual == tail
 
 
-class EchoUpstream:
-    """Accepts connections, buffers until client EOF, echoes back, closes."""
+class EchoUpstream(TcpServer):
+    """Buffers each connection until client EOF, echoes it back, closes."""
 
     def __init__(self):
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(8)
-        self.port = self.sock.getsockname()[1]
-        self._threads = []
-        self._accept = threading.Thread(target=self._loop, daemon=True)
-        self._accept.start()
+        super().__init__("127.0.0.1", 0)
+        self.port = self.endpoint[1]
+        self.start()
 
-    def _loop(self):
-        while True:
-            try:
-                conn, _ = self.sock.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _serve(self, conn):
+    def serve(self, conn):
         conn.settimeout(5)
         buf = b""
-        try:
+        with contextlib.suppress(OSError):
             while True:
                 chunk = conn.recv(65536)
                 if not chunk:
                     break
                 buf += chunk
             conn.sendall(buf)
-        except OSError:
-            pass
-        finally:
-            conn.close()
-
-    def close(self):
-        self.sock.close()
-        for t in self._threads:
-            t.join(timeout=2)
 
 
 def roundtrip(proxy, payload, hook=None):
@@ -156,17 +143,16 @@ def roundtrip(proxy, payload, hook=None):
 def upstream():
     server = EchoUpstream()
     yield server
-    server.close()
+    server.stop()
 
 
-def make_proxy(upstream_port, target_type="packet_in", ordinal=1):
+def make_proxy(upstream_port, target_type="packet_in"):
     config = InterceptConfig(
         listen_host="127.0.0.1",
         listen_port=0,
         upstream_host="127.0.0.1",
         upstream_port=upstream_port,
         target_type=target_type,
-        target_ordinal=ordinal,
     )
     proxy = InterceptProxy(config, REGISTRY)
     proxy.start()
@@ -207,19 +193,6 @@ def test_hook_replaces_only_first_target_frame(upstream):
         assert calls == [original]
         record = proxy.records[0]
         assert record.target_seen and record.hook_fired
-    finally:
-        proxy.stop()
-
-
-def test_target_ordinal_selects_later_occurrence(upstream):
-    target = REGISTRY.by_name("packet_in")
-    first = frame(target.header_type_code, target.total_bytes, fill=0x01)
-    second = frame(target.header_type_code, target.total_bytes, fill=0x02)
-    replacement = frame(target.header_type_code, target.total_bytes, fill=0xEE)
-    proxy = make_proxy(upstream.port, ordinal=2)
-    try:
-        got = roundtrip(proxy, first + second, lambda _data: replacement)
-        assert got == first + replacement
     finally:
         proxy.stop()
 
@@ -383,8 +356,68 @@ def test_failed_connects_keep_concurrent_pairing(upstream):
 
 
 def test_stop_ends_accept_thread(upstream):
+    procedure = build_procedure("ping_exchange", "packet_in")
+    controller = MockController(REGISTRY, procedure, None, step_timeout=5.0)
+    controller.start()
+    outcome = run_procedure_on(connect_sut(controller.endpoint, 5.0), procedure, REGISTRY)
+    assert outcome.completed
     proxy = make_proxy(upstream.port)
     assert roundtrip(proxy, frame(0, 8)) == frame(0, 8)
-    accept_thread = proxy._accept_thread
-    proxy.stop()
-    assert not accept_thread.is_alive()
+    for server in (proxy, controller):
+        accept_thread = server._accept_thread
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.25, type(server).__name__
+        assert not accept_thread.is_alive()
+
+
+def test_sequential_sessions_leave_no_live_threads():
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with MockController(REGISTRY, procedure, None, step_timeout=5.0) as controller:
+        proxy = make_proxy(controller.endpoint[1])
+        try:
+            for _ in range(50):
+                with proxy.reserve(lambda data: data) as endpoint:
+                    sock = connect_sut(endpoint, 5.0)
+                assert run_procedure_on(sock, procedure, REGISTRY).completed
+            deadline = time.monotonic() + 5
+            while (proxy._sessions or controller._sessions) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not proxy._sessions and not controller._sessions
+            assert [r.hook_fired for r in proxy.records] == [True] * 50
+        finally:
+            proxy.stop()
+
+
+class StallingController(TcpServer):
+    """Answers hello, then reads everything and never answers again."""
+
+    def serve(self, conn):
+        conn.settimeout(30)
+        hello = encode(default_message(REGISTRY.by_name("hello")))
+        got = b""
+        while len(got) < len(hello):
+            chunk = conn.recv(len(hello) - len(got))
+            if not chunk:
+                return
+            got += chunk
+        conn.sendall(hello)
+        while conn.recv(65536):
+            pass
+
+
+def test_stalled_controller_is_a_switch_timeout():
+    # the switch waits longer than the proxy's 5 s upstream connect timeout;
+    # a quiet controller must not be relayed as a dropped session
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with StallingController("127.0.0.1", 0) as controller:
+        proxy = make_proxy(controller.endpoint[1])
+        try:
+            with proxy.reserve(lambda data: data) as endpoint:
+                sock = connect_sut(endpoint, 6.0)
+            outcome = run_procedure_on(sock, procedure, REGISTRY)
+        finally:
+            proxy.stop()
+    assert proxy.records[0].hook_fired
+    assert outcome.error == "timeout"
+    assert not outcome.observations["closed_early"]

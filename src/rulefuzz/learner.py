@@ -33,13 +33,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import ABSENCE, PRESENCE, LabeledDataset
+from .dataset import ABSENCE, PRESENCE, U64_MAX, LabeledDataset, minority_of
 from .rules import OPS, Atom, Condition, DecisionRule, RuleSet
 from . import sampler
 
 _GAIN_EPS = 1e-12
 _DL_EPS = 1e-9
-_U64_MAX = 2**64 - 1
 
 
 class TooFewSamplesError(Exception):
@@ -405,7 +404,7 @@ def _learn_arrays(
     n = len(x)
     counts = {PRESENCE: int(presence.sum())}
     counts[ABSENCE] = n - counts[PRESENCE]
-    minority = PRESENCE if counts[PRESENCE] <= counts[ABSENCE] else ABSENCE
+    minority = minority_of(counts)
     majority = ABSENCE if minority == PRESENCE else PRESENCE
 
     def degenerate() -> RuleSet:
@@ -449,7 +448,7 @@ def _condition_mask(cond: Condition, x: np.ndarray, index: Mapping[str, int]) ->
             col = x[:, index[atom.field]]
         except KeyError:
             raise sampler.MissingFieldError(f"values lack field {atom.field!r}") from None
-        if 0 <= atom.value <= _U64_MAX:
+        if 0 <= atom.value <= U64_MAX:
             mask &= OPS[atom.op](col, np.uint64(atom.value))
         else:
             # every uint64 compares alike with a constant outside their range

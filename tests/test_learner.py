@@ -378,8 +378,17 @@ def test_bin_count_search_tie_order():
 # Cross-validation on array folds against a subset-and-learn reference
 # ---------------------------------------------------------------------------
 
+def rows_of(dataset, indices):
+    """A new dataset holding the given rows of dataset, in that order."""
+    samples = list(dataset)
+    out = LabeledDataset(dataset.field_names)
+    for i in indices:
+        out.append(samples[i].values, samples[i].label, samples[i].iteration)
+    return out
+
+
 def subset_cross_validate(dataset, k, params):
-    """cross_validate's folds run through learn(subset) and predict_mask(subset)."""
+    """cross_validate's folds run through learn() and predict_mask() on fold datasets."""
     rng = np.random.default_rng(params.seed)
     _, y = dataset.to_arrays()
     pos_idx = rng.permutation(np.nonzero(y)[0])
@@ -392,8 +401,8 @@ def subset_cross_validate(dataset, k, params):
         test_set = set(test_idx.tolist())
         train_idx = [i for i in range(len(dataset)) if i not in test_set]
         fold_params = replace(params, seed=(params.seed * 1000003 + fold) % (2**63))
-        model = learn(dataset.subset(train_idx), fold_params)
-        test_ds = dataset.subset(test_idx.tolist())
+        model = learn(rows_of(dataset, train_idx), fold_params)
+        test_ds = rows_of(dataset, test_idx.tolist())
         pred = predict_mask(model, test_ds)
         _, y_test = test_ds.to_arrays()
         tp += int((pred & y_test).sum())

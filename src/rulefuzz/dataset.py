@@ -79,6 +79,8 @@ class LabeledDataset:
             raise DatasetFormatError(f"row has unknown fields {extra}")
         if not all(0 <= v <= U64_MAX for v in row):
             raise DatasetFormatError(f"row values must lie in [0, {U64_MAX}], got {row}")
+        if not -(2**63) <= iteration < 2**63:  # stored as int64
+            raise DatasetFormatError(f"iteration must fit in int64, got {iteration}")
         n = self._n
         if n == len(self._presence):  # full: double each column; appends overwrite the copy
             cols = (self._values, self._presence, self._iterations)
@@ -140,6 +142,6 @@ def read_csv(path: str | Path) -> LabeledDataset:
             try:
                 values = {name: int(cell) for name, cell in zip(field_names, row[1:-1])}
                 ds.append(values, row[-1], iteration=int(row[0]))
-            except (ValueError, OverflowError, DatasetFormatError) as exc:
+            except (ValueError, DatasetFormatError) as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: {exc}") from None
     return ds

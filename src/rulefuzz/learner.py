@@ -28,7 +28,7 @@ Everything is deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,11 @@ from . import sampler
 
 _GAIN_EPS = 1e-12
 _DL_EPS = 1e-9
+# the standard induction settings
+_GROW_FRACTION = 2 / 3
+_OPTIMIZATION_PASSES = 2
+_MIN_RULE_COVERAGE = 2
+_MDL_SLACK = 64.0
 
 
 class TooFewSamplesError(Exception):
@@ -47,12 +52,8 @@ class TooFewSamplesError(Exception):
 
 @dataclass(frozen=True)
 class RipperParams:
-    """Induction knobs; the defaults are the standard ones."""
+    """Induction knobs: the seed of every random split."""
 
-    grow_fraction: float = 2 / 3
-    optimization_passes: int = 2
-    min_rule_coverage: int = 2
-    mdl_slack: float = 64.0
     seed: int = 0
 
 
@@ -288,7 +289,6 @@ def _induce(
     x: np.ndarray,
     bins: _Bins,
     y: np.ndarray,
-    params: RipperParams,
     rng: np.random.Generator,
     n_possible: int,
     exp_fp: float,
@@ -301,7 +301,7 @@ def _induce(
         rem = np.nonzero(~covered)[0]
         if rem.size == 0 or not y[rem].any():
             break
-        grow_idx, prune_idx = _stratified_split(rem, y, params.grow_fraction, rng)
+        grow_idx, prune_idx = _stratified_split(rem, y, _GROW_FRACTION, rng)
         atoms = _grow(x[grow_idx], bins.take(grow_idx), y[grow_idx])
         if not atoms:
             break
@@ -310,12 +310,12 @@ def _induce(
         rem_mask = _rule_mask(atoms, x[rem])
         t_cov = int(rem_mask.sum())
         p_cov = int(y[rem][rem_mask].sum())
-        if t_cov < params.min_rule_coverage or p_cov == 0:
+        if t_cov < _MIN_RULE_COVERAGE or p_cov == 0:
             break
         if p_cov / t_cov <= 0.5:
             break
         dl = _ruleset_dl(rules + [atoms], x, y, n_possible, exp_fp)
-        if dl > dl_min + params.mdl_slack:
+        if dl > dl_min + _MDL_SLACK:
             break
         dl_min = min(dl_min, dl)
         rules.append(atoms)
@@ -328,18 +328,17 @@ def _optimize(
     x: np.ndarray,
     bins: _Bins,
     y: np.ndarray,
-    params: RipperParams,
     rng: np.random.Generator,
     n_possible: int,
     exp_fp: float,
 ) -> list[list[_IAtom]]:
-    for _ in range(params.optimization_passes):
+    for _ in range(_OPTIMIZATION_PASSES):
         for i in range(len(rules)):
             others = rules[:i] + rules[i + 1 :]
             ctx = np.nonzero(~_union_mask(others, x))[0]
             if ctx.size == 0 or not y[ctx].any():
                 continue
-            grow_idx, prune_idx = _stratified_split(ctx, y, params.grow_fraction, rng)
+            grow_idx, prune_idx = _stratified_split(ctx, y, _GROW_FRACTION, rng)
             candidates = []
             grow = (x[grow_idx], bins.take(grow_idx), y[grow_idx])
             replacement = _grow(*grow)
@@ -359,7 +358,7 @@ def _optimize(
                 if dl < best_dl - _DL_EPS:
                     best, best_dl = cand, dl
             rules[i] = best
-        rules = _induce(x, bins, y, params, rng, n_possible, exp_fp, rules=rules)
+        rules = _induce(x, bins, y, rng, n_possible, exp_fp, rules=rules)
     # Drop rules whose removal shortens the description.
     changed = True
     while changed and rules:
@@ -386,7 +385,8 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     learnable structure yields a degenerate rule set (default rule only).
     """
     x, presence = dataset.to_arrays()
-    return _learn_arrays(x, presence, _encode(x), dataset.field_names, params or RipperParams())
+    seed = (params or RipperParams()).seed
+    return _learn_arrays(x, presence, _encode(x), dataset.field_names, seed)
 
 
 def _learn_arrays(
@@ -394,7 +394,7 @@ def _learn_arrays(
     presence: np.ndarray,
     bins: _Bins,
     names: Sequence[str],
-    params: RipperParams,
+    seed: int,
 ) -> RuleSet:
     """learn() on a value matrix, its presence mask and the matching bins.
 
@@ -415,14 +415,14 @@ def _learn_arrays(
         return degenerate()
 
     y = presence if minority == PRESENCE else ~presence
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     n_possible = 2 * np.count_nonzero(
         np.bincount(bins.codes.ravel(), minlength=bins.field.size)
     )
     exp_fp = counts[minority] / n
-    rules = _induce(x, bins, y, params, rng, n_possible, exp_fp)
+    rules = _induce(x, bins, y, rng, n_possible, exp_fp)
     if rules:
-        rules = _optimize(rules, x, bins, y, params, rng, n_possible, exp_fp)
+        rules = _optimize(rules, x, bins, y, rng, n_possible, exp_fp)
     if not rules:
         return degenerate()
 
@@ -500,9 +500,9 @@ def cross_validate(
             continue
         train = np.ones(len(x), dtype=bool)
         train[test_idx] = False
-        fold_params = replace(params, seed=(base_seed * 1000003 + fold) % (2**63))
+        fold_seed = (base_seed * 1000003 + fold) % (2**63)
         model = _learn_arrays(
-            x[train], y[train], bins.take(train), dataset.field_names, fold_params
+            x[train], y[train], bins.take(train), dataset.field_names, fold_seed
         )
         pred = _predict(model, x[test_idx], dataset.field_names)
         y_test = y[test_idx]

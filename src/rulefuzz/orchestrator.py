@@ -64,6 +64,7 @@ log = logging.getLogger(__name__)
 MODES = ("guided", "random", "schema_random")
 
 _TYPE_HEADER = "# message_type: "
+_MAX_RETRIES = 3  # session attempts per planned row before the campaign fails
 
 
 class PersistenceFailureError(Exception):
@@ -88,7 +89,6 @@ class CampaignConfig:
     plateau_window: int = 3
     plateau_epsilon: float = 0.01
     step_timeout: float = 10.0
-    max_retries: int = 3
     oracle: FailureOracle | None = None  # None: packaged default
     registry: SchemaRegistry | None = None  # None: builtin schemas
 
@@ -218,7 +218,7 @@ def _run_one(
     index: int,
 ) -> tuple[int, FuzzAction, str]:
     last = "no attempt made"
-    for _ in range(config.max_retries):
+    for _ in range(_MAX_RETRIES):
         hook = PlannedHook(fuzz_plan, schema)
         try:
             # reserve() pairs the hook with this connection; keep the
@@ -240,7 +240,7 @@ def _run_one(
         return index, hook.action, label
     raise SutUnavailableError(
         f"iteration {iteration} run {index} failed "
-        f"{config.max_retries} times; last: {last}"
+        f"{_MAX_RETRIES} times; last: {last}"
     )
 
 

@@ -12,6 +12,12 @@ message of the target type in the session can be handed to a fuzz hook
 and replaced with the hook's output.  Everything else, including message
 types the registry does not know, is forwarded unmodified and in order.
 
+A session is one thread: one select loop relays both legs, each with its
+own framing.  A leg that reaches EOF forwards its trailing bytes and
+half-closes its destination while the other leg relays on.  Sends block,
+so a peer that stops reading stalls both legs; the lock-step exchanges
+of a control channel never fill a socket buffer.
+
 One accepted connection is one independent session.  Hooks pair with
 connections only through reserve(): it queues the hook and serializes
 the register-then-connect step, so accept order matches queue order.  A
@@ -24,6 +30,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import logging
+import selectors
 import socket
 import threading
 from dataclasses import dataclass
@@ -34,12 +41,20 @@ from .codec import HEADER_BYTES, SchemaRegistry
 log = logging.getLogger(__name__)
 
 _RECV_CHUNK = 65536
+_C2U, _U2C = "client->upstream", "upstream->client"
 
 Hook = Callable[[bytes], bytes]
 
 
 class LengthFieldInvalidError(Exception):
-    """A framed header declares a length smaller than the header itself."""
+    """A framed header declares a length smaller than the header itself.
+
+    `frames` holds the messages the same feed completed before that header.
+    """
+
+    def __init__(self, message: str, frames: list[bytes]):
+        super().__init__(message)
+        self.frames = frames
 
 
 @dataclass(frozen=True)
@@ -78,92 +93,13 @@ class StreamSegmenter:
             declared = int.from_bytes(buf[2:4], "big")
             if declared < HEADER_BYTES:
                 raise LengthFieldInvalidError(
-                    f"declared length {declared} below header size {HEADER_BYTES}"
+                    f"declared length {declared} below header size {HEADER_BYTES}", frames
                 )
             if len(buf) < declared:
                 break
             frames.append(buf[:declared])
             self.residual = buf[declared:]
         return frames
-
-
-class _Session:
-    """Relay state shared by the two pumps of one connection."""
-
-    def __init__(self, record: SessionRecord, target_code: int | None, hook: Hook | None):
-        self.record = record
-        self.target_code = target_code
-        self.hook = hook
-        self._lock = threading.Lock()
-
-    def process(self, frame: bytes, direction: str) -> bytes:
-        """Apply the hook if this frame is the session's target."""
-        if self.target_code is None or frame[1] != self.target_code:
-            return frame
-        with self._lock:
-            self.record.target_seen = True
-            if self.record.hook_fired or self.hook is None:
-                return frame
-            self.record.hook_fired = True
-            try:
-                out = self.hook(frame)
-            except Exception as exc:  # hook bugs must not wedge the relay
-                log.warning("session %d hook failed: %s", self.record.session_id, exc)
-                self.record.error = f"hook: {exc}"
-                return frame
-            log.debug(
-                "session %d fuzzed %s frame (%d -> %d bytes)",
-                self.record.session_id, direction, len(frame), len(out),
-            )
-            return out
-
-
-def _pump(
-    src: socket.socket,
-    dst: socket.socket,
-    session: _Session,
-    direction: str,
-    count_attr: str,
-) -> None:
-    """Relay one direction until EOF, framing to spot the target message."""
-    segmenter = StreamSegmenter()
-    record = session.record
-    try:
-        while True:
-            try:
-                chunk = src.recv(_RECV_CHUNK)
-            except OSError:
-                break
-            if not chunk:
-                break
-            try:
-                frames = segmenter.feed(chunk)
-            except LengthFieldInvalidError as exc:
-                record.error = f"{direction}: {exc}"
-                log.warning("session %d aborted: %s", record.session_id, exc)
-                break
-            out = b""
-            for frame in frames:
-                out += session.process(frame, direction)
-            if out:
-                try:
-                    dst.sendall(out)
-                except OSError:
-                    break
-                setattr(record, count_attr, getattr(record, count_attr) + len(out))
-    finally:
-        # Forward any incomplete trailing bytes, then propagate the close.
-        if segmenter.residual and record.error is None:
-            with contextlib.suppress(OSError):
-                dst.sendall(segmenter.residual)
-                setattr(
-                    record, count_attr,
-                    getattr(record, count_attr) + len(segmenter.residual),
-                )
-        with contextlib.suppress(OSError):
-            dst.shutdown(socket.SHUT_WR)
-        with contextlib.suppress(OSError):
-            src.shutdown(socket.SHUT_RD)
 
 
 class TcpServer:
@@ -256,10 +192,7 @@ class InterceptProxy(TcpServer):
     """Long-running proxy serving one session per accepted connection."""
 
     def __init__(self, config: InterceptConfig, registry: SchemaRegistry):
-        code = None
-        if config.target_type:
-            code = registry.by_name(config.target_type).header_type_code
-        self._target_code = code
+        self._target_code = registry.by_name(config.target_type).header_type_code
         self.config = config
         self.records: list[SessionRecord] = []
         self._hooks: collections.deque[Hook] = collections.deque()
@@ -306,19 +239,73 @@ class InterceptProxy(TcpServer):
         # the timeout bounds the connect only: a controller that goes quiet
         # must leave the switch to time out, not look like a dropped session
         upstream.settimeout(None)
-        session = _Session(record, self._target_code, hook)
-        pump = threading.Thread(
-            target=_pump,
-            args=(client, upstream, session, "client->upstream", "bytes_client_to_upstream"),
-            daemon=True,
-        )
-        pump.start()
-        _pump(upstream, client, session, "upstream->client", "bytes_upstream_to_client")
-        pump.join()
-        with contextlib.suppress(OSError):
-            upstream.close()
+        with upstream, selectors.DefaultSelector() as sel:
+            # one leg per source socket; key.data is its destination,
+            # its framing and its direction
+            sel.register(client, selectors.EVENT_READ, (upstream, StreamSegmenter(), _C2U))
+            sel.register(upstream, selectors.EVENT_READ, (client, StreamSegmenter(), _U2C))
+            while sel.get_map():
+                for key, _ in sel.select():
+                    if not self._relay(key, hook, record):
+                        sel.unregister(key.fileobj)
         log.info(
             "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
             record.session_id, record.target_seen, record.hook_fired,
             record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
         )
+
+    def _relay(self, key: selectors.SelectorKey, hook: Hook | None, record: SessionRecord) -> bool:
+        """Relay one read of a readable leg; False once the leg has ended."""
+        src, (dst, segmenter, direction) = key.fileobj, key.data
+        try:
+            chunk = src.recv(_RECV_CHUNK)
+        except OSError:
+            chunk = b""
+        ended = not chunk
+        try:
+            frames = segmenter.feed(chunk)
+        except LengthFieldInvalidError as exc:
+            record.error = f"{direction}: {exc}"
+            log.warning("session %d aborted: %s", record.session_id, exc)
+            # relay the frames before the bad header; the rest of this leg
+            # cannot be framed, so it is dropped
+            frames, ended, segmenter.residual = exc.frames, True, b""
+        out = b"".join(self._intercept(frame, hook, record) for frame in frames)
+        if ended:
+            out += segmenter.residual  # incomplete trailing bytes go too
+        try:
+            if out:
+                dst.sendall(out)
+        except OSError:
+            ended = True
+        else:
+            if direction == _C2U:
+                record.bytes_client_to_upstream += len(out)
+            else:
+                record.bytes_upstream_to_client += len(out)
+        if ended:
+            # propagate the close; the other leg relays on (half-close)
+            with contextlib.suppress(OSError):
+                dst.shutdown(socket.SHUT_WR)
+            with contextlib.suppress(OSError):
+                src.shutdown(socket.SHUT_RD)
+        return not ended
+
+    def _intercept(self, frame: bytes, hook: Hook | None, record: SessionRecord) -> bytes:
+        """Apply the hook if this frame is the session's first target frame."""
+        if frame[1] != self._target_code:
+            return frame
+        record.target_seen = True
+        if record.hook_fired or hook is None:
+            return frame
+        record.hook_fired = True
+        try:
+            out = hook(frame)
+        except Exception as exc:  # hook bugs must not wedge the relay
+            log.warning("session %d hook failed: %s", record.session_id, exc)
+            record.error = f"hook: {exc}"
+            return frame
+        log.debug(
+            "session %d fuzzed frame (%d -> %d bytes)", record.session_id, len(frame), len(out)
+        )
+        return out

@@ -53,6 +53,10 @@ def test_append_rejects_incomplete_row():
     for bad in (-1, 2**64):
         with pytest.raises(DatasetFormatError):
             d.append({"a": 1, "b": bad}, PRESENCE)
+    # so is an iteration outside int64
+    for bad in (2**63, -(2**63) - 1):
+        with pytest.raises(DatasetFormatError):
+            d.append({"a": 1, "b": 2}, PRESENCE, iteration=bad)
     d.append({"a": 0, "b": 2**64 - 1}, ABSENCE)
     x, y = d.to_arrays()
     assert x.tolist() == [[0, 2**64 - 1]] and y.tolist() == [False]
@@ -152,4 +156,12 @@ def test_read_csv_rejects_out_of_range_value(tmp_path, cell):
     p = tmp_path / "bad.csv"
     p.write_text(f"iteration,a,label\n1,5,presence\n1,{cell},absence\n")
     with pytest.raises(DatasetFormatError, match=r"bad\.csv:3: "):
+        read_csv(p)
+
+
+@pytest.mark.parametrize("cell", [str(2**63), str(-(2**63) - 1)])
+def test_read_csv_rejects_out_of_range_iteration(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"iteration,a,label\n1,5,presence\n{cell},5,absence\n")
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv:3: iteration"):
         read_csv(p)

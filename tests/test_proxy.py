@@ -76,6 +76,11 @@ def test_segmenter_rejects_undersized_declared_length():
     seg = StreamSegmenter()
     with pytest.raises(LengthFieldInvalidError):
         seg.feed(frame(10, 20, declared=HEADER_BYTES - 1))
+    # the frames completed before the bad header travel with the error
+    good = frame(1, 12)
+    with pytest.raises(LengthFieldInvalidError) as info:
+        StreamSegmenter().feed(good + good + frame(10, 20, declared=4))
+    assert info.value.frames == [good, good]
 
 
 def test_segment_one_shot():
@@ -210,19 +215,89 @@ def test_unknown_message_types_pass_through(upstream):
 
 def test_hook_exception_keeps_relay_alive(upstream):
     target = REGISTRY.by_name("packet_in")
-    original = frame(target.header_type_code, target.total_bytes)
+    # the failing hook must not cost either leg its incomplete trailing frame
+    payload = frame(target.header_type_code, target.total_bytes) + b"\x01\x02"
 
     def bad_hook(_data):
         raise RuntimeError("boom")
 
     proxy = make_proxy(upstream.port)
     try:
-        assert roundtrip(proxy, original, bad_hook) == original
+        assert roundtrip(proxy, payload, bad_hook) == payload
         record = proxy.records[0]
         assert record.hook_fired
         assert "boom" in record.error
+        assert record.bytes_client_to_upstream == len(payload)
+        assert record.bytes_upstream_to_client == len(payload)
     finally:
         proxy.stop()
+
+
+def test_invalid_length_field_ends_only_its_leg(upstream):
+    # the client leg aborts at the bad header; the valid frame before it
+    # still reaches upstream, and upstream's echo still reaches the client
+    valid = frame(21, 8, fill=0x33)
+    proxy = make_proxy(upstream.port)
+    try:
+        got = roundtrip(proxy, valid + frame(10, 20, declared=4))
+        assert got == valid  # the echo holds exactly what upstream received
+        record = proxy.records[0]
+        assert record.error.startswith("client->upstream")
+        assert record.bytes_client_to_upstream == len(valid)
+        assert record.bytes_upstream_to_client == len(valid)
+    finally:
+        proxy.stop()
+
+
+def test_large_multi_frame_payload_round_trips(upstream):
+    # more than the socket buffers hold, so the relay's sends block on the way
+    rng = random.Random(5)
+    frames = []
+    while sum(map(len, frames)) < 1 << 20:
+        size = rng.randint(HEADER_BYTES, 65535)
+        frames.append(frame(rng.randint(0, 255), size, fill=rng.randint(0, 255)))
+    payload = b"".join(frames) + frames[0][:HEADER_BYTES - 1]
+    proxy = make_proxy(upstream.port)
+    try:
+        assert roundtrip(proxy, payload) == payload
+        record = proxy.records[0]
+        assert record.error is None
+        assert record.bytes_client_to_upstream == len(payload)
+        assert record.bytes_upstream_to_client == len(payload)
+    finally:
+        proxy.stop()
+
+
+class StreamingEcho(TcpServer):
+    """Echoes every chunk as it arrives, until EOF."""
+
+    def serve(self, conn):
+        conn.settimeout(5)
+        with contextlib.suppress(OSError):
+            while chunk := conn.recv(65536):
+                conn.sendall(chunk)
+
+
+def test_proxy_holds_one_thread_per_session():
+    k = 4
+    with StreamingEcho("127.0.0.1", 0) as upstream:
+        proxy = make_proxy(upstream.endpoint[1])
+        before = set(threading.enumerate())
+        clients = []
+        try:
+            for tag in range(k):
+                sock = socket.create_connection(proxy.endpoint, timeout=5)
+                clients.append(sock)
+                sock.sendall(frame(0, 8, fill=tag))
+                # the echo proves both legs of this session are relaying
+                assert sock.recv(8, socket.MSG_WAITALL) == frame(0, 8, fill=tag)
+            started = set(threading.enumerate()) - before
+            assert len(proxy._sessions) == k
+            assert started - upstream._sessions == proxy._sessions
+        finally:
+            for sock in clients:
+                sock.close()
+            proxy.stop()
 
 
 def test_reserve_pairs_hooks_with_connections(upstream):

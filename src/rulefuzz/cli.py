@@ -26,7 +26,7 @@ from .orchestrator import (
     run_campaign,
 )
 from .rules import RuleParseError
-from .sut import OracleConfigError, SutUnavailableError, default_oracle, load_oracle
+from .sut import PROCEDURES, OracleConfigError, SutUnavailableError, default_oracle, load_oracle
 
 log = logging.getLogger(__name__)
 
@@ -60,8 +60,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                    help="fuzzing strategy (default: guided)")
     p.add_argument("--message-type", default=None,
                    help="message type to fuzz (default: the oracle's type)")
-    p.add_argument("--procedure", default="ping_exchange",
-                   choices=("ping_exchange", "switch_connect"),
+    p.add_argument("--procedure", default="ping_exchange", choices=PROCEDURES,
                    help="scripted exchange to drive (default: ping_exchange)")
     p.add_argument("--n", type=_positive_samples, default=200,
                    help="samples per iteration (default: 200, minimum 10)")
@@ -136,7 +135,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out_root = args.out or _default_out()
     config = _build_config(args, out_root)
     modes = tuple(dict.fromkeys(args.modes))  # keep order, drop duplicates
-    summary = compare(config, modes=modes, out_root=out_root)
+    summary = compare(config, modes=modes)
     width = max(len(m) for m in summary)
     for mode, s in summary.items():
         print(

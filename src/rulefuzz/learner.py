@@ -6,22 +6,26 @@ Rules are grown for the minority class one at a time on a grow split
 description length criterion says the rule set stopped paying for itself.
 Accepted rule sets then go through optimization passes that reconsider
 each rule against a freshly grown replacement and revision, again decided
-by description length.  The learner only ever emits <= / >= atoms; the
-split value sits between two observed adjacent values, snapped to the
-integer on the covered side.
+by description length.  The learner only ever emits <= / >= atoms whose
+threshold is a value observed in the atom's field.
 
-The split search sorts nothing per call.  learn() rank-encodes each
+Induction works on one matrix of bin codes.  learn() rank-encodes each
 column once, so every (field, observed value) pair is one bin, numbered
-by field and then by value.  Counting the covered rows and the covered
-positives per bin (two bincounts) and taking running sums gives, for
-every bin, how many covered rows and positives have a value <= the bin's
-value in its field: the same integers a per-field sort and cumulative
-sum would give, so the same FOIL gains, bit for bit.  Every covered row
-sits in exactly one bin per field, so the running sum through field f
-starts from f times the covered count.  Candidate splits are the
-nonempty bins below a field's last nonempty bin; a ">=" split takes the
-value of the next nonempty bin.  Among equal gains the first in the
-order field, then "<=" before ">=", then ascending value wins.
+by field and then by value, and an induction atom is (field, op, bin).
+Within a field codes rank like values, so code <= b holds exactly when
+value <= value[b]: growing, pruning and description lengths compare bin
+codes, and a threshold becomes a value only when a rule is emitted.
+
+The split search sorts nothing per call.  Counting the covered rows and
+the covered positives per bin (two bincounts) and taking running sums
+gives, for every bin, how many covered rows and positives have a value
+<= the bin's value in its field: the same integers a per-field sort and
+cumulative sum would give, so the same FOIL gains, bit for bit.  Every
+covered row sits in exactly one bin per field, so the running sum
+through field f starts from f times the covered count.  Candidate splits
+are the nonempty bins below a field's last nonempty bin; a ">=" split
+takes the next nonempty bin.  Among equal gains the first in the order
+field, then "<=" before ">=", then ascending value wins.
 
 Everything is deterministic under a fixed seed.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,26 +61,27 @@ class RipperParams:
     seed: int = 0
 
 
-# An internal atom is (field_index, op, threshold) with op in {"<=", ">="}.
+# An induction atom is (field, op, bin) with op in {"<=", ">="}; a
+# prediction atom is (column, op, value).  _rule_mask serves both.
 _IAtom = tuple[int, str, int]
 
 
-def _atom_mask(atom: _IAtom, x: np.ndarray) -> np.ndarray:
-    idx, op, thr = atom
-    return OPS[op](x[:, idx], np.uint64(thr))
-
-
-def _rule_mask(atoms: Sequence[_IAtom], x: np.ndarray) -> np.ndarray:
-    mask = np.ones(len(x), dtype=bool)
-    for atom in atoms:
-        mask &= _atom_mask(atom, x)
+def _rule_mask(atoms: Sequence[_IAtom], matrix: np.ndarray) -> np.ndarray:
+    """Rows of matrix that satisfy every (column, op, constant) atom."""
+    mask = np.ones(len(matrix), dtype=bool)
+    for col, op, const in atoms:
+        if 0 <= const <= U64_MAX:
+            mask &= OPS[op](matrix[:, col], matrix.dtype.type(const))
+        else:
+            # every uint64 compares alike with a constant outside their range
+            mask &= OPS[op](0, const)
     return mask
 
 
-def _union_mask(rules: Sequence[Sequence[_IAtom]], x: np.ndarray) -> np.ndarray:
-    mask = np.zeros(len(x), dtype=bool)
+def _union_mask(rules: Sequence[Sequence[_IAtom]], matrix: np.ndarray) -> np.ndarray:
+    mask = np.zeros(len(matrix), dtype=bool)
     for atoms in rules:
-        mask |= _rule_mask(atoms, x)
+        mask |= _rule_mask(atoms, matrix)
     return mask
 
 
@@ -150,23 +155,18 @@ def _best_atom(bins: _Bins, y: np.ndarray, mask: np.ndarray) -> tuple[float, _IA
         return None
     k = at.size
     fields = np.tile(field[split], 2)
-    thresholds = np.concatenate((bins.value[at], bins.value[above]))
+    candidates = np.concatenate((at, above))
     ties = np.nonzero(gains == best)[0]
     # Scan order of a per-field search: field, then "<=" before ">=", then value.
     w = ties[np.argmin(fields[ties] * 2 + ties // k)]
-    return best, (int(fields[w]), "<=" if w < k else ">=", int(thresholds[w]))
+    return best, (int(fields[w]), "<=" if w < k else ">=", int(candidates[w]))
 
 
-def _grow(
-    x: np.ndarray,
-    bins: _Bins,
-    y: np.ndarray,
-    base_atoms: Sequence[_IAtom] = (),
-) -> list[_IAtom]:
+def _grow(bins: _Bins, y: np.ndarray, base_atoms: Sequence[_IAtom] = ()) -> list[_IAtom]:
     """Add highest-gain atoms until no negatives are covered or gain dries up."""
     atoms = list(base_atoms)
-    mask = _rule_mask(atoms, x)
-    limit = 2 * x.shape[1] + len(atoms)
+    mask = _rule_mask(atoms, bins.codes)
+    limit = 2 * bins.codes.shape[1] + len(atoms)
     while len(atoms) < limit:
         covered_y = y[mask]
         if covered_y.size == 0 or not (~covered_y).any():
@@ -176,7 +176,7 @@ def _grow(
             break
         _, atom = found
         atoms.append(atom)
-        mask &= _atom_mask(atom, x)
+        mask &= _rule_mask((atom,), bins.codes)
     return atoms
 
 
@@ -184,39 +184,32 @@ def _grow(
 # Pruning
 # ---------------------------------------------------------------------------
 
-def _prefix_stats(atoms: Sequence[_IAtom], x: np.ndarray, y: np.ndarray):
-    """Yield (j, p, n) for every prefix length j in 1..len(atoms)."""
-    mask = np.ones(len(x), dtype=bool)
+def _purity(p: int, n: int) -> float:
+    """Induction score of a rule covering p positives and n negatives."""
+    return (p - n) / (p + n) if p + n else 0.0
+
+
+def _accuracy(p: int, n: int) -> int:
+    """Optimization score: the most p - n is the fewest errors n + (P - p)."""
+    return p - n
+
+
+def _prune(
+    atoms: list[_IAtom],
+    codes: np.ndarray,
+    y: np.ndarray,
+    score: Callable[[int, int], float],
+) -> list[_IAtom]:
+    """Keep the prefix scoring best on the prune split; ties keep the shorter."""
+    best_j, best = 0, -math.inf
+    mask = np.ones(len(codes), dtype=bool)
     for j, atom in enumerate(atoms, start=1):
-        mask &= _atom_mask(atom, x)
+        mask &= _rule_mask((atom,), codes)
         p = int(y[mask].sum())
-        n = int(mask.sum()) - p
-        yield j, p, n
-
-
-def _prune(atoms: list[_IAtom], x: np.ndarray, y: np.ndarray) -> list[_IAtom]:
-    """Keep the prefix maximizing (p - n) / (p + n) on the prune split."""
-    if not atoms or len(x) == 0:
-        return atoms
-    best_j, best_v = None, -math.inf
-    for j, p, n in _prefix_stats(atoms, x, y):
-        v = (p - n) / (p + n) if p + n else 0.0
-        if v > best_v + _DL_EPS:
-            best_j, best_v = j, v
-    return atoms[: best_j or len(atoms)]
-
-
-def _prune_by_error(atoms: list[_IAtom], x: np.ndarray, y: np.ndarray) -> list[_IAtom]:
-    """Optimization-phase pruning: minimize fp + fn of the candidate alone."""
-    if not atoms or len(x) == 0:
-        return atoms
-    total_pos = int(y.sum())
-    best_j, best_err = None, math.inf
-    for j, p, n in _prefix_stats(atoms, x, y):
-        err = n + (total_pos - p)
-        if err < best_err - _DL_EPS:
-            best_j, best_err = j, err
-    return atoms[: best_j or len(atoms)]
+        v = score(p, int(mask.sum()) - p)
+        if v > best + _DL_EPS:
+            best_j, best = j, v
+    return atoms[:best_j]
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +248,14 @@ def _theory_dl(n_atoms: int, n_possible: int) -> float:
 
 def _ruleset_dl(
     rules: Sequence[Sequence[_IAtom]],
-    x: np.ndarray,
+    codes: np.ndarray,
     y: np.ndarray,
     n_possible: int,
     exp_fp: float,
 ) -> float:
-    union = _union_mask(rules, x)
+    union = _union_mask(rules, codes)
     cover = int(union.sum())
-    uncover = len(x) - cover
+    uncover = len(codes) - cover
     fp = int((union & ~y).sum())
     fn = int((~union & y).sum())
     theory = sum(_theory_dl(len(atoms), n_possible) for atoms in rules)
@@ -286,7 +279,6 @@ def _stratified_split(
 
 
 def _induce(
-    x: np.ndarray,
     bins: _Bins,
     y: np.ndarray,
     rng: np.random.Generator,
@@ -294,79 +286,75 @@ def _induce(
     exp_fp: float,
     rules: list[list[_IAtom]] | None = None,
 ) -> list[list[_IAtom]]:
+    codes = bins.codes
     rules = list(rules or [])
-    covered = _union_mask(rules, x)
-    dl_min = _ruleset_dl(rules, x, y, n_possible, exp_fp)
+    covered = _union_mask(rules, codes)
+    dl_min = _ruleset_dl(rules, codes, y, n_possible, exp_fp)
     while True:
         rem = np.nonzero(~covered)[0]
         if rem.size == 0 or not y[rem].any():
             break
         grow_idx, prune_idx = _stratified_split(rem, y, _GROW_FRACTION, rng)
-        atoms = _grow(x[grow_idx], bins.take(grow_idx), y[grow_idx])
+        atoms = _grow(bins.take(grow_idx), y[grow_idx])
         if not atoms:
             break
         if prune_idx.size:
-            atoms = _prune(atoms, x[prune_idx], y[prune_idx])
-        rem_mask = _rule_mask(atoms, x[rem])
+            atoms = _prune(atoms, codes[prune_idx], y[prune_idx], _purity)
+        rem_mask = _rule_mask(atoms, codes[rem])
         t_cov = int(rem_mask.sum())
         p_cov = int(y[rem][rem_mask].sum())
         if t_cov < _MIN_RULE_COVERAGE or p_cov == 0:
             break
         if p_cov / t_cov <= 0.5:
             break
-        dl = _ruleset_dl(rules + [atoms], x, y, n_possible, exp_fp)
+        dl = _ruleset_dl(rules + [atoms], codes, y, n_possible, exp_fp)
         if dl > dl_min + _MDL_SLACK:
             break
         dl_min = min(dl_min, dl)
         rules.append(atoms)
-        covered |= _rule_mask(atoms, x)
+        covered |= _rule_mask(atoms, codes)
     return rules
 
 
 def _optimize(
     rules: list[list[_IAtom]],
-    x: np.ndarray,
     bins: _Bins,
     y: np.ndarray,
     rng: np.random.Generator,
     n_possible: int,
     exp_fp: float,
 ) -> list[list[_IAtom]]:
+    codes = bins.codes
     for _ in range(_OPTIMIZATION_PASSES):
         for i in range(len(rules)):
             others = rules[:i] + rules[i + 1 :]
-            ctx = np.nonzero(~_union_mask(others, x))[0]
+            ctx = np.nonzero(~_union_mask(others, codes))[0]
             if ctx.size == 0 or not y[ctx].any():
                 continue
             grow_idx, prune_idx = _stratified_split(ctx, y, _GROW_FRACTION, rng)
-            candidates = []
-            grow = (x[grow_idx], bins.take(grow_idx), y[grow_idx])
-            replacement = _grow(*grow)
-            if replacement and prune_idx.size:
-                replacement = _prune_by_error(replacement, x[prune_idx], y[prune_idx])
-            if replacement:
-                candidates.append(replacement)
-            revision = _grow(*grow, base_atoms=rules[i])
-            if revision and prune_idx.size:
-                revision = _prune_by_error(revision, x[prune_idx], y[prune_idx])
-            if revision:
-                candidates.append(revision)
-            best, best_dl = rules[i], _ruleset_dl(rules, x, y, n_possible, exp_fp)
-            for cand in candidates:
+            grow = bins.take(grow_idx)
+            best, best_dl = rules[i], _ruleset_dl(rules, codes, y, n_possible, exp_fp)
+            # a replacement grown from scratch, then a revision of rules[i]
+            for base_atoms in ((), rules[i]):
+                cand = _grow(grow, y[grow_idx], base_atoms)
+                if cand and prune_idx.size:
+                    cand = _prune(cand, codes[prune_idx], y[prune_idx], _accuracy)
+                if not cand:
+                    continue
                 trial = rules[:i] + [cand] + rules[i + 1 :]
-                dl = _ruleset_dl(trial, x, y, n_possible, exp_fp)
+                dl = _ruleset_dl(trial, codes, y, n_possible, exp_fp)
                 if dl < best_dl - _DL_EPS:
                     best, best_dl = cand, dl
             rules[i] = best
-        rules = _induce(x, bins, y, rng, n_possible, exp_fp, rules=rules)
+        rules = _induce(bins, y, rng, n_possible, exp_fp, rules=rules)
     # Drop rules whose removal shortens the description.
     changed = True
     while changed and rules:
         changed = False
-        current_dl = _ruleset_dl(rules, x, y, n_possible, exp_fp)
+        current_dl = _ruleset_dl(rules, codes, y, n_possible, exp_fp)
         for i in range(len(rules) - 1, -1, -1):
             trial = rules[:i] + rules[i + 1 :]
-            if _ruleset_dl(trial, x, y, n_possible, exp_fp) < current_dl - _DL_EPS:
+            if _ruleset_dl(trial, codes, y, n_possible, exp_fp) < current_dl - _DL_EPS:
                 rules = trial
                 changed = True
                 break
@@ -386,22 +374,17 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     """
     x, presence = dataset.to_arrays()
     seed = (params or RipperParams()).seed
-    return _learn_arrays(x, presence, _encode(x), dataset.field_names, seed)
+    return _learn_bins(_encode(x), presence, dataset.field_names, seed)
 
 
-def _learn_arrays(
-    x: np.ndarray,
-    presence: np.ndarray,
-    bins: _Bins,
-    names: Sequence[str],
-    seed: int,
-) -> RuleSet:
-    """learn() on a value matrix, its presence mask and the matching bins.
+def _learn_bins(bins: _Bins, presence: np.ndarray, names: Sequence[str], seed: int) -> RuleSet:
+    """learn() on a bin-encoded value matrix and its presence mask.
 
-    The bins may come from a larger matrix that x was sliced from; only
-    the bins x occupies count towards the theory description length.
+    The bins may come from a larger matrix that these rows were taken
+    from; only the bins the rows occupy count towards the theory
+    description length.
     """
-    n = len(x)
+    n = len(presence)
     counts = {PRESENCE: int(presence.sum())}
     counts[ABSENCE] = n - counts[PRESENCE]
     minority = minority_of(counts)
@@ -420,17 +403,19 @@ def _learn_arrays(
         np.bincount(bins.codes.ravel(), minlength=bins.field.size)
     )
     exp_fp = counts[minority] / n
-    rules = _induce(x, bins, y, rng, n_possible, exp_fp)
+    rules = _induce(bins, y, rng, n_possible, exp_fp)
     if rules:
-        rules = _optimize(rules, x, bins, y, rng, n_possible, exp_fp)
+        rules = _optimize(rules, bins, y, rng, n_possible, exp_fp)
     if not rules:
         return degenerate()
 
     minority_rules = []
     union = np.zeros(n, dtype=bool)
     for atoms in rules:
-        cond = Condition(tuple(Atom(names[f], op, thr) for f, op, thr in atoms))
-        mask = _rule_mask(atoms, x)
+        cond = Condition(
+            tuple(Atom(names[f], op, int(bins.value[b])) for f, op, b in atoms)
+        )
+        mask = _rule_mask(atoms, bins.codes)
         t = int(mask.sum())
         f_count = int((mask & ~y).sum())
         minority_rules.append(DecisionRule.build(cond, minority, t, f_count))
@@ -439,21 +424,6 @@ def _learn_arrays(
     f_def = int((~union & y).sum())
     default = DecisionRule.build(Condition(), majority, t_def, f_def)
     return RuleSet(tuple(minority_rules), default)
-
-
-def _condition_mask(cond: Condition, x: np.ndarray, index: Mapping[str, int]) -> np.ndarray:
-    mask = np.ones(len(x), dtype=bool)
-    for atom in cond.atoms:
-        try:
-            col = x[:, index[atom.field]]
-        except KeyError:
-            raise sampler.MissingFieldError(f"values lack field {atom.field!r}") from None
-        if 0 <= atom.value <= U64_MAX:
-            mask &= OPS[atom.op](col, np.uint64(atom.value))
-        else:
-            # every uint64 compares alike with a constant outside their range
-            mask &= OPS[atom.op](0, atom.value)
-    return mask
 
 
 def predict_mask(ruleset: RuleSet, dataset: LabeledDataset) -> np.ndarray:
@@ -467,7 +437,11 @@ def _predict(ruleset: RuleSet, x: np.ndarray, names: Sequence[str]) -> np.ndarra
     pred = np.full(len(x), ruleset.default_rule.prediction == PRESENCE)
     assigned = np.zeros(len(x), dtype=bool)
     for rule in ruleset.minority_rules:
-        m = _condition_mask(rule.condition, x, index) & ~assigned
+        try:
+            atoms = [(index[a.field], a.op, a.value) for a in rule.condition.atoms]
+        except KeyError as exc:
+            raise sampler.MissingFieldError(f"values lack field {exc.args[0]!r}") from None
+        m = _rule_mask(atoms, x) & ~assigned
         pred[m] = rule.prediction == PRESENCE
         assigned |= m
     return pred
@@ -501,9 +475,7 @@ def cross_validate(
         train = np.ones(len(x), dtype=bool)
         train[test_idx] = False
         fold_seed = (base_seed * 1000003 + fold) % (2**63)
-        model = _learn_arrays(
-            x[train], y[train], bins.take(train), dataset.field_names, fold_seed
-        )
+        model = _learn_bins(bins.take(train), y[train], dataset.field_names, fold_seed)
         pred = _predict(model, x[test_idx], dataset.field_names)
         y_test = y[test_idx]
         tp += int((pred & y_test).sum())

@@ -17,8 +17,10 @@ Outputs under the campaign directory:
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -97,6 +99,10 @@ class CampaignConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.iterations is not None and self.iterations < 1:
+            raise ValueError("iterations must be positive or None")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -286,9 +292,14 @@ def _plan_entry(index: int, fuzz_plan: FuzzPlan) -> dict:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Replace path's content at once: a failed write leaves the old file."""
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        path.write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise PersistenceFailureError(f"cannot write {path}: {exc}") from exc
 
 
@@ -417,7 +428,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         proxy.stop()
         controller.stop()
 
-    assert ruleset is not None, "campaign ran zero iterations"
     _write_text(out / "ruleset.txt", _ruleset_text(ruleset, config.message_type))
     report_doc = {
         "config": {
@@ -558,17 +568,16 @@ def replay(
 # ---------------------------------------------------------------------------
 
 def compare(
-    base_config: CampaignConfig,
-    modes: tuple[str, ...] = ("guided", "random"),
-    out_root: str | Path | None = None,
+    base_config: CampaignConfig, modes: tuple[str, ...] = ("guided", "random")
 ) -> dict:
     """Run one campaign per mode with identical settings and summarize.
 
     Every campaign shares seed, iteration count, and per-iteration budget,
     so failure counts are directly comparable.  Results land in
-    mode_<name>/ subdirectories plus a combined comparison.json.
+    mode_<name>/ subdirectories of base_config.out_dir plus a combined
+    comparison.json.
     """
-    root = Path(out_root) if out_root is not None else Path(base_config.out_dir)
+    root = Path(base_config.out_dir)
     try:
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -125,7 +125,6 @@ def solve_avoiding(
     conditions: Sequence[Condition],
     schema: MessageSchema,
     rng: random.Random,
-    max_attempts: int = _MAX_AVOID_ATTEMPTS,
 ) -> dict[str, int]:
     """Assignment over the union of referenced fields satisfying none of them.
 
@@ -133,8 +132,8 @@ def solve_avoiding(
     the negation of every minority condition, which is not a per-field
     conjunction, so rejection sampling over raw-uniform draws stands in
     for negation support.  The complement region is normally large, making
-    rejection cheap; a pathological rule set exhausts max_attempts and
-    raises UnsatisfiableError.
+    rejection cheap; a pathological rule set exhausts _MAX_AVOID_ATTEMPTS
+    draws and raises UnsatisfiableError.
     """
     fields: dict[str, None] = {}
     for cond in conditions:
@@ -144,14 +143,14 @@ def solve_avoiding(
             fields.setdefault(name, None)
     if not fields:
         return {}
-    for _ in range(max_attempts):
+    for _ in range(_MAX_AVOID_ATTEMPTS):
         candidate = {
             name: rng.randrange(schema.field(name).raw_max + 1) for name in fields
         }
         if not any(evaluate(cond, candidate) for cond in conditions):
             return candidate
     raise UnsatisfiableError(
-        f"could not avoid {len(conditions)} conditions in {max_attempts} attempts"
+        f"could not avoid {len(conditions)} conditions in {_MAX_AVOID_ATTEMPTS} attempts"
     )
 
 

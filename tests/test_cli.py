@@ -40,6 +40,14 @@ def test_campaign_rejects_bad_mutation_rate(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--iterations", "--workers"])
+def test_campaign_rejects_nonpositive_counts_before_starting(tmp_path, capsys, flag):
+    out = tmp_path / "run"
+    assert main(["campaign", flag, "0", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RULEFUZZ_OUT", str(tmp_path / "from_env"))
     monkeypatch.chdir(tmp_path)

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
@@ -95,31 +95,59 @@ def test_exact_on_exhaustive_grid():
     assert mismatches == []
 
 
-def test_rule_stats_recompute_from_dataset():
-    rng = random.Random(31)
-    ds = balanced_dataset(WIDE, PLANTED, 400, rng, flip=0.05)
-    model = learn(ds)
-    assert model.minority_rules
+@st.composite
+def labeled_datasets(draw):
+    """Datasets over 1-, 8- and 64-bit columns with many tied values.
+
+    Columns may be constant and may hold 0 and 2**64 - 1.  Labels mostly
+    follow a median threshold on the column with the most distinct
+    values, about 1 in 10 flipped; the rest are random.
+    """
+    n = draw(st.integers(2, 80))
+    columns = {}
+    for i, bits in enumerate(draw(st.lists(st.sampled_from((1, 8, 64)),
+                                           min_size=1, max_size=4))):
+        top = (1 << bits) - 1
+        value = st.sampled_from((0, top)) | st.integers(0, top)
+        pool = draw(st.lists(value, min_size=1, max_size=5))
+        columns[f"f{i}"] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    noise = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+    if draw(st.integers(0, 3)):
+        planted = max(columns.values(), key=lambda col: len(set(col)))
+        cut = sorted(planted)[n // 2]
+        labels = [(v >= cut) != (r == 0) for v, r in zip(planted, noise)]
+    else:
+        labels = [r % 2 == 0 for r in noise]
+    ds = LabeledDataset(tuple(columns))
+    for j, label in enumerate(labels):
+        ds.append({k: col[j] for k, col in columns.items()}, PRESENCE if label else ABSENCE)
+    return ds
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=labeled_datasets(), seed=st.integers(0, 2**32))
+@example(ds=balanced_dataset(WIDE, PLANTED, 400, random.Random(31), flip=0.05), seed=0)
+def test_rule_stats_recompute_from_dataset(ds, seed):
+    # rule stats come from bin-code masks; a recount through evaluate over
+    # the rows' values must give the same integers
+    model = learn(ds, RipperParams(seed=seed))
+    samples = list(ds)
     minority = ds.minority_label()
+    observed = {name: {s.values[name] for s in samples} for name in ds.field_names}
+    matched = [False] * len(samples)
     for rule in model.minority_rules:
-        t = sum(1 for s in ds if evaluate(rule.condition, s.values))
-        f = sum(
-            1
-            for s in ds
-            if evaluate(rule.condition, s.values) and s.label != minority
-        )
+        hits = [evaluate(rule.condition, s.values) for s in samples]
+        t = sum(hits)
+        f = sum(hit and s.label != minority for hit, s in zip(hits, samples))
         assert (rule.t, rule.f) == (t, f)
         assert rule.confidence == (t - f) / t
+        for atom in rule.condition.atoms:
+            assert atom.value in observed[atom.field], atom
+        matched = [m or hit for m, hit in zip(matched, hits)]
     # default stats cover exactly the samples no minority rule matched
-    uncovered = [
-        s
-        for s in ds
-        if not any(evaluate(r.condition, s.values) for r in model.minority_rules)
-    ]
+    uncovered = [s for s, m in zip(samples, matched) if not m]
     assert model.default_rule.t == len(uncovered)
-    assert model.default_rule.f == sum(
-        1 for s in uncovered if s.label == minority
-    )
+    assert model.default_rule.f == sum(s.label == minority for s in uncovered)
 
 
 def test_single_class_and_tiny_datasets_degenerate():
@@ -351,11 +379,21 @@ def split_problems(draw):
     return x, y, rows, mask
 
 
+def best_value_atom(bins, y, mask):
+    """_best_atom with its (field, op, bin) atom mapped to (field, op, value)."""
+    found = _best_atom(bins, y, mask)
+    if found is None:
+        return None
+    gain, (f, op, b) = found
+    assert bins.field[b] == f
+    return gain, (f, op, int(bins.value[b]))
+
+
 @settings(max_examples=400, deadline=None)
 @given(split_problems())
 def test_bin_count_search_matches_sorted_search(problem):
     x, y, rows, mask = problem
-    got = _best_atom(_encode(x).take(rows), y[rows], mask)
+    got = best_value_atom(_encode(x).take(rows), y[rows], mask)
     assert got == sorted_best_atom(x[rows], y[rows], mask)
 
 
@@ -363,11 +401,11 @@ def test_bin_count_search_tie_order():
     y = np.array([True, False, True])
     # one field: "a <= 0" and "a >= 2" both isolate one positive; <= wins
     a = np.array([[0], [1], [2]], dtype=np.uint64)
-    assert _best_atom(_encode(a), y, np.ones(3, bool))[1] == (0, "<=", 0)
+    assert best_value_atom(_encode(a), y, np.ones(3, bool))[1] == (0, "<=", 0)
     # a copied and a mirrored field tie with field 0; the first field wins
     x = np.array([[2, 2, 7], [1, 1, 8], [0, 0, 9]], dtype=np.uint64)
     for mask in (np.ones(3, bool), np.array([True, True, False])):
-        got = _best_atom(_encode(x), y, mask)
+        got = best_value_atom(_encode(x), y, mask)
         assert got == sorted_best_atom(x, y, mask)
         assert got[1][0] == 0
     assert _best_atom(_encode(x), y, np.zeros(3, bool)) is None

@@ -7,6 +7,8 @@ import csv
 import hashlib
 import itertools
 import json
+import signal
+import socket
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from rulefuzz.codec import builtin_registry, decode_as
 from rulefuzz.orchestrator import (
     CampaignConfig,
     PersistenceFailureError,
+    PlannedHook,
     build_iteration_plans,
     compare,
     load_saved_ruleset,
@@ -182,6 +185,23 @@ def test_golden_artifacts(tmp_path):
     assert got == GOLDEN
 
 
+def run_faulty_campaign(tmp_path, calls):
+    """A noise-free campaign whose rows must all carry the oracle's label.
+
+    `calls` counts the calls that an injected fault wraps; one of them
+    failed, so there are more calls than sessions.
+    """
+    config = small_config(tmp_path, n=20, iterations=2, oracle=EASY_ORACLE)
+    report = run_campaign(config)
+    assert next(calls) > config.n * config.iterations
+    rows = read_rows(report.out_dir / "dataset.csv")
+    assert len(rows) - 1 == config.n * config.iterations
+    names = rows[0][1:-1]
+    for row in rows[1:]:
+        values = {name: int(cell) for name, cell in zip(names, row[1:-1])}
+        assert row[-1] == ("presence" if EASY_ORACLE.matches(values) else "absence")
+
+
 def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch):
     # one injected connect failure mid-campaign: the run is retried, and
     # every row still carries the label of the session that ran its plan
@@ -194,15 +214,71 @@ def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch):
         return real_connect(endpoint, timeout=timeout)
 
     monkeypatch.setattr(orchestrator, "connect_sut", flaky_connect)
-    config = small_config(tmp_path, n=20, iterations=2, oracle=EASY_ORACLE)
-    report = run_campaign(config)
-    assert next(calls) > config.n * config.iterations
-    rows = read_rows(report.out_dir / "dataset.csv")
-    assert len(rows) - 1 == config.n * config.iterations
-    names = rows[0][1:-1]
-    for row in rows[1:]:
-        values = {name: int(cell) for name, cell in zip(names, row[1:-1])}
-        assert row[-1] == ("presence" if EASY_ORACLE.matches(values) else "absence")
+    run_faulty_campaign(tmp_path, calls)
+
+
+def test_raising_hook_never_mislabels_a_row(tmp_path, monkeypatch):
+    # the proxy relays the unfuzzed frame of the session whose hook raised;
+    # that session's outcome must not become the row of its plan
+    real_call = PlannedHook.__call__
+    calls = itertools.count()
+
+    def flaky_call(self, frame):
+        if next(calls) == 2:
+            raise RuntimeError("injected hook failure")
+        return real_call(self, frame)
+
+    monkeypatch.setattr(PlannedHook, "__call__", flaky_call)
+    run_faulty_campaign(tmp_path, calls)
+
+
+def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch):
+    # the controller refuses the proxy's upstream connect for one session
+    upstreams = []
+    real_proxy = orchestrator.InterceptProxy
+
+    def recording_proxy(config, registry):
+        upstreams.append((config.upstream_host, config.upstream_port))
+        return real_proxy(config, registry)
+
+    real_connect = socket.create_connection
+    calls = itertools.count()
+
+    def flaky_connect(address, *args, **kwargs):
+        # the switch connects to the proxy; only the proxy dials upstream
+        if tuple(address) in upstreams and next(calls) == 2:
+            raise ConnectionRefusedError("injected upstream refusal")
+        return real_connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "InterceptProxy", recording_proxy)
+    monkeypatch.setattr(socket, "create_connection", flaky_connect)
+    run_faulty_campaign(tmp_path, calls)
+
+
+def test_failed_write_keeps_previous_artifact(tmp_path):
+    # a write that stops partway, here at the process's file size limit,
+    # leaves the artifact it was replacing whole and no temp file behind
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "report.json"
+    orchestrator._write_text(path, "previous\n")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # EFBIG, not a kill
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))
+    try:
+        with pytest.raises(PersistenceFailureError):
+            orchestrator._write_text(path, "x" * (4 << 20))
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("field", ["iterations", "workers"])
+def test_config_rejects_nonpositive_counts(tmp_path, field):
+    with pytest.raises(ValueError, match=field):
+        small_config(tmp_path, **{field: 0})
+    small_config(tmp_path, iterations=None)  # no iteration cap stays valid
 
 
 def test_target_stop_reason(tmp_path):

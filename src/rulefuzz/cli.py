@@ -81,8 +81,12 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
                    help="output directory (default: $RULEFUZZ_OUT or ./rulefuzz_out)")
     p.add_argument("--workers", type=int, default=4,
                    help="parallel sessions (default: 4)")
-    p.add_argument("--precision-target", type=float, default=None)
-    p.add_argument("--recall-target", type=float, default=None)
+    p.add_argument("--precision-target", type=float, default=None,
+                   help="stop when CV precision reaches this and recall "
+                        "reaches --recall-target; the two are set together")
+    p.add_argument("--recall-target", type=float, default=None,
+                   help="stop when CV recall reaches this and precision "
+                        "reaches --precision-target; the two are set together")
     p.add_argument("--plateau-window", type=int, default=3,
                    help="iterations without improvement before stopping; "
                         "0 disables (default: 3)")

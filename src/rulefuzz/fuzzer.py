@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .codec import ControlMessage, MessageSchema
-from .planner import BudgetDistribution
 from .rules import Condition, DecisionRule
 from . import sampler
 
@@ -112,20 +111,4 @@ def apply_plan(msg: ControlMessage, plan: FuzzPlan) -> tuple[ControlMessage, Fuz
         after=after,
     )
     return after, action
-
-
-def select_budget_entry(
-    budget: BudgetDistribution, rng: random.Random
-) -> tuple[DecisionRule, BudgetDistribution]:
-    """Pick a budget entry uniformly at random and decrement its quota."""
-    if budget.is_empty:
-        raise ValueError("budget distribution is empty")
-    i = rng.randrange(len(budget.entries))
-    entry = budget.entries[i]
-    entries = list(budget.entries)
-    if entry.quota - 1 > 0:
-        entries[i] = type(entry)(entry.rule, entry.quota - 1)
-    else:
-        del entries[i]
-    return entry.rule, BudgetDistribution(tuple(entries))
 

@@ -458,6 +458,8 @@ def cross_validate(
     Counts are pooled across folds before computing the ratios; an empty
     denominator yields 0.0 for that metric.
     """
+    if k < 2:
+        raise ValueError(f"k-fold cross-validation needs k >= 2, got {k}")
     params = params or RipperParams()
     if len(dataset) < k:
         raise TooFewSamplesError(f"need at least {k} samples, got {len(dataset)}")

@@ -43,7 +43,6 @@ from .fuzzer import (
     apply_plan,
     make_guided_plan,
     make_initial_plan,
-    select_budget_entry,
 )
 from .learner import RipperParams, learn
 from .planner import BudgetClock, plan, progress, should_stop
@@ -103,6 +102,10 @@ class CampaignConfig:
             raise ValueError("iterations must be positive or None")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be at least 2")
+        if (self.precision_target is None) != (self.recall_target is None):
+            raise ValueError("precision_target and recall_target are set together")
 
 
 @dataclass(frozen=True)
@@ -184,28 +187,31 @@ def build_iteration_plans(
         ]
         return plans, MODE_INITIAL, None
 
-    iter_plan = plan(dataset, ruleset, config.n)
-    budget = iter_plan.budget
+    budget, clamp = plan(dataset, ruleset, config.n)
     budget_rng = Random(f"{config.seed}/budget/{iteration}")
     avoid = ruleset.minority_conditions()
     plans: list[FuzzPlan] = []
     for j in range(config.n):
         rng = _plan_rng(config.seed, iteration, j)
-        if budget.is_empty:
-            plans.append(make_initial_plan(schema, rng, True))
-            continue
-        rule, budget = select_budget_entry(budget, budget_rng)
-        try:
-            plans.append(make_guided_plan(schema, rule, mutation_rate, rng, avoid=avoid))
-        except UnsatisfiableError:
-            # the rule describes an empty region; release its quota
-            budget = budget.without_rule(rule)
-            log.warning(
-                "iteration %d: rule %s is unsatisfiable, quota released",
-                iteration, rule.condition,
-            )
-            plans.append(make_initial_plan(schema, rng, True))
-    return plans, MODE_GUIDED, iter_plan.clamp
+        if budget:
+            i = budget_rng.randrange(len(budget))
+            rule, quota = budget[i]
+            if quota > 1:
+                budget[i] = (rule, quota - 1)
+            else:
+                del budget[i]
+            try:
+                plans.append(make_guided_plan(schema, rule, mutation_rate, rng, avoid=avoid))
+                continue
+            except UnsatisfiableError:
+                # the rule describes an empty region; release its quota
+                budget = [entry for entry in budget if entry[0] != rule]
+                log.warning(
+                    "iteration %d: rule %s is unsatisfiable, quota released",
+                    iteration, rule.condition,
+                )
+        plans.append(make_initial_plan(schema, rng, True))
+    return plans, MODE_GUIDED, clamp
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ def _run_one(
     config: CampaignConfig,
     iteration: int,
     index: int,
-) -> tuple[int, FuzzAction, str]:
+) -> tuple[FuzzAction, str]:
     last = "no attempt made"
     for _ in range(_MAX_RETRIES):
         hook = PlannedHook(fuzz_plan, schema)
@@ -243,7 +249,7 @@ def _run_one(
             continue
         label_rng = Random(f"{config.seed}/noise/{iteration}/{index}")
         label = observe_label(outcome, oracle.noise_rate, label_rng)
-        return index, hook.action, label
+        return hook.action, label
     raise SutUnavailableError(
         f"iteration {iteration} run {index} failed "
         f"{_MAX_RETRIES} times; last: {last}"
@@ -259,7 +265,7 @@ def _execute_iteration(
     plans: list[FuzzPlan],
     config: CampaignConfig,
     iteration: int,
-) -> list[tuple[int, FuzzAction, str]]:
+) -> list[tuple[FuzzAction, str]]:
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         futures = [
             pool.submit(
@@ -268,9 +274,7 @@ def _execute_iteration(
             )
             for j, fuzz_plan in enumerate(plans)
         ]
-        results = [f.result() for f in futures]
-    results.sort(key=lambda r: r[0])
-    return results
+        return [f.result() for f in futures]  # submission order is row order
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +373,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             )
             start_row = len(dataset)
             presence = 0
-            for _, action, label in results:
+            for action, label in results:
                 dataset.append(action.after.values, label, iteration=iteration)
                 presence += int(label == PRESENCE)
 

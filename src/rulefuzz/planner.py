@@ -20,40 +20,6 @@ from .rules import DecisionRule, RuleSet
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class BudgetEntry:
-    rule: DecisionRule
-    quota: int
-
-
-@dataclass(frozen=True)
-class BudgetDistribution:
-    """Per-rule message quotas for one iteration; quotas are >= 1."""
-
-    entries: tuple[BudgetEntry, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(e.quota for e in self.entries)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def without_rule(self, rule: DecisionRule) -> "BudgetDistribution":
-        return BudgetDistribution(tuple(e for e in self.entries if e.rule != rule))
-
-
-@dataclass(frozen=True)
-class IterationPlan:
-    minor: int
-    major: int
-    minor_next: int
-    major_next: int
-    budget: BudgetDistribution
-    clamp: str | None = None  # None, "lower" (estimate <= 0) or "upper" (>= n)
-
-
 def estimate_class_targets(total: int, minor: int, n: int) -> tuple[int, int, str | None]:
     """How many of the next n samples should be minority vs majority.
 
@@ -101,17 +67,19 @@ def distribute_quotas(confidences: Sequence[float], share: int) -> list[int]:
     return quotas
 
 
-def plan(dataset: LabeledDataset, ruleset: RuleSet, n: int) -> IterationPlan:
-    """Build the next iteration's budget from the current rule set.
+def plan(
+    dataset: LabeledDataset, ruleset: RuleSet, n: int
+) -> tuple[list[tuple[DecisionRule, int]], str | None]:
+    """Split the next iteration's n messages into per-rule quotas.
 
     Rules predicting the dataset's minority label share the minority
     target; the remaining rules (normally just the default) share the
-    majority target.  Zero quotas are dropped from the distribution.
+    majority target.  Returns (budget, clamp): budget lists the nonzero
+    (rule, quota) pairs, minority group first and rule order within each
+    group; clamp is None, "lower" (estimate <= 0) or "upper" (>= n).
     """
-    counts = dataset.class_counts()
     minority = dataset.minority_label()
-    minor = counts[minority]
-    major = len(dataset) - minor
+    minor = dataset.class_counts()[minority]
     minor_next, major_next, clamp = estimate_class_targets(len(dataset), minor, n)
 
     minority_rules = [r for r in ruleset.minority_rules if r.prediction == minority]
@@ -121,24 +89,15 @@ def plan(dataset: LabeledDataset, ruleset: RuleSet, n: int) -> IterationPlan:
     else:
         majority_rules.append(ruleset.default_rule)
 
-    entries: list[BudgetEntry] = []
+    budget: list[tuple[DecisionRule, int]] = []
     for rules_group, share in ((minority_rules, minor_next), (majority_rules, major_next)):
-        if not rules_group or share <= 0:
-            continue
+        if share <= 0:
+            continue  # an empty share would still warn on zero confidences
         quotas = distribute_quotas([r.confidence for r in rules_group], share)
-        entries.extend(
-            BudgetEntry(rule, quota)
-            for rule, quota in zip(rules_group, quotas)
-            if quota > 0
+        budget.extend(
+            (rule, quota) for rule, quota in zip(rules_group, quotas) if quota > 0
         )
-    return IterationPlan(
-        minor=minor,
-        major=major,
-        minor_next=minor_next,
-        major_next=major_next,
-        budget=BudgetDistribution(tuple(entries)),
-        clamp=clamp,
-    )
+    return budget, clamp
 
 
 def progress(

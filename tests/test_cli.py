@@ -48,6 +48,15 @@ def test_campaign_rejects_nonpositive_counts_before_starting(tmp_path, capsys, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--precision-target", "--recall-target"])
+def test_campaign_rejects_a_lone_metric_target_before_starting(tmp_path, capsys, flag):
+    # should_stop stops on targets only when both are set
+    out = tmp_path / "run"
+    assert main(["campaign", flag, "0.9", "--out", str(out)]) == 1
+    assert "set together" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RULEFUZZ_OUT", str(tmp_path / "from_env"))
     monkeypatch.chdir(tmp_path)

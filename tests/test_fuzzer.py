@@ -16,9 +16,7 @@ from rulefuzz.fuzzer import (
     draw_field_subset,
     make_guided_plan,
     make_initial_plan,
-    select_budget_entry,
 )
-from rulefuzz.planner import BudgetDistribution, BudgetEntry
 from rulefuzz.rules import Condition, DecisionRule, parse_condition
 from rulefuzz.sampler import UnsatisfiableError, evaluate
 
@@ -159,55 +157,6 @@ def test_guided_plan_unsatisfiable_propagates():
     rng = random.Random(9)
     with pytest.raises(UnsatisfiableError):
         make_guided_plan(SCHEMA, rule("a >= 5 AND a <= 2"), 0.1, rng)
-
-
-def test_select_budget_entry_conserves_quota():
-    rng = random.Random(10)
-    entries = (
-        BudgetEntry(rule("a >= 5"), 3),
-        BudgetEntry(rule("b <= 9"), 2),
-    )
-    budget = BudgetDistribution(entries)
-    picks = Counter()
-    for _ in range(5):
-        chosen, budget = select_budget_entry(budget, rng)
-        picks[chosen.condition] += 1
-    assert budget.is_empty
-    assert picks[entries[0].rule.condition] == 3
-    assert picks[entries[1].rule.condition] == 2
-    with pytest.raises(ValueError):
-        select_budget_entry(budget, rng)
-
-
-def test_guided_fuzz_end_to_end():
-    rng = random.Random(11)
-    r1 = rule("a >= 5")
-    r2 = rule("b >= 90")
-    budget = BudgetDistribution((BudgetEntry(r1, 30), BudgetEntry(r2, 30)))
-    msg = base_message()
-    used = Counter()
-    while not budget.is_empty:
-        chosen, budget = select_budget_entry(budget, rng)
-        fuzzed, action = apply_plan(msg, make_guided_plan(SCHEMA, chosen, 0.2, rng))
-        assert action.applied_rule in (r1, r2)
-        assert evaluate(action.applied_rule.condition, fuzzed.values)
-        used[action.applied_rule.condition] += 1
-    assert used[r1.condition] == 30
-    assert used[r2.condition] == 30
-
-
-def test_guided_fuzz_default_rule_avoidance_path():
-    rng = random.Random(12)
-    default = DecisionRule.build(Condition(), "absence", 50, 2)
-    budget = BudgetDistribution((BudgetEntry(default, 20),))
-    minority = [parse_condition("a >= 5")]
-    msg = base_message()
-    while not budget.is_empty:
-        chosen, budget = select_budget_entry(budget, rng)
-        plan = make_guided_plan(SCHEMA, chosen, 0.2, rng, avoid=minority)
-        fuzzed, action = apply_plan(msg, plan)
-        assert action.applied_rule is default
-        assert fuzzed.values["a"] < 5
 
 
 def test_plans_are_deterministic_per_seed():

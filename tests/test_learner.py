@@ -262,6 +262,11 @@ def test_cross_validate_separable_and_edge_cases():
     with pytest.raises(TooFewSamplesError):
         cross_validate(small, k=10)
 
+    # k=0 runs no fold and k=1 trains on no row: both would score (0, 0)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="k >= 2"):
+            cross_validate(ds, k=k)
+
 
 def test_cross_validate_uninformative_labels_score_low():
     # labels independent of fields: precision should hover near the prior

@@ -7,8 +7,10 @@ import csv
 import hashlib
 import itertools
 import json
+import logging
 import signal
 import socket
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +28,9 @@ from rulefuzz.orchestrator import (
     replay,
     run_campaign,
 )
-from rulefuzz.dataset import LabeledDataset
+from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
+from rulefuzz.fuzzer import apply_plan
+from rulefuzz.planner import plan
 from rulefuzz.rules import (
     Condition,
     DecisionRule,
@@ -35,7 +39,7 @@ from rulefuzz.rules import (
     parse_condition,
 )
 from rulefuzz.sampler import evaluate
-from rulefuzz.sut import FailureOracle, SutUnavailableError, default_oracle
+from rulefuzz.sut import FailureOracle, SutUnavailableError, default_message, default_oracle
 
 REGISTRY = builtin_registry()
 PACKET_IN = REGISTRY.by_name("packet_in")
@@ -139,6 +143,76 @@ def test_degenerate_ruleset_falls_back_to_initial():
     assert mode == "initial"
     assert clamp is None
     assert len(plans) == 4
+
+
+def guided_iteration(ruleset, n=60):
+    """Dataset of 10 presence and 30 absence rows, and iteration 2's plans."""
+    dataset = LabeledDataset(PACKET_IN.field_names())
+    for i in range(40):
+        dataset.append(default_message(PACKET_IN).values, PRESENCE if i < 10 else ABSENCE)
+    config = CampaignConfig(out_dir=Path("/nonexistent-unused"), n=n, seed=9)
+    plans, mode, clamp = build_iteration_plans(
+        config, PACKET_IN, dataset, ruleset, iteration=2, mutation_rate=0.1
+    )
+    assert mode == "guided"
+    assert len(plans) == n
+    budget, want_clamp = plan(dataset, ruleset, n)
+    assert clamp == want_clamp
+    return dict(budget), plans
+
+
+GUIDED_RULES = ("cookie_hi >= 1073741824", "table_id <= 100 AND reason >= 7")
+
+
+def hand_built_ruleset(*conditions):
+    """Presence rules of falling confidence (0.9, 0.85, ...) and an absence default."""
+    rules = tuple(
+        DecisionRule.build(parse_condition(text), PRESENCE, 40, 4 + 2 * i)
+        for i, text in enumerate(conditions)
+    )
+    return RuleSet(rules, DecisionRule.build(Condition(), ABSENCE, 30, 3))
+
+
+def test_guided_plans_spend_each_rule_quota():
+    ruleset = hand_built_ruleset(*GUIDED_RULES)
+    quotas, plans = guided_iteration(ruleset)
+    assert len(quotas) == 3  # both minority rules and the default
+    assert Counter(p.rule for p in plans) == quotas
+
+
+def test_guided_plans_satisfy_their_rules():
+    ruleset = hand_built_ruleset(*GUIDED_RULES)
+    _, plans = guided_iteration(ruleset)
+    base = default_message(PACKET_IN)
+    for fuzz_plan in plans:
+        after, action = apply_plan(base, fuzz_plan)
+        assert action.applied_rule in ruleset.minority_rules + (ruleset.default_rule,)
+        if action.applied_rule is not ruleset.default_rule:
+            assert evaluate(action.applied_rule.condition, after.values)
+
+
+def test_guided_default_rule_plans_avoid_minority_conditions():
+    ruleset = hand_built_ruleset(*GUIDED_RULES)
+    quotas, plans = guided_iteration(ruleset)
+    base = default_message(PACKET_IN)
+    defaults = [p for p in plans if p.rule is ruleset.default_rule]
+    assert len(defaults) == quotas[ruleset.default_rule] > 0
+    for fuzz_plan in defaults:
+        after, _ = apply_plan(base, fuzz_plan)
+        assert not any(evaluate(c, after.values) for c in ruleset.minority_conditions())
+
+
+def test_unsatisfiable_rule_quota_goes_to_initial_plans(caplog):
+    ruleset = hand_built_ruleset("cookie_hi >= 5 AND cookie_hi <= 2", GUIDED_RULES[0])
+    bad = ruleset.minority_rules[0]
+    with caplog.at_level(logging.WARNING, logger="rulefuzz.orchestrator"):
+        quotas, plans = guided_iteration(ruleset)
+    assert quotas[bad] > 0
+    assert all(p.rule != bad for p in plans)
+    assert sum(p.mode == "initial" for p in plans) == quotas[bad]
+    assert [r.message for r in caplog.records] == [
+        f"iteration 2: rule {bad.condition} is unsatisfiable, quota released"
+    ]
 
 
 def test_identical_seeds_reproduce_artifacts_across_worker_counts(tmp_path):
@@ -279,6 +353,19 @@ def test_config_rejects_nonpositive_counts(tmp_path, field):
     with pytest.raises(ValueError, match=field):
         small_config(tmp_path, **{field: 0})
     small_config(tmp_path, iterations=None)  # no iteration cap stays valid
+
+
+@pytest.mark.parametrize("folds", [0, 1])
+def test_config_rejects_fewer_than_two_cv_folds(tmp_path, folds):
+    with pytest.raises(ValueError, match="cv_folds"):
+        small_config(tmp_path, cv_folds=folds)
+    small_config(tmp_path, cv_folds=2)
+
+
+@pytest.mark.parametrize("target", ["precision_target", "recall_target"])
+def test_config_rejects_a_lone_metric_target(tmp_path, target):
+    with pytest.raises(ValueError, match="set together"):
+        small_config(tmp_path, **{target: 0.9})
 
 
 def test_target_stop_reason(tmp_path):

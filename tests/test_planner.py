@@ -94,28 +94,32 @@ def test_quota_conservation_property(confs, share):
             assert abs(q - share * c / total) < 1.0
 
 
+def class_shares(budget, minority):
+    """(minority, majority) message totals of a plan() budget."""
+    minor = sum(q for r, q in budget if r.prediction == minority)
+    return minor, sum(q for _, q in budget) - minor
+
+
 def test_plan_splits_minority_and_majority_shares():
     ds = dataset_with_counts(10, 190)
     rs = ruleset_with_confidences([0.8, 0.7])
-    p = plan(ds, rs, 200)
-    assert (p.minor, p.major) == (10, 190)
-    assert (p.minor_next, p.major_next) == (190, 10)
-    assert p.clamp is None
-    by_rule = {e.rule: e.quota for e in p.budget.entries}
-    assert by_rule[rs.minority_rules[0]] == 101
-    assert by_rule[rs.minority_rules[1]] == 89
-    assert by_rule[rs.default_rule] == 10
-    assert p.budget.total == 200
+    budget, clamp = plan(ds, rs, 200)
+    assert clamp is None
+    assert class_shares(budget, PRESENCE) == (190, 10)
+    assert budget == [
+        (rs.minority_rules[0], 101),
+        (rs.minority_rules[1], 89),
+        (rs.default_rule, 10),
+    ]
 
 
 def test_plan_drops_zero_quota_entries():
     ds = dataset_with_counts(100, 100)
     rs = ruleset_with_confidences([0.9, 0.0])
-    p = plan(ds, rs, 10)
-    rules = [e.rule for e in p.budget.entries]
-    assert rs.minority_rules[1] not in rules
-    assert all(e.quota > 0 for e in p.budget.entries)
-    assert p.budget.total == 10
+    budget, _ = plan(ds, rs, 10)
+    assert rs.minority_rules[1] not in [r for r, _ in budget]
+    assert all(q > 0 for _, q in budget)
+    assert sum(q for _, q in budget) == 10
 
 
 def test_plan_when_minority_is_absence():
@@ -123,31 +127,20 @@ def test_plan_when_minority_is_absence():
     ds = dataset_with_counts(220, 180)
     rules = (DecisionRule.build(parse_condition("b <= 4"), ABSENCE, 50, 5),)
     rs = RuleSet(rules, DecisionRule.build(Condition(), PRESENCE, 350, 50))
-    p = plan(ds, rs, 100)
-    assert p.clamp is None
-    assert p.minor_next == 250 - 180  # (400+100)/2 - 180
-    by_rule = {e.rule: e.quota for e in p.budget.entries}
-    assert by_rule[rules[0]] == p.minor_next
-    assert by_rule[rs.default_rule] == p.major_next
+    budget, clamp = plan(ds, rs, 100)
+    assert clamp is None
+    minor_next = 250 - 180  # (400+100)/2 - 180
+    assert class_shares(budget, ABSENCE) == (minor_next, 100 - minor_next)
+    assert budget == [(rules[0], minor_next), (rs.default_rule, 100 - minor_next)]
 
 
 def test_plan_upper_clamp_gives_whole_budget_to_minority():
     ds = dataset_with_counts(16, 584)
     rs = ruleset_with_confidences([0.9])
-    p = plan(ds, rs, 200)
-    assert p.clamp == "upper"
-    assert (p.minor_next, p.major_next) == (200, 0)
-    assert {e.rule for e in p.budget.entries} == {rs.minority_rules[0]}
-    assert p.budget.total == 200
-
-
-def test_budget_without_rule():
-    ds = dataset_with_counts(10, 190)
-    rs = ruleset_with_confidences([0.8, 0.7])
-    p = plan(ds, rs, 200)
-    trimmed = p.budget.without_rule(rs.minority_rules[0])
-    assert trimmed.total == p.budget.total - 101
-    assert all(e.rule != rs.minority_rules[0] for e in trimmed.entries)
+    budget, clamp = plan(ds, rs, 200)
+    assert clamp == "upper"
+    assert class_shares(budget, PRESENCE) == (200, 0)
+    assert budget == [(rs.minority_rules[0], 200)]
 
 
 def test_should_stop_budget_beats_everything():

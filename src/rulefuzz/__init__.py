@@ -14,14 +14,13 @@ from .codec import (
     MessageSchema,
     SchemaRegistry,
     builtin_registry,
-    decode,
     encode,
     load_schema_file,
     load_schemas,
 )
 from .dataset import ABSENCE, PRESENCE, LabeledDataset, LabeledSample, read_csv
 from .rules import Atom, Condition, DecisionRule, RuleSet, format_ruleset, parse_condition, parse_ruleset
-from .learner import RipperParams, cross_validate, learn, predict_mask
+from .learner import RipperParams, cross_validate, learn
 from .planner import plan, progress, should_stop
 from .fuzzer import FuzzAction, apply_plan, make_guided_plan, make_initial_plan
 from .sampler import evaluate, solve

@@ -16,7 +16,12 @@ import os
 import sys
 from pathlib import Path
 
-from .codec import SchemaValidationError, builtin_registry, load_schema_file
+from .codec import (
+    SchemaValidationError,
+    UnknownMessageTypeError,
+    builtin_registry,
+    load_schema_file,
+)
 from .orchestrator import (
     MODES,
     CampaignConfig,
@@ -43,12 +48,7 @@ def _positive_samples(text: str) -> int:
 
 
 def _mutation_rate(text: str) -> float | None:
-    if text == "auto":
-        return None
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError("mutation rate must be in [0, 1] or 'auto'")
-    return value
+    return None if text == "auto" else float(text)
 
 
 def _default_out() -> Path:
@@ -228,6 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         RuleParseError,
         SchemaValidationError,
         SutUnavailableError,
+        UnknownMessageTypeError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ wire protocol semantics -- retargeting to another message family is a
 matter of shipping a different schema document.
 
 Every message starts with the common 8-byte header (version, type,
-length, xid); the type byte selects the schema when decoding.
+length, xid).  The proxy and the switch driver recognise frames by the
+type byte, so a registry gives each schema its own type code.  Decoding
+always names its schema: a fuzzed header may carry any type byte.
 """
 from __future__ import annotations
 
@@ -21,15 +23,14 @@ from typing import Iterator, Mapping
 import yaml
 
 HEADER_BYTES = 8
-_TYPE_BYTE = 1  # offset of the header type field
 
 
 class SchemaValidationError(Exception):
     """A schema document violates a structural invariant."""
 
 
-class UnknownMessageTypeError(Exception):
-    """No schema is registered for the header type code."""
+class UnknownMessageTypeError(LookupError):
+    """No schema is registered under the message type name."""
 
 
 class TruncatedMessageError(Exception):
@@ -45,7 +46,6 @@ class FieldSpec:
     """One contiguous big-endian unsigned integer field."""
 
     name: str
-    offset_bits: int
     width_bits: int
     domain_lo: int
     domain_hi: int
@@ -60,18 +60,26 @@ class FieldSpec:
 class MessageSchema:
     """Ordered field layout for one message type.
 
-    Validated on construction: contiguous offsets, widths summing to
-    total_bits, unique names, and domains that fit their widths.
+    Each field starts where the one before it ends.  Validated on
+    construction: widths summing to 8 * total_bytes, unique names, and
+    domains that fit their widths.
     """
 
     type_name: str
     header_type_code: int
-    total_bits: int
+    total_bytes: int
     fields: tuple[FieldSpec, ...]
 
     def __post_init__(self) -> None:
         self._validate()
         object.__setattr__(self, "_by_name", {f.name: f for f in self.fields})
+        # (name, right shift, mask) of each field in the big-endian integer
+        layout = []
+        shift = 8 * self.total_bytes
+        for f in self.fields:
+            shift -= f.width_bits
+            layout.append((f.name, shift, f.raw_max))
+        object.__setattr__(self, "_layout", tuple(layout))
 
     def _validate(self) -> None:
         if not self.type_name:
@@ -80,37 +88,24 @@ class MessageSchema:
             raise SchemaValidationError(
                 f"{self.type_name}: header_type_code {self.header_type_code} not a byte"
             )
-        if self.total_bits <= 0 or self.total_bits % 8 != 0:
-            raise SchemaValidationError(
-                f"{self.type_name}: total_bits {self.total_bits} must be a positive multiple of 8"
-            )
         seen: set[str] = set()
-        offset = 0
         for f in self.fields:
             if f.name in seen:
                 raise SchemaValidationError(f"{self.type_name}: duplicate field {f.name!r}")
             seen.add(f.name)
             if f.width_bits < 1:
                 raise SchemaValidationError(f"{self.type_name}.{f.name}: width must be >= 1 bit")
-            if f.offset_bits != offset:
-                raise SchemaValidationError(
-                    f"{self.type_name}.{f.name}: offset {f.offset_bits} breaks contiguity "
-                    f"(expected {offset})"
-                )
             if not 0 <= f.domain_lo <= f.domain_hi <= f.raw_max:
                 raise SchemaValidationError(
                     f"{self.type_name}.{f.name}: domain [{f.domain_lo}, {f.domain_hi}] "
                     f"invalid for width {f.width_bits}"
                 )
-            offset += f.width_bits
-        if offset != self.total_bits:
+        bits = sum(f.width_bits for f in self.fields)
+        if bits == 0 or bits != 8 * self.total_bytes:
             raise SchemaValidationError(
-                f"{self.type_name}: field widths sum to {offset} bits, schema says {self.total_bits}"
+                f"{self.type_name}: field widths sum to {bits} bits, "
+                f"schema says {self.total_bytes} bytes"
             )
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_bits // 8
 
     def field(self, name: str) -> FieldSpec:
         return self._by_name[name]  # type: ignore[attr-defined]
@@ -138,40 +133,33 @@ class ControlMessage:
         merged.update(updates)
         return ControlMessage(self.schema, merged)
 
-    def __getitem__(self, name: str) -> int:
-        return self.values[name]
-
 
 @dataclass(frozen=True)
 class SchemaRegistry:
-    """Immutable lookup of schemas by type name and by header type code."""
+    """Immutable lookup of schemas by type name; type codes are unique."""
 
     schemas: tuple[MessageSchema, ...]
 
     def __post_init__(self) -> None:
         by_name: dict[str, MessageSchema] = {}
-        by_code: dict[int, MessageSchema] = {}
+        code_owner: dict[int, str] = {}
         for s in self.schemas:
             if s.type_name in by_name:
                 raise SchemaValidationError(f"duplicate type_name {s.type_name!r}")
-            if s.header_type_code in by_code:
+            if s.header_type_code in code_owner:
                 raise SchemaValidationError(
                     f"duplicate header_type_code {s.header_type_code} "
-                    f"({by_code[s.header_type_code].type_name!r} vs {s.type_name!r})"
+                    f"({code_owner[s.header_type_code]!r} vs {s.type_name!r})"
                 )
             by_name[s.type_name] = s
-            by_code[s.header_type_code] = s
+            code_owner[s.header_type_code] = s.type_name
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_by_code", by_code)
 
     def by_name(self, type_name: str) -> MessageSchema:
-        return self._by_name[type_name]  # type: ignore[attr-defined]
-
-    def by_code(self, code: int) -> MessageSchema:
         try:
-            return self._by_code[code]  # type: ignore[attr-defined]
+            return self._by_name[type_name]  # type: ignore[attr-defined]
         except KeyError:
-            raise UnknownMessageTypeError(f"no schema for header type code {code}") from None
+            raise UnknownMessageTypeError(f"no schema for message type {type_name!r}") from None
 
     def __contains__(self, type_name: str) -> bool:
         return type_name in self._by_name  # type: ignore[attr-defined]
@@ -214,26 +202,8 @@ def decode_as(data: bytes, schema: MessageSchema) -> ControlMessage:
             f"{schema.type_name} needs {schema.total_bytes} bytes, got {len(data)}"
         )
     acc = int.from_bytes(data[: schema.total_bytes], "big")
-    values: dict[str, int] = {}
-    for f in schema.fields:
-        shift = schema.total_bits - f.offset_bits - f.width_bits
-        values[f.name] = (acc >> shift) & f.raw_max
-    return ControlMessage(schema, values)
-
-
-def decode(data: bytes, registry: SchemaRegistry) -> ControlMessage:
-    """Decode one message, routing on the header type byte.
-
-    Requires at least the common header; the schema then fixes how many
-    bytes are consumed.  Trailing bytes beyond the schema span are ignored
-    so a caller may pass a larger buffer whose head is one message.
-    """
-    if len(data) < HEADER_BYTES:
-        raise TruncatedMessageError(
-            f"need at least {HEADER_BYTES} header bytes, got {len(data)}"
-        )
-    schema = registry.by_code(data[_TYPE_BYTE])
-    return decode_as(data, schema)
+    layout = schema._layout  # type: ignore[attr-defined]
+    return ControlMessage(schema, {name: (acc >> shift) & mask for name, shift, mask in layout})
 
 
 # ---------------------------------------------------------------------------
@@ -252,24 +222,21 @@ def load_schemas(document: Mapping | None) -> SchemaRegistry:
     schemas = []
     for entry in entries:
         try:
-            fields = []
-            offset = 0
-            for fd in entry["fields"]:
-                spec = FieldSpec(
+            fields = tuple(
+                FieldSpec(
                     name=str(fd["name"]),
-                    offset_bits=offset,
                     width_bits=int(fd["width_bits"]),
                     domain_lo=int(fd["domain_lo"]),
                     domain_hi=int(fd["domain_hi"]),
                 )
-                offset += spec.width_bits
-                fields.append(spec)
+                for fd in entry["fields"]
+            )
             schemas.append(
                 MessageSchema(
                     type_name=str(entry["type_name"]),
                     header_type_code=int(entry["header_type_code"]),
-                    total_bits=int(entry["total_bytes"]) * 8,
-                    fields=tuple(fields),
+                    total_bytes=int(entry["total_bytes"]),
+                    fields=fields,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -426,13 +426,8 @@ def _learn_bins(bins: _Bins, presence: np.ndarray, names: Sequence[str], seed: i
     return RuleSet(tuple(minority_rules), default)
 
 
-def predict_mask(ruleset: RuleSet, dataset: LabeledDataset) -> np.ndarray:
-    """Vectorized first-match classification; True means presence."""
-    x, _ = dataset.to_arrays()
-    return _predict(ruleset, x, dataset.field_names)
-
-
 def _predict(ruleset: RuleSet, x: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Vectorized first-match classification of the rows of x; True means presence."""
     index = {name: i for i, name in enumerate(names)}
     pred = np.full(len(x), ruleset.default_rule.prediction == PRESENCE)
     assigned = np.zeros(len(x), dtype=bool)

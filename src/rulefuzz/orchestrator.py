@@ -98,6 +98,8 @@ class CampaignConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
+            raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be positive or None")
         if self.workers < 1:

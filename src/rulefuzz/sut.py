@@ -9,12 +9,14 @@ driver records channel-level observations and a pure detector maps them
 to a presence/absence label; optional label noise is applied on top by
 the caller, never inside the deterministic endpoints.
 
+A procedure is a tuple of steps, one message each.  Its target step is
+the slot the proxy fuzzes and the one whose receiver checks the oracle.
 One procedure player serves both roles: the mock controller and the
 switch driver run the same step loop, each sending the steps of its own
-role and reading the peer's, and each enacting the failure for the
-checked steps it receives.  The mock controller is a `proxy.TcpServer`
-that plays the controller half once per accepted connection, on that
-connection's own thread.
+role and reading the peer's, and each enacting the failure when it
+receives a target that matches.  The mock controller is a
+`proxy.TcpServer` that plays the controller half once per accepted
+connection, on that connection's own thread.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -45,8 +47,7 @@ STORM_FRAMES = 3
 SWITCH = "switch"
 CONTROLLER = "controller"
 
-MARK_TARGET = "target"  # the slot the proxy fuzzes
-MARK_CHECK = "check"    # receiver evaluates the oracle predicate here
+MARK_TARGET = "target"  # the slot the proxy fuzzes; its receiver checks the oracle
 MARK_ACK = "ack"        # completing this read means the liveness probe passed
 
 
@@ -194,62 +195,39 @@ def default_message(schema: MessageSchema) -> ControlMessage:
 class Step:
     sender: str
     message: str
-    marks: frozenset[str] = frozenset()
-
-    def has(self, mark: str) -> bool:
-        return mark in self.marks
+    mark: str | None = None  # MARK_TARGET, MARK_ACK or None
 
 
-@dataclass(frozen=True)
-class Procedure:
-    name: str
-    target_type: str
-    steps: tuple[Step, ...]
+# procedure name -> the role that sends its target message
+_TARGET_SENDERS = {"ping_exchange": SWITCH, "switch_connect": CONTROLLER}
+PROCEDURES = tuple(_TARGET_SENDERS)
 
 
-PROCEDURES = ("ping_exchange", "switch_connect")
-
-
-def build_procedure(name: str, target_type: str) -> Procedure:
+def build_procedure(name: str, target_type: str) -> tuple[Step, ...]:
     """Assemble the scripted exchange that carries one target message.
 
     ping_exchange fuzzes a switch-to-controller message and lets the
     controller enact failures; switch_connect fuzzes a controller-to-
-    switch message and lets the driver enact them.  Both end with a
-    barrier probe/ack pair serving as the liveness check.
+    switch message and lets the driver enact them.  A hello target is
+    the sender's own handshake hello; any other target follows the
+    handshake.  Both end with a barrier probe/ack pair serving as the
+    liveness check.
     """
-    target = frozenset({MARK_TARGET, MARK_CHECK})
-    probe = (
+    try:
+        sender = _TARGET_SENDERS[name]
+    except KeyError:
+        raise ValueError(f"unknown procedure {name!r}; expected one of {PROCEDURES}") from None
+    steps = [
+        Step(role, "hello", MARK_TARGET if role == sender and target_type == "hello" else None)
+        for role in (SWITCH, CONTROLLER)
+    ]
+    if target_type != "hello":
+        steps.append(Step(sender, target_type, MARK_TARGET))
+    return (
+        *steps,
         Step(SWITCH, "barrier_request"),
-        Step(CONTROLLER, "barrier_reply", frozenset({MARK_ACK})),
+        Step(CONTROLLER, "barrier_reply", MARK_ACK),
     )
-    if name == "ping_exchange":
-        if target_type == "hello":
-            steps = (
-                Step(SWITCH, "hello", target),
-                Step(CONTROLLER, "hello"),
-            ) + probe
-        else:
-            steps = (
-                Step(SWITCH, "hello"),
-                Step(CONTROLLER, "hello"),
-                Step(SWITCH, target_type, target),
-            ) + probe
-    elif name == "switch_connect":
-        if target_type == "hello":
-            steps = (
-                Step(SWITCH, "hello"),
-                Step(CONTROLLER, "hello", target),
-            ) + probe
-        else:
-            steps = (
-                Step(SWITCH, "hello"),
-                Step(CONTROLLER, "hello"),
-                Step(CONTROLLER, target_type, target),
-            ) + probe
-    else:
-        raise ValueError(f"unknown procedure {name!r}; expected one of {PROCEDURES}")
-    return Procedure(name=name, target_type=target_type, steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +294,7 @@ class RunOutcome:
 
 def _play(
     sock: socket.socket,
-    procedure: Procedure,
+    procedure: tuple[Step, ...],
     registry: SchemaRegistry,
     oracle: FailureOracle | None,
     role: str,
@@ -324,14 +302,14 @@ def _play(
     """Play `role`'s half of a procedure over an open connection.
 
     The role sends its own steps and reads the peer's.  The oracle is
-    consulted only for received steps that carry the check mark; on a
-    match this side enacts the failure itself, by dropping the session or
-    by flooding the peer with unsolicited barrier requests.
+    consulted only for a received target step; on a match this side
+    enacts the failure itself, by dropping the session or by flooding
+    the peer with unsolicited barrier requests.
     """
     obs = {"closed_early": False, "ping_ok": False, "flood_count": 0}
     outcome = RunOutcome(observations=obs)
     try:
-        for step in procedure.steps:
+        for step in procedure:
             schema = registry.by_name(step.message)
             if step.sender == role:
                 try:
@@ -340,7 +318,7 @@ def _play(
                     obs["closed_early"] = True
                     return outcome
                 continue
-            if step.has(MARK_TARGET):
+            if step.mark == MARK_TARGET:
                 data, floods = _recv_exact(sock, schema.total_bytes), 0
             else:
                 data, floods = _read_slot(sock, schema, registry)
@@ -348,10 +326,10 @@ def _play(
             if data is None:
                 obs["closed_early"] = True
                 return outcome
-            if step.has(MARK_ACK):
+            if step.mark == MARK_ACK:
                 obs["ping_ok"] = True
             if (
-                step.has(MARK_CHECK)
+                step.mark == MARK_TARGET
                 and oracle is not None
                 and oracle.matches(decode_as(data, schema).values)
             ):
@@ -381,7 +359,7 @@ class MockController(TcpServer):
     def __init__(
         self,
         registry: SchemaRegistry,
-        procedure: Procedure,
+        procedure: tuple[Step, ...],
         oracle: FailureOracle | None,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -414,7 +392,7 @@ def connect_sut(endpoint: tuple[str, int], timeout: float = 10.0) -> socket.sock
 
 def run_procedure_on(
     sock: socket.socket,
-    procedure: Procedure,
+    procedure: tuple[Step, ...],
     registry: SchemaRegistry,
     oracle: FailureOracle | None = None,
 ) -> RunOutcome:

@@ -4,7 +4,7 @@ import pytest
 
 from rulefuzz.codec import FieldSpec, MessageSchema, SchemaRegistry, builtin_registry
 from rulefuzz.dataset import ABSENCE, LabeledDataset
-from rulefuzz.learner import predict_mask
+from rulefuzz.learner import _predict
 
 
 @pytest.fixture(scope="session")
@@ -25,12 +25,10 @@ def make_schema(widths, domains=None, type_name="tiny", code=200):
     """
     domains = domains or {}
     fields = []
-    offset = 0
     for name, width in widths.items():
         lo, hi = domains.get(name, (0, (1 << width) - 1))
-        fields.append(FieldSpec(name, offset, width, lo, hi))
-        offset += width
-    return MessageSchema(type_name, code, offset, tuple(fields))
+        fields.append(FieldSpec(name, width, lo, hi))
+    return MessageSchema(type_name, code, sum(widths.values()) // 8, tuple(fields))
 
 
 @pytest.fixture
@@ -45,8 +43,9 @@ def random_values(schema, rng, valid=True):
 
 
 def predict_rows(ruleset, rows):
-    """predict_mask over a list of value dicts; True means presence."""
+    """The learner's first-match prediction over a list of value dicts; True means presence."""
     ds = LabeledDataset(tuple(rows[0]))
     for values in rows:
         ds.append(values, ABSENCE)
-    return predict_mask(ruleset, ds)
+    x, _ = ds.to_arrays()
+    return _predict(ruleset, x, ds.field_names)

@@ -34,10 +34,11 @@ def test_campaign_rejects_tiny_n(capsys):
     assert "at least 10 samples" in capsys.readouterr().err
 
 
-def test_campaign_rejects_bad_mutation_rate(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["campaign", "--mutation-rate", "1.5"])
-    assert err.value.code == 2
+def test_campaign_rejects_bad_mutation_rate(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["campaign", "--mutation-rate", "1.5", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--iterations", "--workers"])
@@ -95,6 +96,34 @@ def test_replay_cli_round_trip(tmp_path, capsys):
     assert rc == 0
     assert len(list(out.glob("msg_*.bin"))) == 5
     assert json.loads((out / "manifest.json").read_text())["count"] == 5
+
+
+def schemas_without_packet_in(tmp_path):
+    doc = yaml.safe_load(PACKAGED_SCHEMAS.read_text())
+    doc["schemas"] = [s for s in doc["schemas"] if s["type_name"] != "packet_in"]
+    path = tmp_path / "schemas.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def test_campaign_unknown_message_type_is_reported(tmp_path, capsys):
+    out = tmp_path / "run"
+    schemas = schemas_without_packet_in(tmp_path)
+    assert main(["campaign", "--schemas", str(schemas), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_unknown_message_type_is_reported(tmp_path, capsys):
+    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule.build(Condition(), "absence", 7, 1))
+    saved = tmp_path / "model.txt"
+    saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
+    out = tmp_path / "corpus"
+    schemas = schemas_without_packet_in(tmp_path)
+    assert main(["replay", str(saved), "--schemas", str(schemas), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_replay_missing_file_is_reported(tmp_path, capsys):

@@ -9,12 +9,12 @@ from rulefuzz.codec import (
     ControlMessage,
     FieldSpec,
     MessageSchema,
+    SchemaRegistry,
     SchemaValidationError,
     TruncatedMessageError,
     UnknownMessageTypeError,
     ValueOverflowError,
     builtin_registry,
-    decode,
     decode_as,
     encode,
     load_schema_file,
@@ -29,17 +29,19 @@ def oracle_encode(schema, values):
     bits = "".join(
         format(values[f.name], f"0{f.width_bits}b") for f in schema.fields
     )
-    assert len(bits) == schema.total_bits
-    return int(bits, 2).to_bytes(schema.total_bits // 8, "big")
+    assert len(bits) == 8 * schema.total_bytes
+    return int(bits, 2).to_bytes(schema.total_bytes, "big")
 
 
 def oracle_decode(schema, data):
     bits = format(
-        int.from_bytes(data[: schema.total_bytes], "big"), f"0{schema.total_bits}b"
+        int.from_bytes(data[: schema.total_bytes], "big"), f"0{8 * schema.total_bytes}b"
     )
     out = {}
+    offset = 0
     for f in schema.fields:
-        out[f.name] = int(bits[f.offset_bits : f.offset_bits + f.width_bits], 2)
+        out[f.name] = int(bits[offset : offset + f.width_bits], 2)
+        offset += f.width_bits
     return out
 
 
@@ -126,31 +128,24 @@ def test_field_isolation(packet_in, rng):
     """Changing one field flips only that field's bit span."""
     values = random_values(packet_in, rng)
     base = encode(ControlMessage(packet_in, values))
+    shift = 8 * packet_in.total_bytes  # fields fill the message from its top bit down
     for spec in packet_in.fields:
         new = (values[spec.name] + 1) % (spec.raw_max + 1)
         changed = encode(
             ControlMessage(packet_in, {**values, spec.name: new})
         )
         diff = int.from_bytes(base, "big") ^ int.from_bytes(changed, "big")
-        span = spec.raw_max << (packet_in.total_bits - spec.offset_bits - spec.width_bits)
+        shift -= spec.width_bits
+        span = spec.raw_max << shift
         assert diff != 0
         assert diff & ~span == 0
-
-
-def test_decode_routes_on_type_byte(registry, rng):
-    for schema in registry:
-        values = random_values(schema, rng)
-        values["type"] = schema.header_type_code
-        msg = ControlMessage(schema, values)
-        assert decode(encode(msg), registry).schema is schema
 
 
 def test_decode_tolerates_trailing_bytes(registry, rng):
     schema = registry.by_name("hello")
     values = random_values(schema, rng)
-    values["type"] = 0
     data = encode(ControlMessage(schema, values)) + b"\xff" * 9
-    assert decode(data, registry).values == values
+    assert decode_as(data, schema).values == values
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +154,14 @@ def test_decode_tolerates_trailing_bytes(registry, rng):
 
 def test_decode_needs_header(registry):
     with pytest.raises(TruncatedMessageError):
-        decode(b"\x04\x0a\x00", registry)
+        decode_as(b"\x04\x00\x00", registry.by_name("hello"))
 
 
 def test_decode_truncated_body(registry):
-    # type byte says packet_in (57 bytes) but only the header arrives
+    # packet_in is 57 bytes but only the header arrives
     data = bytes([4, 10, 0, 57, 0, 0, 0, 1])
     with pytest.raises(TruncatedMessageError):
-        decode(data, registry)
-
-
-def test_decode_unknown_type_code(registry):
-    data = bytes([4, 99, 0, 8, 0, 0, 0, 1])
-    with pytest.raises(UnknownMessageTypeError):
-        decode(data, registry)
+        decode_as(data, registry.by_name("packet_in"))
 
 
 def test_encode_rejects_overflow():
@@ -183,35 +172,38 @@ def test_encode_rejects_overflow():
         encode(ControlMessage(schema, {"a": 1}))  # missing b
 
 
-def test_schema_rejects_gaps():
-    with pytest.raises(SchemaValidationError):
-        MessageSchema(
-            "bad", 1, 16,
-            (FieldSpec("a", 0, 4, 0, 15), FieldSpec("b", 8, 8, 0, 255)),
-        )
-
-
 def test_schema_rejects_width_mismatch():
     with pytest.raises(SchemaValidationError):
-        MessageSchema("bad", 1, 24, (FieldSpec("a", 0, 8, 0, 255),))
+        MessageSchema("bad", 1, 3, (FieldSpec("a", 8, 0, 255),))
 
 
 def test_schema_rejects_duplicate_names():
     with pytest.raises(SchemaValidationError):
         MessageSchema(
-            "bad", 1, 16,
-            (FieldSpec("a", 0, 8, 0, 255), FieldSpec("a", 8, 8, 0, 255)),
+            "bad", 1, 2,
+            (FieldSpec("a", 8, 0, 255), FieldSpec("a", 8, 0, 255)),
         )
 
 
 def test_schema_rejects_domain_overflow():
     with pytest.raises(SchemaValidationError):
-        MessageSchema("bad", 1, 8, (FieldSpec("a", 0, 8, 0, 256),))
+        MessageSchema("bad", 1, 1, (FieldSpec("a", 8, 0, 256),))
 
 
 def test_schema_rejects_unaligned_total():
+    # 12 bits of fields fill no whole number of bytes
     with pytest.raises(SchemaValidationError):
-        MessageSchema("bad", 1, 12, (FieldSpec("a", 0, 12, 0, 4095),))
+        MessageSchema("bad", 1, 2, (FieldSpec("a", 12, 0, 4095),))
+    with pytest.raises(SchemaValidationError):
+        MessageSchema("bad", 1, 1, (FieldSpec("a", 12, 0, 4095),))
+
+
+def test_registry_rejects_duplicate_type_codes():
+    # the proxy and the switch driver recognise frames by the type byte
+    one = make_schema({"a": 8}, type_name="one", code=7)
+    two = make_schema({"b": 8}, type_name="two", code=7)
+    with pytest.raises(SchemaValidationError, match="header_type_code"):
+        SchemaRegistry((one, two))
 
 
 def test_values_must_fit_domain_vs_raw():
@@ -244,9 +236,7 @@ def test_load_schema_file_round_trip(tmp_path, registry):
 
 
 def test_registry_lookup_errors(registry):
-    with pytest.raises(UnknownMessageTypeError):
-        registry.by_code(250)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownMessageTypeError, match="'nope'"):
         registry.by_name("nope")
     assert "packet_in" in registry
     assert "nope" not in registry

@@ -17,9 +17,9 @@ from rulefuzz.learner import (
     TooFewSamplesError,
     _best_atom,
     _encode,
+    _predict,
     cross_validate,
     learn,
-    predict_mask,
 )
 from rulefuzz.rules import (
     OPS,
@@ -187,7 +187,8 @@ def test_predict_mask_matches_scalar_classify():
     rng = random.Random(55)
     ds = balanced_dataset(WIDE, PLANTED, 150, rng, flip=0.1)
     model = learn(ds)
-    mask = predict_mask(model, ds)
+    x, _ = ds.to_arrays()
+    mask = _predict(model, x, ds.field_names)
     for i, sample in enumerate(ds):
         assert mask[i] == (classify(model, sample.values) == PRESENCE)
 
@@ -209,7 +210,7 @@ SPAN64 = make_schema({"a": 64})
     rows=st.lists(st.integers(0, U64_MAX), max_size=6),
 )
 def test_comparators_agree_on_any_constant(op, value, rows):
-    # evaluate, predict_mask and the sampler's intervals give one answer,
+    # evaluate, _predict and the sampler's intervals give one answer,
     # also for constants outside the uint64 range of the value matrix
     rows = rows + [0, U64_MAX] + [min(max(value + d, 0), U64_MAX) for d in (-1, 0, 1)]
     cond = Condition((Atom("a", op, value),))
@@ -431,7 +432,7 @@ def rows_of(dataset, indices):
 
 
 def subset_cross_validate(dataset, k, params):
-    """cross_validate's folds run through learn() and predict_mask() on fold datasets."""
+    """cross_validate's folds run through learn() and _predict() on fold datasets."""
     rng = np.random.default_rng(params.seed)
     _, y = dataset.to_arrays()
     pos_idx = rng.permutation(np.nonzero(y)[0])
@@ -446,8 +447,8 @@ def subset_cross_validate(dataset, k, params):
         fold_params = replace(params, seed=(params.seed * 1000003 + fold) % (2**63))
         model = learn(rows_of(dataset, train_idx), fold_params)
         test_ds = rows_of(dataset, test_idx.tolist())
-        pred = predict_mask(model, test_ds)
-        _, y_test = test_ds.to_arrays()
+        x_test, y_test = test_ds.to_arrays()
+        pred = _predict(model, x_test, test_ds.field_names)
         tp += int((pred & y_test).sum())
         fp += int((pred & ~y_test).sum())
         fn += int((~pred & y_test).sum())

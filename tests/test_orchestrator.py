@@ -362,6 +362,13 @@ def test_config_rejects_fewer_than_two_cv_folds(tmp_path, folds):
     small_config(tmp_path, cv_folds=2)
 
 
+@pytest.mark.parametrize("rate", [1.5, -0.1])
+def test_config_rejects_mutation_rate_outside_unit_interval(tmp_path, rate):
+    with pytest.raises(ValueError, match="mutation_rate"):
+        small_config(tmp_path, mutation_rate=rate)
+    small_config(tmp_path, mutation_rate=1.0)
+
+
 @pytest.mark.parametrize("target", ["precision_target", "recall_target"])
 def test_config_rejects_a_lone_metric_target(tmp_path, target):
     with pytest.raises(ValueError, match="set together"):

@@ -11,7 +11,6 @@ from rulefuzz.rules import parse_condition
 from rulefuzz.sut import (
     CONTROLLER,
     MARK_ACK,
-    MARK_CHECK,
     MARK_TARGET,
     STORM_FRAMES,
     SWITCH,
@@ -112,24 +111,31 @@ def test_default_messages_are_well_formed_and_negative():
             assert not oracle.matches(msg.values)
 
 
+PROBE = [(SWITCH, "barrier_request", None), (CONTROLLER, "barrier_reply", MARK_ACK)]
+
+# (procedure, target type) -> every step's (sender, message, mark)
+PROCEDURE_SHAPES = {
+    ("ping_exchange", "hello"): [
+        (SWITCH, "hello", MARK_TARGET), (CONTROLLER, "hello", None), *PROBE,
+    ],
+    ("ping_exchange", "packet_in"): [
+        (SWITCH, "hello", None), (CONTROLLER, "hello", None),
+        (SWITCH, "packet_in", MARK_TARGET), *PROBE,
+    ],
+    ("switch_connect", "hello"): [
+        (SWITCH, "hello", None), (CONTROLLER, "hello", MARK_TARGET), *PROBE,
+    ],
+    ("switch_connect", "packet_in"): [
+        (SWITCH, "hello", None), (CONTROLLER, "hello", None),
+        (CONTROLLER, "packet_in", MARK_TARGET), *PROBE,
+    ],
+}
+
+
 def test_build_procedure_shapes():
-    ping = build_procedure("ping_exchange", "packet_in")
-    assert [s.sender for s in ping.steps] == [
-        SWITCH, CONTROLLER, SWITCH, SWITCH, CONTROLLER,
-    ]
-    target_step = ping.steps[2]
-    assert target_step.message == "packet_in"
-    assert target_step.has(MARK_TARGET) and target_step.has(MARK_CHECK)
-    assert ping.steps[-1].has(MARK_ACK)
-
-    conn = build_procedure("switch_connect", "flow_removed")
-    target_step = conn.steps[2]
-    assert target_step.sender == CONTROLLER
-    assert target_step.has(MARK_TARGET)
-
-    hello = build_procedure("ping_exchange", "hello")
-    assert hello.steps[0].has(MARK_TARGET)  # handshake itself is the slot
-
+    for (name, target), shape in PROCEDURE_SHAPES.items():
+        procedure = build_procedure(name, target)
+        assert [(s.sender, s.message, s.mark) for s in procedure] == shape, name
     with pytest.raises(ValueError):
         build_procedure("teleport", "packet_in")
 
@@ -229,10 +235,7 @@ def test_driver_tolerates_storm_and_reports_flood():
         sock.sendall(
             encode(default_message(schema).with_values({"cookie_hi": 2**32 - 1}))
         )
-        remaining = build_procedure("ping_exchange", "packet_in").steps[3:]
-        outcome = run_procedure_on(
-            sock, type(procedure)("tail", "packet_in", tuple(remaining)), REGISTRY
-        )
+        outcome = run_procedure_on(sock, procedure[3:], REGISTRY)
     assert outcome.completed
     assert outcome.observations["flood_count"] == STORM_FRAMES
     assert outcome.observations["ping_ok"]

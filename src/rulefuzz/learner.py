@@ -25,14 +25,34 @@ covered row sits in exactly one bin per field, so the running sum
 through field f starts from f times the covered count.  Candidate splits
 are the nonempty bins below a field's last nonempty bin; a ">=" split
 takes the next nonempty bin.  Among equal gains the first in the order
-field, then "<=" before ">=", then ascending value wins.
+field, then "<=" before ">=", then ascending value wins.  Within one
+fit each rule's mask over the training rows is computed once, however
+many candidate rule sets it is scored in.
+
+Cross-validation folds run on every core the process may use.  The
+caller fits one share of the folds itself and pipes the other shares to
+nproc - 1 worker processes, started on the first call (which fits every
+fold in-process while they import) and ended when the caller exits; on
+one CPU every fold runs in-process.  A fold's seed and
+rows do not depend on where it runs, and each fold yields integer
+(tp, fp, fn) counts that are summed, so (P, R) is the same for any CPU
+count.
 
 Everything is deterministic under a fixed seed.
 """
 from __future__ import annotations
 
+import atexit
+import contextlib
 import math
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -78,11 +98,26 @@ def _rule_mask(atoms: Sequence[_IAtom], matrix: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _union_mask(rules: Sequence[Sequence[_IAtom]], matrix: np.ndarray) -> np.ndarray:
-    mask = np.zeros(len(matrix), dtype=bool)
-    for atoms in rules:
-        mask |= _rule_mask(atoms, matrix)
-    return mask
+class _RuleMasks(dict):
+    """Rule masks over one bin-code matrix, keyed by tuple(atoms), each computed once.
+
+    Induction and optimization score many candidate rule sets that share
+    most of their rules; a mask is read, never written in place.
+    """
+
+    def __init__(self, codes: np.ndarray):
+        super().__init__()
+        self.codes = codes
+
+    def __missing__(self, atoms: tuple[_IAtom, ...]) -> np.ndarray:
+        mask = self[atoms] = _rule_mask(atoms, self.codes)
+        return mask
+
+    def union(self, rules: Sequence[Sequence[_IAtom]]) -> np.ndarray:
+        mask = np.zeros(len(self.codes), dtype=bool)
+        for atoms in rules:
+            mask |= self[tuple(atoms)]
+        return mask
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +283,14 @@ def _theory_dl(n_atoms: int, n_possible: int) -> float:
 
 def _ruleset_dl(
     rules: Sequence[Sequence[_IAtom]],
-    codes: np.ndarray,
+    masks: _RuleMasks,
     y: np.ndarray,
     n_possible: int,
     exp_fp: float,
 ) -> float:
-    union = _union_mask(rules, codes)
+    union = masks.union(rules)
     cover = int(union.sum())
-    uncover = len(codes) - cover
+    uncover = len(y) - cover
     fp = int((union & ~y).sum())
     fn = int((~union & y).sum())
     theory = sum(_theory_dl(len(atoms), n_possible) for atoms in rules)
@@ -280,6 +315,7 @@ def _stratified_split(
 
 def _induce(
     bins: _Bins,
+    masks: _RuleMasks,
     y: np.ndarray,
     rng: np.random.Generator,
     n_possible: int,
@@ -288,8 +324,8 @@ def _induce(
 ) -> list[list[_IAtom]]:
     codes = bins.codes
     rules = list(rules or [])
-    covered = _union_mask(rules, codes)
-    dl_min = _ruleset_dl(rules, codes, y, n_possible, exp_fp)
+    covered = masks.union(rules)
+    dl_min = _ruleset_dl(rules, masks, y, n_possible, exp_fp)
     while True:
         rem = np.nonzero(~covered)[0]
         if rem.size == 0 or not y[rem].any():
@@ -307,18 +343,19 @@ def _induce(
             break
         if p_cov / t_cov <= 0.5:
             break
-        dl = _ruleset_dl(rules + [atoms], codes, y, n_possible, exp_fp)
+        dl = _ruleset_dl(rules + [atoms], masks, y, n_possible, exp_fp)
         if dl > dl_min + _MDL_SLACK:
             break
         dl_min = min(dl_min, dl)
         rules.append(atoms)
-        covered |= _rule_mask(atoms, codes)
+        covered |= masks[tuple(atoms)]
     return rules
 
 
 def _optimize(
     rules: list[list[_IAtom]],
     bins: _Bins,
+    masks: _RuleMasks,
     y: np.ndarray,
     rng: np.random.Generator,
     n_possible: int,
@@ -328,12 +365,12 @@ def _optimize(
     for _ in range(_OPTIMIZATION_PASSES):
         for i in range(len(rules)):
             others = rules[:i] + rules[i + 1 :]
-            ctx = np.nonzero(~_union_mask(others, codes))[0]
+            ctx = np.nonzero(~masks.union(others))[0]
             if ctx.size == 0 or not y[ctx].any():
                 continue
             grow_idx, prune_idx = _stratified_split(ctx, y, _GROW_FRACTION, rng)
             grow = bins.take(grow_idx)
-            best, best_dl = rules[i], _ruleset_dl(rules, codes, y, n_possible, exp_fp)
+            best, best_dl = rules[i], _ruleset_dl(rules, masks, y, n_possible, exp_fp)
             # a replacement grown from scratch, then a revision of rules[i]
             for base_atoms in ((), rules[i]):
                 cand = _grow(grow, y[grow_idx], base_atoms)
@@ -342,19 +379,19 @@ def _optimize(
                 if not cand:
                     continue
                 trial = rules[:i] + [cand] + rules[i + 1 :]
-                dl = _ruleset_dl(trial, codes, y, n_possible, exp_fp)
+                dl = _ruleset_dl(trial, masks, y, n_possible, exp_fp)
                 if dl < best_dl - _DL_EPS:
                     best, best_dl = cand, dl
             rules[i] = best
-        rules = _induce(bins, y, rng, n_possible, exp_fp, rules=rules)
+        rules = _induce(bins, masks, y, rng, n_possible, exp_fp, rules=rules)
     # Drop rules whose removal shortens the description.
     changed = True
     while changed and rules:
         changed = False
-        current_dl = _ruleset_dl(rules, codes, y, n_possible, exp_fp)
+        current_dl = _ruleset_dl(rules, masks, y, n_possible, exp_fp)
         for i in range(len(rules) - 1, -1, -1):
             trial = rules[:i] + rules[i + 1 :]
-            if _ruleset_dl(trial, codes, y, n_possible, exp_fp) < current_dl - _DL_EPS:
+            if _ruleset_dl(trial, masks, y, n_possible, exp_fp) < current_dl - _DL_EPS:
                 rules = trial
                 changed = True
                 break
@@ -403,9 +440,10 @@ def _learn_bins(bins: _Bins, presence: np.ndarray, names: Sequence[str], seed: i
         np.bincount(bins.codes.ravel(), minlength=bins.field.size)
     )
     exp_fp = counts[minority] / n
-    rules = _induce(bins, y, rng, n_possible, exp_fp)
+    masks = _RuleMasks(bins.codes)
+    rules = _induce(bins, masks, y, rng, n_possible, exp_fp)
     if rules:
-        rules = _optimize(rules, bins, y, rng, n_possible, exp_fp)
+        rules = _optimize(rules, bins, masks, y, rng, n_possible, exp_fp)
     if not rules:
         return degenerate()
 
@@ -415,7 +453,7 @@ def _learn_bins(bins: _Bins, presence: np.ndarray, names: Sequence[str], seed: i
         cond = Condition(
             tuple(Atom(names[f], op, int(bins.value[b])) for f, op, b in atoms)
         )
-        mask = _rule_mask(atoms, bins.codes)
+        mask = masks[tuple(atoms)]
         t = int(mask.sum())
         f_count = int((mask & ~y).sum())
         minority_rules.append(DecisionRule.build(cond, minority, t, f_count))
@@ -451,7 +489,8 @@ def cross_validate(
     """Stratified k-fold precision and recall, presence as positive class.
 
     Counts are pooled across folds before computing the ratios; an empty
-    denominator yields 0.0 for that metric.
+    denominator yields 0.0 for that metric.  The folds are fit on every
+    core the process may use.
     """
     if k < 2:
         raise ValueError(f"k-fold cross-validation needs k >= 2, got {k}")
@@ -461,23 +500,128 @@ def cross_validate(
     base_seed = params.seed if seed is None else seed
     rng = np.random.default_rng(base_seed)
     x, y = dataset.to_arrays()
-    bins = _encode(x)
     pos_idx = rng.permutation(np.nonzero(y)[0])
     neg_idx = rng.permutation(np.nonzero(~y)[0])
-    tp = fp = fn = 0
+    folds = []
     for fold in range(k):
         test_idx = np.concatenate((pos_idx[fold::k], neg_idx[fold::k]))
-        if test_idx.size == 0:
-            continue
-        train = np.ones(len(x), dtype=bool)
-        train[test_idx] = False
-        fold_seed = (base_seed * 1000003 + fold) % (2**63)
-        model = _learn_bins(bins.take(train), y[train], dataset.field_names, fold_seed)
-        pred = _predict(model, x[test_idx], dataset.field_names)
-        y_test = y[test_idx]
-        tp += int((pred & y_test).sum())
-        fp += int((pred & ~y_test).sum())
-        fn += int((~pred & y_test).sum())
+        if test_idx.size:
+            folds.append((test_idx, (base_seed * 1000003 + fold) % (2**63)))
+    tp, fp, fn = _count_folds(x, y, dataset.field_names, folds)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
+
+
+# ---------------------------------------------------------------------------
+# Fold workers
+# ---------------------------------------------------------------------------
+
+_Fold = tuple[np.ndarray, int]  # (test row indices, fold seed)
+
+
+def _fold_counts(
+    x: np.ndarray, presence: np.ndarray, names: Sequence[str], folds: Sequence[_Fold]
+) -> tuple[int, int, int]:
+    """(tp, fp, fn) of the folds, each fit on the rows outside its test rows."""
+    bins = _encode(x)
+    tp = fp = fn = 0
+    for test_idx, fold_seed in folds:
+        train = np.ones(len(x), dtype=bool)
+        train[test_idx] = False
+        model = _learn_bins(bins.take(train), presence[train], names, fold_seed)
+        pred = _predict(model, x[test_idx], names)
+        y_test = presence[test_idx]
+        tp += int((pred & y_test).sum())
+        fp += int((pred & ~y_test).sum())
+        fn += int((~pred & y_test).sum())
+    return tp, fp, fn
+
+
+def _serve_folds() -> None:
+    """A fold worker's loop: read pickled _fold_counts arguments, write back the counts."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    while True:
+        try:
+            share = pickle.load(stdin)
+        except EOFError:  # the caller closed the pipe or exited
+            return
+        pickle.dump(_fold_counts(*share), stdout, pickle.HIGHEST_PROTOCOL)
+        stdout.flush()
+
+
+# Started on the first exchange and kept for the life of the process; the
+# lock keeps two threads from interleaving pickles on one pipe.
+_workers: list[subprocess.Popen] | None = None
+_workers_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _start_workers() -> list[subprocess.Popen]:
+    # A worker imports the rulefuzz this process runs, whatever its cwd.
+    env = dict(os.environ)
+    root = str(Path(__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    command = [sys.executable, "-c", "from rulefuzz.learner import _serve_folds; _serve_folds()"]
+    return [
+        subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+        for _ in range(_cpu_count() - 1)
+    ]
+
+
+@atexit.register
+def _stop_workers(kill: bool = False) -> None:
+    """End the fold workers and wait for them; the next exchange starts new ones."""
+    global _workers
+    workers, _workers = _workers or [], None
+    for worker in workers:
+        if kill:
+            worker.kill()
+        with contextlib.suppress(OSError):  # a dead worker's pipe is broken
+            worker.stdin.close()  # EOF ends an idle worker
+    for worker in workers:
+        worker.wait()
+        worker.stdout.close()
+
+
+def _count_folds(
+    x: np.ndarray, presence: np.ndarray, names: Sequence[str], folds: Sequence[_Fold]
+) -> tuple[int, int, int]:
+    """_fold_counts over all folds: the caller fits one share, each worker another.
+
+    The shares' counts are integers, so their sum is the same for any
+    number of CPUs.  A worker that dies fails the call with its exit code.
+    """
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            # The call that starts the workers fits every fold itself while they import.
+            _workers, ready = _start_workers(), []
+        else:
+            ready = _workers
+        shares = [folds[i :: len(ready) + 1] for i in range(len(ready) + 1)]
+        busy = [(w, share) for w, share in zip(ready, shares[1:]) if share]
+        worker = None
+        try:
+            for worker, share in busy:
+                pickle.dump((x, presence, names, share), worker.stdin, pickle.HIGHEST_PROTOCOL)
+                worker.stdin.flush()
+            counts = [_fold_counts(x, presence, names, shares[0])]
+            for worker, _ in busy:
+                counts.append(pickle.load(worker.stdout))
+        except BaseException as exc:
+            _stop_workers(kill=True)  # an unfinished exchange leaves the pipes out of step
+            if worker is not None and isinstance(exc, (OSError, EOFError)):
+                raise RuntimeError(
+                    f"cross-validation worker {worker.pid} exited with code {worker.returncode}"
+                ) from exc
+            raise
+    tp, fp, fn = (sum(c) for c in zip(*counts))
+    return tp, fp, fn

@@ -106,6 +106,8 @@ class CampaignConfig:
             raise ValueError("workers must be positive")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
+        if self.budget_seconds is not None and self.budget_seconds < 0:
+            raise ValueError(f"budget_seconds must not be negative, got {self.budget_seconds}")
         if (self.precision_target is None) != (self.recall_target is None):
             raise ValueError("precision_target and recall_target are set together")
 
@@ -512,6 +514,8 @@ def replay(
     field with a fresh domain draw.  Writes msg_NNNNN.bin files plus a
     manifest; returns the corpus directory.
     """
+    if count < 0:
+        raise ValueError(f"count must not be negative, got {count}")
     registry = registry or builtin_registry()
     ruleset, header_type = load_saved_ruleset(ruleset_path)
     message_type = message_type or header_type

@@ -49,6 +49,13 @@ def test_campaign_rejects_nonpositive_counts_before_starting(tmp_path, capsys, f
     assert not out.exists()
 
 
+def test_campaign_rejects_a_negative_budget_before_starting(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["campaign", "--budget-seconds", "-1", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--precision-target", "--recall-target"])
 def test_campaign_rejects_a_lone_metric_target_before_starting(tmp_path, capsys, flag):
     # should_stop stops on targets only when both are set
@@ -96,6 +103,18 @@ def test_replay_cli_round_trip(tmp_path, capsys):
     assert rc == 0
     assert len(list(out.glob("msg_*.bin"))) == 5
     assert json.loads((out / "manifest.json").read_text())["count"] == 5
+
+
+def test_replay_rejects_a_negative_count(tmp_path, capsys):
+    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule.build(Condition(), "absence", 7, 1))
+    saved = tmp_path / "model.txt"
+    saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
+    out = tmp_path / "corpus"
+    assert main(["replay", str(saved), "--count", "-2", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def schemas_without_packet_in(tmp_path):

@@ -2,14 +2,22 @@
 
 import itertools
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rulefuzz.learner as learner
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
 from rulefuzz.learner import (
     _GAIN_EPS,
@@ -460,13 +468,111 @@ def subset_cross_validate(dataset, k, params):
 MIXED = make_schema({"a": 8, "b": 8, "c": 32, "d": 1, "e": 7})
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_cross_validate_matches_subset_folds(seed):
+def mixed_dataset(seed, per_class):
     rng = random.Random(seed)
     cond = parse_condition("a >= 100 AND c <= 2000000000")
-    ds = balanced_dataset(MIXED, cond, 60 * seed, rng, flip=0.05)
+    ds = balanced_dataset(MIXED, cond, per_class, rng, flip=0.05)
     # a few extra absences so the classes are not balanced
     for _ in range(15):
         ds.append(draw(MIXED, rng), ABSENCE)
+    return ds
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes cross_validate fold on n CPUs, with fresh workers; the
+    workers are stopped again after the test."""
+    def use(n):
+        learner._stop_workers()
+        monkeypatch.setattr(learner, "_cpu_count", lambda: n)
+    yield use
+    learner._stop_workers()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 8, 11])
+def test_cross_validate_matches_subset_folds(seed, cpus):
+    ds = mixed_dataset(seed, 60 * seed)
     params = RipperParams(seed=seed)
-    assert cross_validate(ds, k=10, params=params) == subset_cross_validate(ds, 10, params)
+    expected = {k: subset_cross_validate(ds, k, params) for k in (2, 3, 10)}
+    # One CPU fits every fold in-process, as does the call that starts the
+    # workers; on four, k = 2 and 3 leave a share empty.
+    for n in (1, 4):
+        cpus(n)
+        for k, want in [*expected.items(), *expected.items()]:
+            assert cross_validate(ds, k=k, params=params) == want, (n, k)
+
+
+def test_fold_workers_end_with_their_caller():
+    script = (
+        "import rulefuzz.learner as learner\n"
+        "from tests.test_learner import mixed_dataset\n"
+        "learner._cpu_count = lambda: 3\n"
+        "for _ in range(2):\n"
+        "    learner.cross_validate(mixed_dataset(1, 40), k=4)\n"
+        "print(*(w.pid for w in learner._workers))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:  # reaped at exit, not left to a later reaper
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_fold_workers_import_this_rulefuzz_from_any_cwd(cpus, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", "src")  # relative, as the tier-1 command sets it
+    cpus(2)
+    ds = mixed_dataset(1, 40)
+    params = RipperParams(seed=1)
+    want = subset_cross_validate(ds, 4, params)
+    for _ in range(2):  # the second call has the worker fit a share
+        assert cross_validate(ds, k=4, params=params) == want
+
+
+def test_concurrent_calls_get_their_own_counts(cpus):
+    # more threads than CPUs; an exchange that interleaves on a pipe swaps counts
+    cpus(2)
+    datasets = [mixed_dataset(seed, 30 + 10 * seed) for seed in range(1, 5)]
+    want = [cross_validate(ds, k=4) for ds in datasets]
+    got = [[] for _ in datasets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=lambda i=i: got[i].extend(
+                cross_validate(datasets[i], k=4) for _ in range(3)))
+            for i in range(len(datasets))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[w] * 3 for w in want]
+
+
+def test_killed_fold_worker_fails_one_call(cpus):
+    cpus(2)
+    ds = mixed_dataset(2, 60)
+    want = cross_validate(ds, k=4)
+    assert cross_validate(ds, k=4) == want  # the worker's first share
+    [worker] = learner._workers
+    os.kill(worker.pid, signal.SIGINT)  # ignored: Ctrl-C is the caller's
+    assert cross_validate(ds, k=4) == want
+    os.kill(worker.pid, signal.SIGKILL)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=f"worker {worker.pid} exited with code -9"):
+        cross_validate(ds, k=4)
+    assert time.monotonic() - start < 5
+    assert learner._workers is None
+    for _ in range(2):
+        assert cross_validate(ds, k=4) == want
+    assert learner._workers[0].pid != worker.pid

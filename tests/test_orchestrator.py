@@ -362,6 +362,12 @@ def test_config_rejects_fewer_than_two_cv_folds(tmp_path, folds):
     small_config(tmp_path, cv_folds=2)
 
 
+def test_config_rejects_a_negative_budget(tmp_path):
+    with pytest.raises(ValueError, match="budget_seconds"):
+        small_config(tmp_path, budget_seconds=-1.0)
+    small_config(tmp_path, budget_seconds=0.0)
+
+
 @pytest.mark.parametrize("rate", [1.5, -0.1])
 def test_config_rejects_mutation_rate_outside_unit_interval(tmp_path, rate):
     with pytest.raises(ValueError, match="mutation_rate"):

@@ -49,6 +49,9 @@ class LabeledDataset:
 
     def __init__(self, field_names: Sequence[str]):
         self.field_names: tuple[str, ...] = tuple(field_names)
+        if len(set(self.field_names)) < len(self.field_names):
+            dup = next(n for i, n in enumerate(self.field_names) if n in self.field_names[:i])
+            raise DatasetFormatError(f"duplicate field {dup!r}")
         self._n = 0
         self._values = np.empty((_INITIAL_CAPACITY, len(self.field_names)), dtype=np.uint64)
         self._presence = np.empty(_INITIAL_CAPACITY, dtype=bool)
@@ -135,7 +138,10 @@ def read_csv(path: str | Path) -> LabeledDataset:
                 f"{path}: header must be {ITERATION_COLUMN!r}, fields, {LABEL_COLUMN!r}"
             )
         field_names = header[1:-1]
-        ds = LabeledDataset(field_names)
+        try:
+            ds = LabeledDataset(field_names)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from None
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DatasetFormatError(f"{path}:{lineno}: wrong column count")

@@ -14,7 +14,8 @@ column once, so every (field, observed value) pair is one bin, numbered
 by field and then by value, and an induction atom is (field, op, bin).
 Within a field codes rank like values, so code <= b holds exactly when
 value <= value[b]: growing, pruning and description lengths compare bin
-codes, and a threshold becomes a value only when a rule is emitted.
+codes, and learn() turns a threshold into a value only when it emits a
+rule; no atom is ever evaluated over values here.
 
 The split search sorts nothing per call.  Counting the covered rows and
 the covered positives per bin (two bincounts) and taking running sums
@@ -29,14 +30,16 @@ field, then "<=" before ">=", then ascending value wins.  Within one
 fit each rule's mask over the training rows is computed once, however
 many candidate rule sets it is scored in.
 
-Cross-validation folds run on every core the process may use.  The
-caller fits one share of the folds itself and pipes the other shares to
-nproc - 1 worker processes, started on the first call (which fits every
-fold in-process while they import) and ended when the caller exits; on
-one CPU every fold runs in-process.  A fold's seed and
-rows do not depend on where it runs, and each fold yields integer
-(tp, fp, fn) counts that are summed, so (P, R) is the same for any CPU
-count.
+Cross-validation stays in bin space too.  cross_validate() encodes the
+whole matrix once; each fold fits on its training rows' codes and scores
+its test rows on their codes from that same encoding, which is exact for
+the same reason.  The folds run on every core the process may use: the
+caller fits one share itself and pipes the encoding and the other shares
+to nproc - 1 worker processes, started on the first call (which fits
+every fold in-process while they import) and ended when the caller
+exits; on one CPU every fold runs in-process.  A fold's seed and rows do
+not depend on where it runs, and each fold yields integer (tp, fp, fn)
+counts that are summed, so (P, R) is the same for any CPU count.
 
 Everything is deterministic under a fixed seed.
 """
@@ -57,9 +60,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import ABSENCE, PRESENCE, U64_MAX, LabeledDataset, minority_of
+from .dataset import ABSENCE, PRESENCE, LabeledDataset, minority_of
 from .rules import OPS, Atom, Condition, DecisionRule, RuleSet
-from . import sampler
 
 _GAIN_EPS = 1e-12
 _DL_EPS = 1e-9
@@ -81,20 +83,15 @@ class RipperParams:
     seed: int = 0
 
 
-# An induction atom is (field, op, bin) with op in {"<=", ">="}; a
-# prediction atom is (column, op, value).  _rule_mask serves both.
+# An induction atom is (field, op, bin) with op in {"<=", ">="}.
 _IAtom = tuple[int, str, int]
 
 
-def _rule_mask(atoms: Sequence[_IAtom], matrix: np.ndarray) -> np.ndarray:
-    """Rows of matrix that satisfy every (column, op, constant) atom."""
-    mask = np.ones(len(matrix), dtype=bool)
-    for col, op, const in atoms:
-        if 0 <= const <= U64_MAX:
-            mask &= OPS[op](matrix[:, col], matrix.dtype.type(const))
-        else:
-            # every uint64 compares alike with a constant outside their range
-            mask &= OPS[op](0, const)
+def _rule_mask(atoms: Sequence[_IAtom], codes: np.ndarray) -> np.ndarray:
+    """Rows of a bin-code matrix that satisfy every (field, op, bin) atom."""
+    mask = np.ones(len(codes), dtype=bool)
+    for f, op, b in atoms:
+        mask &= OPS[op](codes[:, f], b)
     return mask
 
 
@@ -410,74 +407,53 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     learnable structure yields a degenerate rule set (default rule only).
     """
     x, presence = dataset.to_arrays()
-    seed = (params or RipperParams()).seed
-    return _learn_bins(_encode(x), presence, dataset.field_names, seed)
-
-
-def _learn_bins(bins: _Bins, presence: np.ndarray, names: Sequence[str], seed: int) -> RuleSet:
-    """learn() on a bin-encoded value matrix and its presence mask.
-
-    The bins may come from a larger matrix that these rows were taken
-    from; only the bins the rows occupy count towards the theory
-    description length.
-    """
-    n = len(presence)
-    counts = {PRESENCE: int(presence.sum())}
-    counts[ABSENCE] = n - counts[PRESENCE]
-    minority = minority_of(counts)
+    bins = _encode(x)
+    minority, rules = _fit(bins, presence, (params or RipperParams()).seed)
     majority = ABSENCE if minority == PRESENCE else PRESENCE
-
-    def degenerate() -> RuleSet:
-        default = DecisionRule.build(Condition(), majority, t=n, f=counts[minority])
-        return RuleSet((), default)
-
-    if n < 2 or counts[minority] == 0 or counts[majority] == 0:
-        return degenerate()
-
     y = presence if minority == PRESENCE else ~presence
-    rng = np.random.default_rng(seed)
-    n_possible = 2 * np.count_nonzero(
-        np.bincount(bins.codes.ravel(), minlength=bins.field.size)
-    )
-    exp_fp = counts[minority] / n
     masks = _RuleMasks(bins.codes)
-    rules = _induce(bins, masks, y, rng, n_possible, exp_fp)
-    if rules:
-        rules = _optimize(rules, bins, masks, y, rng, n_possible, exp_fp)
-    if not rules:
-        return degenerate()
-
+    names = dataset.field_names
     minority_rules = []
-    union = np.zeros(n, dtype=bool)
     for atoms in rules:
         cond = Condition(
             tuple(Atom(names[f], op, int(bins.value[b])) for f, op, b in atoms)
         )
         mask = masks[tuple(atoms)]
-        t = int(mask.sum())
-        f_count = int((mask & ~y).sum())
-        minority_rules.append(DecisionRule.build(cond, minority, t, f_count))
-        union |= mask
-    t_def = int((~union).sum())
-    f_def = int((~union & y).sum())
-    default = DecisionRule.build(Condition(), majority, t_def, f_def)
+        minority_rules.append(
+            DecisionRule.build(cond, minority, int(mask.sum()), int((mask & ~y).sum()))
+        )
+    uncovered = ~masks.union(rules)
+    default = DecisionRule.build(
+        Condition(), majority, int(uncovered.sum()), int((uncovered & y).sum())
+    )
     return RuleSet(tuple(minority_rules), default)
 
 
-def _predict(ruleset: RuleSet, x: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Vectorized first-match classification of the rows of x; True means presence."""
-    index = {name: i for i, name in enumerate(names)}
-    pred = np.full(len(x), ruleset.default_rule.prediction == PRESENCE)
-    assigned = np.zeros(len(x), dtype=bool)
-    for rule in ruleset.minority_rules:
-        try:
-            atoms = [(index[a.field], a.op, a.value) for a in rule.condition.atoms]
-        except KeyError as exc:
-            raise sampler.MissingFieldError(f"values lack field {exc.args[0]!r}") from None
-        m = _rule_mask(atoms, x) & ~assigned
-        pred[m] = rule.prediction == PRESENCE
-        assigned |= m
-    return pred
+def _fit(bins: _Bins, presence: np.ndarray, seed: int) -> tuple[str, list[list[_IAtom]]]:
+    """The minority label of presence and the rules induced for it, as bin atoms.
+
+    The bins may come from a larger matrix that these rows were taken
+    from; only the bins the rows occupy count towards the theory
+    description length.  Fewer than two rows, a single class or no
+    learnable structure yield no rules.
+    """
+    n = len(presence)
+    n_presence = int(presence.sum())
+    minority = minority_of({PRESENCE: n_presence, ABSENCE: n - n_presence})
+    y = presence if minority == PRESENCE else ~presence
+    n_minority = int(y.sum())
+    if n < 2 or n_minority in (0, n):
+        return minority, []
+    rng = np.random.default_rng(seed)
+    n_possible = 2 * np.count_nonzero(
+        np.bincount(bins.codes.ravel(), minlength=bins.field.size)
+    )
+    exp_fp = n_minority / n
+    masks = _RuleMasks(bins.codes)
+    rules = _induce(bins, masks, y, rng, n_possible, exp_fp)
+    if rules:
+        rules = _optimize(rules, bins, masks, y, rng, n_possible, exp_fp)
+    return minority, rules
 
 
 def cross_validate(
@@ -500,6 +476,7 @@ def cross_validate(
     base_seed = params.seed if seed is None else seed
     rng = np.random.default_rng(base_seed)
     x, y = dataset.to_arrays()
+    bins = _encode(x)
     pos_idx = rng.permutation(np.nonzero(y)[0])
     neg_idx = rng.permutation(np.nonzero(~y)[0])
     folds = []
@@ -507,7 +484,7 @@ def cross_validate(
         test_idx = np.concatenate((pos_idx[fold::k], neg_idx[fold::k]))
         if test_idx.size:
             folds.append((test_idx, (base_seed * 1000003 + fold) % (2**63)))
-    tp, fp, fn = _count_folds(x, y, dataset.field_names, folds)
+    tp, fp, fn = _count_folds(bins, y, folds)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
@@ -521,16 +498,20 @@ _Fold = tuple[np.ndarray, int]  # (test row indices, fold seed)
 
 
 def _fold_counts(
-    x: np.ndarray, presence: np.ndarray, names: Sequence[str], folds: Sequence[_Fold]
+    bins: _Bins, presence: np.ndarray, folds: Sequence[_Fold]
 ) -> tuple[int, int, int]:
-    """(tp, fp, fn) of the folds, each fit on the rows outside its test rows."""
-    bins = _encode(x)
+    """(tp, fp, fn) of the folds, each fit on the rows outside its test rows.
+
+    A fold predicts its minority label on the test rows whose bin codes
+    its rules cover, and the other label on the rest.
+    """
     tp = fp = fn = 0
     for test_idx, fold_seed in folds:
-        train = np.ones(len(x), dtype=bool)
+        train = np.ones(len(presence), dtype=bool)
         train[test_idx] = False
-        model = _learn_bins(bins.take(train), presence[train], names, fold_seed)
-        pred = _predict(model, x[test_idx], names)
+        minority, rules = _fit(bins.take(train), presence[train], fold_seed)
+        covered = _RuleMasks(bins.codes[test_idx]).union(rules)
+        pred = covered if minority == PRESENCE else ~covered
         y_test = presence[test_idx]
         tp += int((pred & y_test).sum())
         fp += int((pred & ~y_test).sum())
@@ -592,7 +573,7 @@ def _stop_workers(kill: bool = False) -> None:
 
 
 def _count_folds(
-    x: np.ndarray, presence: np.ndarray, names: Sequence[str], folds: Sequence[_Fold]
+    bins: _Bins, presence: np.ndarray, folds: Sequence[_Fold]
 ) -> tuple[int, int, int]:
     """_fold_counts over all folds: the caller fits one share, each worker another.
 
@@ -611,9 +592,9 @@ def _count_folds(
         worker = None
         try:
             for worker, share in busy:
-                pickle.dump((x, presence, names, share), worker.stdin, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((bins, presence, share), worker.stdin, pickle.HIGHEST_PROTOCOL)
                 worker.stdin.flush()
-            counts = [_fold_counts(x, presence, names, shares[0])]
+            counts = [_fold_counts(bins, presence, shares[0])]
             for worker, _ in busy:
                 counts.append(pickle.load(worker.stdout))
         except BaseException as exc:

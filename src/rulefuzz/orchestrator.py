@@ -110,6 +110,14 @@ class CampaignConfig:
             raise ValueError(f"budget_seconds must not be negative, got {self.budget_seconds}")
         if (self.precision_target is None) != (self.recall_target is None):
             raise ValueError("precision_target and recall_target are set together")
+        for name in ("precision_target", "recall_target"):
+            target = getattr(self, name)
+            if target is not None and not 0.0 <= target <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {target}")
+        if self.plateau_window < 0:
+            raise ValueError(f"plateau_window must not be negative, got {self.plateau_window}")
+        if not self.step_timeout > 0:
+            raise ValueError(f"step_timeout must be positive, got {self.step_timeout}")
 
 
 @dataclass(frozen=True)

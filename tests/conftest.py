@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from rulefuzz.codec import FieldSpec, MessageSchema, SchemaRegistry, builtin_registry
-from rulefuzz.dataset import ABSENCE, LabeledDataset
-from rulefuzz.learner import _predict
+from rulefuzz.dataset import PRESENCE
+from rulefuzz.sampler import evaluate
 
 
 @pytest.fixture(scope="session")
@@ -42,10 +43,14 @@ def random_values(schema, rng, valid=True):
     return {f.name: rng.randrange(f.raw_max + 1) for f in schema.fields}
 
 
+def classify(ruleset, values):
+    """Scalar first-match prediction: the first matching minority rule wins."""
+    for rule in ruleset.minority_rules:
+        if evaluate(rule.condition, values):
+            return rule.prediction
+    return ruleset.default_rule.prediction
+
+
 def predict_rows(ruleset, rows):
-    """The learner's first-match prediction over a list of value dicts; True means presence."""
-    ds = LabeledDataset(tuple(rows[0]))
-    for values in rows:
-        ds.append(values, ABSENCE)
-    x, _ = ds.to_arrays()
-    return _predict(ruleset, x, ds.field_names)
+    """classify over a list of value dicts, as an array; True means presence."""
+    return np.array([classify(ruleset, values) == PRESENCE for values in rows], dtype=bool)

@@ -65,6 +65,17 @@ def test_campaign_rejects_a_lone_metric_target_before_starting(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--plateau-window", "-1"],
+    ["--precision-target", "1.5", "--recall-target", "0.9"],
+])
+def test_campaign_rejects_unusable_settings_before_starting(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["campaign", *flags, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RULEFUZZ_OUT", str(tmp_path / "from_env"))
     monkeypatch.chdir(tmp_path)

@@ -43,6 +43,11 @@ def test_append_rejects_bad_label():
         d.append({"a": 1}, "maybe")
 
 
+def test_rejects_duplicate_fields():
+    with pytest.raises(DatasetFormatError, match="duplicate field 'a'"):
+        LabeledDataset(("a", "b", "a"))
+
+
 def test_append_rejects_incomplete_row():
     d = LabeledDataset(("a", "b"))
     with pytest.raises(DatasetFormatError):
@@ -134,6 +139,13 @@ def test_read_csv_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b\n1,2\n")
     with pytest.raises(DatasetFormatError):
+        read_csv(p)
+
+
+def test_read_csv_rejects_duplicate_fields(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("iteration,a,a,label\n")
+    with pytest.raises(DatasetFormatError, match=r"bad\.csv: duplicate field 'a'"):
         read_csv(p)
 
 

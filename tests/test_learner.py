@@ -25,7 +25,7 @@ from rulefuzz.learner import (
     TooFewSamplesError,
     _best_atom,
     _encode,
-    _predict,
+    _rule_mask,
     cross_validate,
     learn,
 )
@@ -40,7 +40,7 @@ from rulefuzz.rules import (
 )
 from rulefuzz.sampler import evaluate, intervals_for
 
-from .conftest import make_schema, predict_rows
+from .conftest import classify, make_schema, predict_rows
 
 WIDE = make_schema({"a": 8, "b": 8, "c": 8})
 PLANTED = parse_condition("a >= 200 AND b <= 40")
@@ -183,26 +183,29 @@ def test_classify_first_match_order():
     assert predict_rows(rs, rows).tolist() == [True, True, False]
 
 
-def classify(ruleset, values):
-    """Scalar first-match reference: the first matching minority rule wins."""
-    for rule in ruleset.minority_rules:
-        if evaluate(rule.condition, values):
-            return rule.prediction
-    return ruleset.default_rule.prediction
-
-
-def test_predict_mask_matches_scalar_classify():
-    rng = random.Random(55)
-    ds = balanced_dataset(WIDE, PLANTED, 150, rng, flip=0.1)
-    model = learn(ds)
-    x, _ = ds.to_arrays()
-    mask = _predict(model, x, ds.field_names)
-    for i, sample in enumerate(ds):
-        assert mask[i] == (classify(model, sample.values) == PRESENCE)
-
-
 U64_MAX = 2**64 - 1
 SPAN64 = make_schema({"a": 64})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bin_atoms_select_the_rows_their_values_do(data):
+    # Fold scoring rests on this: an atom over bin codes holds on exactly
+    # the rows whose values satisfy it with the bin's value as constant.
+    width = data.draw(st.integers(1, 3))
+    value = st.sampled_from((0, U64_MAX)) | st.integers(0, 4) | st.integers(0, U64_MAX)
+    rows = data.draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                              min_size=1, max_size=12))
+    bins = _encode(np.array(rows, dtype=np.uint64))
+    drawn = data.draw(st.lists(
+        st.tuples(st.integers(0, bins.field.size - 1), st.sampled_from(sorted(OPS))),
+        max_size=4,
+    ))
+    atoms = [(int(bins.field[b]), op, b) for b, op in drawn]
+    names = [f"f{i}" for i in range(width)]
+    cond = Condition(tuple(Atom(names[f], op, int(bins.value[b])) for f, op, b in atoms))
+    mask = _rule_mask(atoms, bins.codes)
+    assert mask.tolist() == [evaluate(cond, dict(zip(names, row))) for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
@@ -218,19 +221,13 @@ SPAN64 = make_schema({"a": 64})
     rows=st.lists(st.integers(0, U64_MAX), max_size=6),
 )
 def test_comparators_agree_on_any_constant(op, value, rows):
-    # evaluate, _predict and the sampler's intervals give one answer,
-    # also for constants outside the uint64 range of the value matrix
+    # evaluate and the sampler's intervals give one answer, also for
+    # constants outside the uint64 range of a field's values
     rows = rows + [0, U64_MAX] + [min(max(value + d, 0), U64_MAX) for d in (-1, 0, 1)]
     cond = Condition((Atom("a", op, value),))
-    ruleset = RuleSet(
-        (DecisionRule.build(cond, PRESENCE, 1, 0),),
-        DecisionRule.build(Condition(), ABSENCE, 1, 0),
-    )
     (interval,) = intervals_for(cond, SPAN64)
-    mask = predict_rows(ruleset, [{"a": v} for v in rows])
-    for v, predicted in zip(rows, mask):
+    for v in rows:
         want = evaluate(cond, {"a": v})
-        assert predicted == want, (v, op, value)
         assert any(lo <= v <= hi for lo, hi in interval.allowed) == want, (v, op, value)
 
 
@@ -440,7 +437,8 @@ def rows_of(dataset, indices):
 
 
 def subset_cross_validate(dataset, k, params):
-    """cross_validate's folds run through learn() and _predict() on fold datasets."""
+    """cross_validate's folds, each fit by learn() on a fold dataset and
+    scored by scalar first-match classification of its test rows."""
     rng = np.random.default_rng(params.seed)
     _, y = dataset.to_arrays()
     pos_idx = rng.permutation(np.nonzero(y)[0])
@@ -454,12 +452,12 @@ def subset_cross_validate(dataset, k, params):
         train_idx = [i for i in range(len(dataset)) if i not in test_set]
         fold_params = replace(params, seed=(params.seed * 1000003 + fold) % (2**63))
         model = learn(rows_of(dataset, train_idx), fold_params)
-        test_ds = rows_of(dataset, test_idx.tolist())
-        x_test, y_test = test_ds.to_arrays()
-        pred = _predict(model, x_test, test_ds.field_names)
-        tp += int((pred & y_test).sum())
-        fp += int((pred & ~y_test).sum())
-        fn += int((~pred & y_test).sum())
+        for sample in rows_of(dataset, test_idx.tolist()):
+            pred = classify(model, sample.values) == PRESENCE
+            truth = sample.label == PRESENCE
+            tp += pred and truth
+            fp += pred and not truth
+            fn += (not pred) and truth
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
@@ -500,6 +498,21 @@ def test_cross_validate_matches_subset_folds(seed, cpus):
         cpus(n)
         for k, want in [*expected.items(), *expected.items()]:
             assert cross_validate(ds, k=k, params=params) == want, (n, k)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_cross_validate_matches_subset_folds_for_an_absence_minority(seed, cpus):
+    # swapped labels make absence the minority, so folds predict presence
+    # on the test rows their rules leave uncovered
+    mixed = mixed_dataset(seed, 60 * seed)
+    ds = LabeledDataset(mixed.field_names)
+    for s in mixed:
+        ds.append(s.values, ABSENCE if s.label == PRESENCE else PRESENCE, s.iteration)
+    assert ds.minority_label() == ABSENCE
+    params = RipperParams(seed=seed)
+    cpus(1)
+    for k in (2, 3, 10):
+        assert cross_validate(ds, k=k, params=params) == subset_cross_validate(ds, k, params)
 
 
 def test_fold_workers_end_with_their_caller():

@@ -381,6 +381,21 @@ def test_config_rejects_a_lone_metric_target(tmp_path, target):
         small_config(tmp_path, **{target: 0.9})
 
 
+@pytest.mark.parametrize("name, setting", [
+    ("plateau_window", {"plateau_window": -1}),
+    ("precision_target", {"precision_target": 1.5, "recall_target": 0.9}),
+    ("recall_target", {"precision_target": 0.9, "recall_target": -0.1}),
+    ("step_timeout", {"step_timeout": 0.0}),
+    ("step_timeout", {"step_timeout": -1.0}),
+])
+def test_config_rejects_unusable_campaign_settings(tmp_path, name, setting):
+    # a target outside [0, 1] is never met, a negative window would turn the
+    # plateau check off, and a timeout <= 0 fails every connect
+    with pytest.raises(ValueError, match=name):
+        small_config(tmp_path, **setting)
+    small_config(tmp_path, precision_target=1.0, recall_target=0.0)  # the bounds stay valid
+
+
 def test_target_stop_reason(tmp_path):
     config = small_config(
         tmp_path,

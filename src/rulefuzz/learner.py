@@ -72,10 +72,6 @@ _MIN_RULE_COVERAGE = 2
 _MDL_SLACK = 64.0
 
 
-class TooFewSamplesError(Exception):
-    """Not enough samples for the requested operation."""
-
-
 @dataclass(frozen=True)
 class RipperParams:
     """Induction knobs: the seed of every random split."""
@@ -466,13 +462,15 @@ def cross_validate(
 
     Counts are pooled across folds before computing the ratios; an empty
     denominator yields 0.0 for that metric.  The folds are fit on every
-    core the process may use.
+    core the process may use.  Small data is handled here: k shrinks to
+    the row count, and under two rows (nothing to hold out) P = R = 0.0.
     """
     if k < 2:
         raise ValueError(f"k-fold cross-validation needs k >= 2, got {k}")
+    if len(dataset) < 2:
+        return 0.0, 0.0
+    k = min(k, len(dataset))
     params = params or RipperParams()
-    if len(dataset) < k:
-        raise TooFewSamplesError(f"need at least {k} samples, got {len(dataset)}")
     base_seed = params.seed if seed is None else seed
     rng = np.random.default_rng(base_seed)
     x, y = dataset.to_arrays()

@@ -89,7 +89,6 @@ class CampaignConfig:
     recall_target: float | None = None
     plateau_window: int = 3
     plateau_epsilon: float = 0.01
-    step_timeout: float = 10.0
     oracle: FailureOracle | None = None  # None: packaged default
     registry: SchemaRegistry | None = None  # None: builtin schemas
 
@@ -116,8 +115,6 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {target}")
         if self.plateau_window < 0:
             raise ValueError(f"plateau_window must not be negative, got {self.plateau_window}")
-        if not self.step_timeout > 0:
-            raise ValueError(f"step_timeout must be positive, got {self.step_timeout}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +245,7 @@ def _run_one(
             # reserve() pairs the hook with this connection; keep the
             # critical section to the handshake only
             with proxy.reserve(hook) as endpoint:
-                sock = connect_sut(endpoint, timeout=config.step_timeout)
+                sock = connect_sut(endpoint)
         except SutUnavailableError as exc:
             last = str(exc)
             continue
@@ -364,7 +361,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     ruleset: RuleSet | None = None
     stop_reason = "iterations"
 
-    controller = MockController(registry, procedure, oracle, step_timeout=config.step_timeout)
+    controller = MockController(registry, procedure, oracle)
     controller.start()
     proxy = InterceptProxy(
         InterceptConfig(

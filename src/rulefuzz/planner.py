@@ -109,13 +109,10 @@ def progress(
     """Model quality estimate on the accumulated data: k-fold (P, R).
 
     Early iterations may hold fewer samples than the requested fold
-    count; the fold count shrinks to fit rather than failing.  With
-    fewer than two samples nothing can be held out, so both metrics
-    report zero.
+    count; `cross_validate` owns that small-data rule (k shrinks to the
+    row count, and under two rows both metrics are zero).
     """
-    if len(dataset) < 2:
-        return 0.0, 0.0
-    return cross_validate(dataset, k=min(k, len(dataset)), params=params, seed=seed)
+    return cross_validate(dataset, k=k, params=params, seed=seed)
 
 
 @dataclass

@@ -14,7 +14,8 @@ types the registry does not know, is forwarded unmodified and in order.
 
 A session is one thread: one select loop relays both legs, each with its
 own framing.  A leg that reaches EOF forwards its trailing bytes and
-half-closes its destination while the other leg relays on.  Sends block,
+half-closes its destination while the other leg relays on; if that leg
+stays quiet for STEP_TIMEOUT, the session ends.  Sends block,
 so a peer that stops reading stalls both legs; the lock-step exchanges
 of a control channel never fill a socket buffer.
 
@@ -41,6 +42,7 @@ from .codec import HEADER_BYTES, SchemaRegistry
 log = logging.getLogger(__name__)
 
 _RECV_CHUNK = 65536
+STEP_TIMEOUT = 10.0  # seconds a session step may wait for its peer
 _C2U, _U2C = "client->upstream", "upstream->client"
 
 Hook = Callable[[bytes], bytes]
@@ -245,7 +247,11 @@ class InterceptProxy(TcpServer):
             sel.register(client, selectors.EVENT_READ, (upstream, StreamSegmenter(), _C2U))
             sel.register(upstream, selectors.EVENT_READ, (client, StreamSegmenter(), _U2C))
             while sel.get_map():
-                for key, _ in sel.select():
+                events = sel.select(None if len(sel.get_map()) == 2 else STEP_TIMEOUT)
+                if not events:
+                    record.error = f"peer quiet for {STEP_TIMEOUT} s after half-close"
+                    break
+                for key, _ in events:
                     if not self._relay(key, hook, record):
                         sel.unregister(key.fileobj)
         log.info(

@@ -16,7 +16,9 @@ switch driver run the same step loop, each sending the steps of its own
 role and reading the peer's, and each enacting the failure when it
 receives a target that matches.  The mock controller is a
 `proxy.TcpServer` that plays the controller half once per accepted
-connection, on that connection's own thread.
+connection, on that connection's own thread.  The controller waits at
+most `proxy.STEP_TIMEOUT` for each step of its peer, and so does the
+switch driver unless `connect_sut` is given another timeout.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -37,7 +39,7 @@ import yaml
 
 from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, decode_as, encode
 from .dataset import ABSENCE, PRESENCE
-from .proxy import TcpServer
+from .proxy import STEP_TIMEOUT, TcpServer
 from .rules import Condition, parse_condition
 from .sampler import evaluate
 
@@ -288,7 +290,6 @@ class RunOutcome:
     """Channel-level observations from one driven procedure."""
 
     observations: dict = field(default_factory=dict)
-    completed: bool = False
     error: str | None = None
 
 
@@ -340,7 +341,6 @@ def _play(
                 with contextlib.suppress(OSError):
                     sock.sendall(frame * STORM_FRAMES)
                 obs["flood_count"] += STORM_FRAMES
-        outcome.completed = True
     except socket.timeout:
         outcome.error = "timeout"
     except OSError as exc:
@@ -363,16 +363,14 @@ class MockController(TcpServer):
         oracle: FailureOracle | None,
         host: str = "127.0.0.1",
         port: int = 0,
-        step_timeout: float = 10.0,
     ):
         self._registry = registry
         self._procedure = procedure
         self._oracle = oracle
-        self._step_timeout = step_timeout
         super().__init__(host, port)
 
     def serve(self, sock: socket.socket) -> None:
-        sock.settimeout(self._step_timeout)
+        sock.settimeout(STEP_TIMEOUT)
         _play(sock, self._procedure, self._registry, self._oracle, CONTROLLER)
 
 
@@ -380,7 +378,7 @@ class MockController(TcpServer):
 # Switch driver
 # ---------------------------------------------------------------------------
 
-def connect_sut(endpoint: tuple[str, int], timeout: float = 10.0) -> socket.socket:
+def connect_sut(endpoint: tuple[str, int], timeout: float = STEP_TIMEOUT) -> socket.socket:
     """Open the switch-side connection; SutUnavailableError on failure."""
     try:
         sock = socket.create_connection(endpoint, timeout=timeout)

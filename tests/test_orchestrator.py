@@ -39,7 +39,14 @@ from rulefuzz.rules import (
     parse_condition,
 )
 from rulefuzz.sampler import evaluate
-from rulefuzz.sut import FailureOracle, SutUnavailableError, default_message, default_oracle
+from rulefuzz.sut import (
+    FailureOracle,
+    RunOutcome,
+    SutUnavailableError,
+    default_message,
+    default_oracle,
+    detect,
+)
 
 REGISTRY = builtin_registry()
 PACKET_IN = REGISTRY.by_name("packet_in")
@@ -58,7 +65,6 @@ def small_config(tmp_path, **overrides):
         seed=5,
         workers=4,
         plateau_window=0,
-        step_timeout=5.0,
     )
     base.update(overrides)
     return CampaignConfig(**base)
@@ -282,10 +288,10 @@ def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch):
     real_connect = orchestrator.connect_sut
     calls = itertools.count()
 
-    def flaky_connect(endpoint, timeout):
+    def flaky_connect(endpoint):
         if next(calls) == 2:
             raise SutUnavailableError("injected connect failure")
-        return real_connect(endpoint, timeout=timeout)
+        return real_connect(endpoint)
 
     monkeypatch.setattr(orchestrator, "connect_sut", flaky_connect)
     run_faulty_campaign(tmp_path, calls)
@@ -327,6 +333,67 @@ def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch):
     monkeypatch.setattr(orchestrator, "InterceptProxy", recording_proxy)
     monkeypatch.setattr(socket, "create_connection", flaky_connect)
     run_faulty_campaign(tmp_path, calls)
+
+
+def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch):
+    # the first session whose row is presence reports a timeout after its
+    # hook fired, with what a switch that timed out saw (no close, no
+    # flood, no ack), which reads as absence; its plan must run again
+    real_run = orchestrator.run_procedure_on
+    calls = itertools.count()
+    presence_calls = itertools.count()
+
+    def flaky_run(*args, **kwargs):
+        next(calls)
+        outcome = real_run(*args, **kwargs)
+        if detect(outcome.observations) == PRESENCE and next(presence_calls) == 0:
+            quiet = {"closed_early": False, "ping_ok": False, "flood_count": 0}
+            return RunOutcome(observations=quiet, error="timeout")
+        return outcome
+
+    monkeypatch.setattr(orchestrator, "run_procedure_on", flaky_run)
+    run_faulty_campaign(tmp_path, calls)
+
+
+def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
+    tmp_path, monkeypatch
+):
+    # every connect after iteration 1's sessions fails: the campaign stops
+    # on the first row of iteration 2 and keeps iteration 1's artifacts
+    config = small_config(tmp_path, oracle=EASY_ORACLE)
+    real_connect = orchestrator.connect_sut
+    calls = itertools.count()
+
+    def failing_connect(endpoint):
+        if next(calls) >= config.n:
+            raise SutUnavailableError("injected connect failure")
+        return real_connect(endpoint)
+
+    servers = []
+
+    def recording(server_type):
+        def make(*args, **kwargs):
+            servers.append(server_type(*args, **kwargs))
+            return servers[-1]
+        return make
+
+    monkeypatch.setattr(orchestrator, "connect_sut", failing_connect)
+    for name in ("MockController", "InterceptProxy"):
+        monkeypatch.setattr(orchestrator, name, recording(getattr(orchestrator, name)))
+    # results are read in row order, so run 0 is the failure reported
+    with pytest.raises(SutUnavailableError, match="iteration 2 run 0 failed 3 times"):
+        run_campaign(config)
+    out = config.out_dir
+    rows = read_rows(out / "dataset.csv")
+    assert len(rows) - 1 == config.n
+    assert {row[0] for row in rows[1:]} == {"1"}
+    assert (out / "rulesets" / "iter_001.txt").is_file()
+    assert not (out / "rulesets" / "iter_002.txt").exists()
+    assert not (out / "report.json").exists()
+    assert len(servers) == 2
+    for server in servers:
+        assert server._listener.fileno() == -1
+        assert not server._accept_thread.is_alive()
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):
@@ -385,12 +452,10 @@ def test_config_rejects_a_lone_metric_target(tmp_path, target):
     ("plateau_window", {"plateau_window": -1}),
     ("precision_target", {"precision_target": 1.5, "recall_target": 0.9}),
     ("recall_target", {"precision_target": 0.9, "recall_target": -0.1}),
-    ("step_timeout", {"step_timeout": 0.0}),
-    ("step_timeout", {"step_timeout": -1.0}),
 ])
 def test_config_rejects_unusable_campaign_settings(tmp_path, name, setting):
-    # a target outside [0, 1] is never met, a negative window would turn the
-    # plateau check off, and a timeout <= 0 fails every connect
+    # a target outside [0, 1] is never met, and a negative window would turn
+    # the plateau check off
     with pytest.raises(ValueError, match=name):
         small_config(tmp_path, **setting)
     small_config(tmp_path, precision_target=1.0, recall_target=0.0)  # the bounds stay valid

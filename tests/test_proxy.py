@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rulefuzz.proxy
 from rulefuzz.codec import HEADER_BYTES, builtin_registry, encode
 from rulefuzz.proxy import (
     InterceptConfig,
@@ -432,10 +433,11 @@ def test_failed_connects_keep_concurrent_pairing(upstream):
 
 def test_stop_ends_accept_thread(upstream):
     procedure = build_procedure("ping_exchange", "packet_in")
-    controller = MockController(REGISTRY, procedure, None, step_timeout=5.0)
+    controller = MockController(REGISTRY, procedure, None)
     controller.start()
     outcome = run_procedure_on(connect_sut(controller.endpoint, 5.0), procedure, REGISTRY)
-    assert outcome.completed
+    assert outcome.observations["ping_ok"]
+    assert outcome.error is None
     proxy = make_proxy(upstream.port)
     assert roundtrip(proxy, frame(0, 8)) == frame(0, 8)
     for server in (proxy, controller):
@@ -448,13 +450,14 @@ def test_stop_ends_accept_thread(upstream):
 
 def test_sequential_sessions_leave_no_live_threads():
     procedure = build_procedure("ping_exchange", "packet_in")
-    with MockController(REGISTRY, procedure, None, step_timeout=5.0) as controller:
+    with MockController(REGISTRY, procedure, None) as controller:
         proxy = make_proxy(controller.endpoint[1])
         try:
             for _ in range(50):
                 with proxy.reserve(lambda data: data) as endpoint:
                     sock = connect_sut(endpoint, 5.0)
-                assert run_procedure_on(sock, procedure, REGISTRY).completed
+                outcome = run_procedure_on(sock, procedure, REGISTRY)
+                assert outcome.observations["ping_ok"] and outcome.error is None
             deadline = time.monotonic() + 5
             while (proxy._sessions or controller._sessions) and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -496,3 +499,48 @@ def test_stalled_controller_is_a_switch_timeout():
     assert proxy.records[0].hook_fired
     assert outcome.error == "timeout"
     assert not outcome.observations["closed_early"]
+
+
+class DeafController(TcpServer):
+    """Answers hello, then neither reads nor writes until released."""
+
+    def __init__(self):
+        super().__init__("127.0.0.1", 0)
+        self.released = threading.Event()
+
+    def serve(self, conn):
+        conn.settimeout(5)
+        hello = encode(default_message(REGISTRY.by_name("hello")))
+        got = b""
+        while len(got) < len(hello):
+            chunk = conn.recv(len(hello) - len(got))
+            if not chunk:
+                return
+            got += chunk
+        conn.sendall(hello)
+        self.released.wait(10)
+
+
+def test_deaf_controller_session_ends_after_the_switch_leaves(monkeypatch):
+    # the switch times out and closes its leg; the controller never reads
+    # that close, so only the proxy's step timeout can end the session
+    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3, raising=False)
+    procedure = build_procedure("ping_exchange", "packet_in")
+    controller = DeafController()
+    controller.start()
+    proxy = make_proxy(controller.endpoint[1])
+    try:
+        with proxy.reserve(lambda data: data) as endpoint:
+            sock = connect_sut(endpoint, 0.5)
+        assert run_procedure_on(sock, procedure, REGISTRY).error == "timeout"
+        deadline = time.monotonic() + 1
+        while proxy._sessions and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not proxy._sessions
+        start = time.perf_counter()
+        proxy.stop()
+        assert time.perf_counter() - start < 0.25
+    finally:
+        proxy.stop()
+        controller.released.set()
+        controller.stop()

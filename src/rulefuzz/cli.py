@@ -58,8 +58,6 @@ def _default_out() -> Path:
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=MODES, default="guided",
                    help="fuzzing strategy (default: guided)")
-    p.add_argument("--message-type", default=None,
-                   help="message type to fuzz (default: the oracle's type)")
     p.add_argument("--procedure", default="ping_exchange", choices=PROCEDURES,
                    help="scripted exchange to drive (default: ping_exchange)")
     p.add_argument("--n", type=_positive_samples, default=200,
@@ -90,17 +88,18 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--plateau-window", type=int, default=3,
                    help="iterations without improvement before stopping; "
                         "0 disables (default: 3)")
-    p.add_argument("--plateau-epsilon", type=float, default=0.01)
+    p.add_argument("--plateau-epsilon", type=float, default=0.01,
+                   help="smallest gain in precision or recall that counts as "
+                        "improvement (default: 0.01)")
 
 
 def _build_config(args: argparse.Namespace, out_dir: Path) -> CampaignConfig:
     oracle = load_oracle(args.oracle) if args.oracle else default_oracle()
     registry = load_schema_file(args.schemas) if args.schemas else builtin_registry()
-    message_type = args.message_type or oracle.message_type
     return CampaignConfig(
         out_dir=out_dir,
         mode=args.mode,
-        message_type=message_type,
+        message_type=oracle.message_type,
         procedure=args.procedure,
         n=args.n,
         iterations=args.iterations,

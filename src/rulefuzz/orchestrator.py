@@ -8,6 +8,12 @@ the rule model sharpens.  All randomness is pre-drawn into per-run fuzz
 plans before any session starts, which makes results byte-identical for
 a given seed regardless of worker count or scheduling.
 
+A campaign opens one session scope for its whole life: the mock
+controller, the proxy in front of it and one pool of session threads.
+Each row gets a few session attempts; a row that exhausts them ends its
+iteration at once (rows not yet started are cancelled) and fails the
+campaign, keeping the artifacts of the last whole iteration.
+
 Outputs under the campaign directory:
   dataset.csv           every labeled sample, appended per iteration
   rulesets/iter_NNN.txt rule set learned after each iteration
@@ -23,6 +29,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 from random import Random
 
@@ -105,7 +112,8 @@ class CampaignConfig:
             raise ValueError("workers must be positive")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
-        if self.budget_seconds is not None and self.budget_seconds < 0:
+        # "not x >= 0" also rejects NaN, which would never expire or plateau
+        if self.budget_seconds is not None and not self.budget_seconds >= 0:
             raise ValueError(f"budget_seconds must not be negative, got {self.budget_seconds}")
         if (self.precision_target is None) != (self.recall_target is None):
             raise ValueError("precision_target and recall_target are set together")
@@ -115,6 +123,8 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {target}")
         if self.plateau_window < 0:
             raise ValueError(f"plateau_window must not be negative, got {self.plateau_window}")
+        if not self.plateau_epsilon >= 0:
+            raise ValueError(f"plateau_epsilon must not be negative, got {self.plateau_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -233,10 +243,10 @@ def _run_one(
     registry: SchemaRegistry,
     oracle: FailureOracle,
     schema: MessageSchema,
-    fuzz_plan: FuzzPlan,
-    config: CampaignConfig,
+    seed: int,
     iteration: int,
     index: int,
+    fuzz_plan: FuzzPlan,
 ) -> tuple[FuzzAction, str]:
     last = "no attempt made"
     for _ in range(_MAX_RETRIES):
@@ -256,34 +266,13 @@ def _run_one(
         if outcome.error is not None:
             last = outcome.error
             continue
-        label_rng = Random(f"{config.seed}/noise/{iteration}/{index}")
+        label_rng = Random(f"{seed}/noise/{iteration}/{index}")
         label = observe_label(outcome, oracle.noise_rate, label_rng)
         return hook.action, label
     raise SutUnavailableError(
         f"iteration {iteration} run {index} failed "
         f"{_MAX_RETRIES} times; last: {last}"
     )
-
-
-def _execute_iteration(
-    proxy: InterceptProxy,
-    procedure,
-    registry: SchemaRegistry,
-    oracle: FailureOracle,
-    schema: MessageSchema,
-    plans: list[FuzzPlan],
-    config: CampaignConfig,
-    iteration: int,
-) -> list[tuple[FuzzAction, str]]:
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [
-            pool.submit(
-                _run_one, proxy, procedure, registry, oracle, schema,
-                fuzz_plan, config, iteration, j,
-            )
-            for j, fuzz_plan in enumerate(plans)
-        ]
-        return [f.result() for f in futures]  # submission order is row order
 
 
 # ---------------------------------------------------------------------------
@@ -361,25 +350,30 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     ruleset: RuleSet | None = None
     stop_reason = "iterations"
 
-    controller = MockController(registry, procedure, oracle)
-    controller.start()
-    proxy = InterceptProxy(
-        InterceptConfig(
-            "127.0.0.1", 0, *controller.endpoint, target_type=config.message_type
-        ),
-        registry,
-    )
-    proxy.start()
-    try:
+    # leaving the block waits for running sessions, then stops the proxy,
+    # then the controller
+    with (
+        MockController(registry, procedure, oracle) as controller,
+        InterceptProxy(
+            InterceptConfig(
+                "127.0.0.1", 0, *controller.endpoint, target_type=config.message_type
+            ),
+            registry,
+        ) as proxy,
+        ThreadPoolExecutor(max_workers=config.workers) as pool,
+    ):
         iteration = 0
         while config.iterations is None or iteration < config.iterations:
             iteration += 1
             plans, fuzz_mode, clamp = build_iteration_plans(
                 config, schema, dataset, ruleset, iteration, mutation_rate
             )
-            results = _execute_iteration(
-                proxy, procedure, registry, oracle, schema, plans, config, iteration
+            # map yields in row order; a row that exhausts its retries
+            # raises here and cancels every row not yet started
+            run = partial(
+                _run_one, proxy, procedure, registry, oracle, schema, config.seed, iteration
             )
+            results = list(pool.map(run, range(len(plans)), plans))
             start_row = len(dataset)
             presence = 0
             for action, label in results:
@@ -437,9 +431,6 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             if stop:
                 stop_reason = reason or "stopped"
                 break
-    finally:
-        proxy.stop()
-        controller.stop()
 
     _write_text(out / "ruleset.txt", _ruleset_text(ruleset, config.message_type))
     report_doc = {
@@ -531,9 +522,12 @@ def replay(
     if ruleset.is_degenerate:
         raise ValueError("rule set has no predictive rules to replay")
     schema = registry.by_name(message_type)
+    rules = list(ruleset.minority_rules)
+    missing = sorted({f for r in rules for f in r.condition.fields() if f not in schema})
+    if missing:
+        raise ValueError(f"rule set uses fields {missing} that {message_type!r} lacks")
 
     rng = Random(f"{seed}/replay")
-    rules = list(ruleset.minority_rules)
     weights = [r.confidence for r in rules]
     if sum(weights) <= 0:
         weights = None  # uniform fallback

@@ -68,6 +68,8 @@ def test_campaign_rejects_a_lone_metric_target_before_starting(tmp_path, capsys,
 @pytest.mark.parametrize("flags", [
     ["--plateau-window", "-1"],
     ["--precision-target", "1.5", "--recall-target", "0.9"],
+    ["--budget-seconds", "nan"],
+    ["--plateau-epsilon", "nan"],
 ])
 def test_campaign_rejects_unusable_settings_before_starting(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -153,6 +155,21 @@ def test_replay_unknown_message_type_is_reported(tmp_path, capsys):
     schemas = schemas_without_packet_in(tmp_path)
     assert main(["replay", str(saved), "--schemas", str(schemas), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, flags", [
+    ("hello", []),
+    ("packet_in", ["--message-type", "hello"]),
+])
+def test_replay_fields_the_message_type_lacks_are_reported(tmp_path, capsys, header, flags):
+    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule.build(Condition(), "absence", 7, 1))
+    saved = tmp_path / "model.txt"
+    saved.write_text(f"# message_type: {header}\n" + format_ruleset(ruleset))
+    out = tmp_path / "corpus"
+    assert main(["replay", str(saved), *flags, "--out", str(out)]) == 1
+    assert "error: rule set uses fields ['cookie_hi']" in capsys.readouterr().err
     assert not out.exists()
 
 

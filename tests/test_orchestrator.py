@@ -8,8 +8,10 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import signal
 import socket
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -355,34 +357,49 @@ def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch):
     run_faulty_campaign(tmp_path, calls)
 
 
+def record_constructions(monkeypatch, *names):
+    """Wrap each orchestrator.<name> so that every object it builds is kept."""
+    made = []
+
+    def recording(build):
+        def make(*args, **kwargs):
+            made.append(build(*args, **kwargs))
+            return made[-1]
+        return make
+
+    for name in names:
+        monkeypatch.setattr(orchestrator, name, recording(getattr(orchestrator, name)))
+    return made
+
+
+def assert_stopped(server):
+    assert server._listener.fileno() == -1
+    assert not server._accept_thread.is_alive()
+
+
 def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
     tmp_path, monkeypatch
 ):
     # every connect after iteration 1's sessions fails: the campaign stops
     # on the first row of iteration 2 and keeps iteration 1's artifacts
-    config = small_config(tmp_path, oracle=EASY_ORACLE)
+    config = small_config(tmp_path, n=40, workers=4, oracle=EASY_ORACLE)
     real_connect = orchestrator.connect_sut
     calls = itertools.count()
 
     def failing_connect(endpoint):
         if next(calls) >= config.n:
+            time.sleep(0.05)
             raise SutUnavailableError("injected connect failure")
         return real_connect(endpoint)
 
-    servers = []
-
-    def recording(server_type):
-        def make(*args, **kwargs):
-            servers.append(server_type(*args, **kwargs))
-            return servers[-1]
-        return make
-
     monkeypatch.setattr(orchestrator, "connect_sut", failing_connect)
-    for name in ("MockController", "InterceptProxy"):
-        monkeypatch.setattr(orchestrator, name, recording(getattr(orchestrator, name)))
+    servers = record_constructions(monkeypatch, "MockController", "InterceptProxy")
     # results are read in row order, so run 0 is the failure reported
     with pytest.raises(SutUnavailableError, match="iteration 2 run 0 failed 3 times"):
         run_campaign(config)
+    # the failed row cancels the rows not yet started: only the rows that
+    # were running then try all their attempts, not every row of the iteration
+    assert next(calls) - config.n < config.n * 3 // 2
     out = config.out_dir
     rows = read_rows(out / "dataset.csv")
     assert len(rows) - 1 == config.n
@@ -392,8 +409,27 @@ def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
     assert not (out / "report.json").exists()
     assert len(servers) == 2
     for server in servers:
-        assert server._listener.fileno() == -1
-        assert not server._accept_thread.is_alive()
+        assert_stopped(server)
+
+
+def test_failed_proxy_construction_stops_the_controller(tmp_path, monkeypatch):
+    controllers = record_constructions(monkeypatch, "MockController")
+
+    def broken_proxy(config, registry):
+        raise OSError("injected bind failure")
+
+    monkeypatch.setattr(orchestrator, "InterceptProxy", broken_proxy)
+    with pytest.raises(OSError, match="injected bind failure"):
+        run_campaign(small_config(tmp_path))
+    assert len(controllers) == 1
+    assert_stopped(controllers[0])
+
+
+def test_every_iteration_runs_on_one_session_pool(tmp_path, monkeypatch):
+    pools = record_constructions(monkeypatch, "ThreadPoolExecutor")
+    report = run_campaign(small_config(tmp_path, iterations=3))
+    assert len(report.iterations) == 3
+    assert len(pools) == 1
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):
@@ -430,8 +466,10 @@ def test_config_rejects_fewer_than_two_cv_folds(tmp_path, folds):
 
 
 def test_config_rejects_a_negative_budget(tmp_path):
-    with pytest.raises(ValueError, match="budget_seconds"):
-        small_config(tmp_path, budget_seconds=-1.0)
+    # a NaN budget would never expire
+    for budget in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            small_config(tmp_path, budget_seconds=budget)
     small_config(tmp_path, budget_seconds=0.0)
 
 
@@ -452,13 +490,16 @@ def test_config_rejects_a_lone_metric_target(tmp_path, target):
     ("plateau_window", {"plateau_window": -1}),
     ("precision_target", {"precision_target": 1.5, "recall_target": 0.9}),
     ("recall_target", {"precision_target": 0.9, "recall_target": -0.1}),
+    ("plateau_epsilon", {"plateau_epsilon": -0.5}),
+    ("plateau_epsilon", {"plateau_epsilon": math.nan}),
 ])
 def test_config_rejects_unusable_campaign_settings(tmp_path, name, setting):
-    # a target outside [0, 1] is never met, and a negative window would turn
-    # the plateau check off
+    # a target outside [0, 1] is never met, and a negative window or a
+    # negative or NaN epsilon would turn the plateau check off
     with pytest.raises(ValueError, match=name):
         small_config(tmp_path, **setting)
     small_config(tmp_path, precision_target=1.0, recall_target=0.0)  # the bounds stay valid
+    small_config(tmp_path, plateau_epsilon=0.0)
 
 
 def test_target_stop_reason(tmp_path):

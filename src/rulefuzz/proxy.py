@@ -1,8 +1,12 @@
 """Transparent TCP intercept proxy for control channels.
 
-TcpServer is the package's one socket server: a listener, one accept
-loop and one thread per live session.  The proxy and the mock
-controller in `sut` are both built on it.
+TcpServer is the package's one socket server: one thread runs a
+`selectors` loop over its listener and the non-blocking sockets of every
+live session (the Reactor pattern).  The proxy and the mock controller
+in `sut` are both built on it.  Every session socket sets TCP_NODELAY:
+the lock-step exchanges of a control channel send small messages and
+wait for the reply, so with Nagle's algorithm each one would wait out
+the peer's delayed ACK.
 
 The proxy sits as an explicit man-in-the-middle between a switch-side
 client and an upstream controller.  Both directions are relayed byte for
@@ -12,12 +16,12 @@ message of the target type in the session can be handed to a fuzz hook
 and replaced with the hook's output.  Everything else, including message
 types the registry does not know, is forwarded unmodified and in order.
 
-A session is one thread: one select loop relays both legs, each with its
-own framing.  A leg that reaches EOF forwards its trailing bytes and
-half-closes its destination while the other leg relays on; if that leg
-stays quiet for STEP_TIMEOUT, the session ends.  Sends block,
-so a peer that stops reading stalls both legs; the lock-step exchanges
-of a control channel never fill a socket buffer.
+A session relays two legs, each with its own framing.  A leg that
+reaches EOF forwards its trailing bytes and half-closes its destination
+while the other leg relays on; if that leg stays quiet for STEP_TIMEOUT,
+the session ends.  Every socket has its own output buffer, and a leg
+whose destination still holds unsent bytes stops reading until they
+drain, so a peer that stops reading stalls only its own session.
 
 One accepted connection is one independent session.  Hooks pair with
 connections only through reserve(): it queues the hook and serializes
@@ -30,10 +34,13 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import errno
 import logging
+import os
 import selectors
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -43,6 +50,8 @@ log = logging.getLogger(__name__)
 
 _RECV_CHUNK = 65536
 STEP_TIMEOUT = 10.0  # seconds a session step may wait for its peer
+_CONNECT_TIMEOUT = 5.0  # seconds the proxy waits for its upstream connect
+_STOP_GRACE = 2.0  # seconds stop() lets live sessions finish
 _C2U, _U2C = "client->upstream", "upstream->client"
 
 Hook = Callable[[bytes], bytes]
@@ -104,15 +113,105 @@ class StreamSegmenter:
         return frames
 
 
+class Connection:
+    """A non-blocking socket on a TcpServer loop, with its own output buffer."""
+
+    __slots__ = ("sock", "out", "events")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.out = bytearray()  # bytes queued for the peer, not yet sent
+        self.events = 0  # what the loop's selector watches this socket for
+
+    def watch(self, selector: selectors.BaseSelector, session: Session, read: bool) -> None:
+        """Watch for reads if `read`, and for writes while output is queued."""
+        events = (selectors.EVENT_READ if read else 0) | (
+            selectors.EVENT_WRITE if self.out else 0
+        )
+        if events == self.events:
+            return
+        if not self.events:
+            selector.register(self.sock, events, session)
+        elif not events:
+            selector.unregister(self.sock)
+        else:
+            selector.modify(self.sock, events, session)
+        self.events = events
+
+    def recv(self) -> bytes | None:
+        """What the peer sent: None if nothing is there, b"" at EOF or on error."""
+        try:
+            return self.sock.recv(_RECV_CHUNK)
+        except BlockingIOError:
+            return None
+        except OSError:
+            return b""
+
+    def send(self, data: bytes) -> int:
+        """Queue `data` and send what the socket takes now; OSError if it failed."""
+        sent = 0
+        if not self.out:
+            with contextlib.suppress(BlockingIOError):
+                sent = self.sock.send(data)
+        self.out += data[sent:]
+        return sent
+
+    def flush(self) -> int:
+        """Send what the socket takes of the queued output; OSError if it failed."""
+        try:
+            sent = self.sock.send(self.out)
+        except BlockingIOError:
+            return 0
+        del self.out[:sent]
+        return sent
+
+    def close(self, selector: selectors.BaseSelector) -> None:
+        if self.events:
+            selector.unregister(self.sock)
+            self.events = 0
+        # shut down first so the peer gets a FIN even when bytes it sent
+        # are still unread here; close() alone would send only a reset
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_WR)
+        self.sock.close()
+
+
+class Session:
+    """One accepted connection's state on a TcpServer loop.
+
+    The loop calls ready() when a socket of the session is ready for the
+    events the session watches it for, and expire() once `deadline` (a
+    time.monotonic() value, or None for no deadline) has passed.  The
+    session leaves the loop once `closed` is set.
+    """
+
+    def __init__(self, selector: selectors.BaseSelector, sock: socket.socket):
+        self.selector = selector
+        self.conn = Connection(sock)
+        self.deadline: float | None = None
+        self.closed = False
+
+    def ready(self, sock: socket.socket, events: int) -> None:
+        raise NotImplementedError
+
+    def expire(self) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self.closed = True
+        self.conn.close(self.selector)
+
+
 class TcpServer:
-    """Threaded TCP server: one accept loop, one thread per live session.
+    """TCP server whose one thread serves every live session.
 
     The listener is bound on construction, so `endpoint` is valid before
-    start().  admit() runs on the accept thread, in accept order; the
-    arguments it returns are passed to serve() on the session's own
-    thread, which closes the accepted socket when serve() returns.  A
-    session thread leaves the live set when it ends, so threads do not
-    grow with session count.
+    start().  start() starts the loop thread, which accepts connections,
+    asks open() for each one's Session, in accept order, and dispatches
+    socket events and deadlines to the live sessions.  A session leaves
+    the live set when it closes, so state does not grow with session
+    count.  stop() closes the listener at once and gives live sessions
+    _STOP_GRACE seconds to finish before it closes them.
     """
 
     def __init__(self, host: str, port: int):
@@ -121,13 +220,14 @@ class TcpServer:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((host, port))
             listener.listen(128)
+            listener.setblocking(False)
         except OSError:
             listener.close()
             raise
         self._listener = listener
+        self._selector = selectors.DefaultSelector()
         self._accept_thread: threading.Thread | None = None
-        self._sessions: set[threading.Thread] = set()
-        self._sessions_lock = threading.Lock()
+        self._sessions: set[Session] = set()
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -135,20 +235,19 @@ class TcpServer:
         return host, port
 
     def start(self) -> None:
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._accept_thread = threading.Thread(target=self._loop, daemon=True)
         self._accept_thread.start()
 
     def stop(self) -> None:
-        # close() alone does not wake a thread blocked in accept()
+        # the shutdown wakes the loop, and only the loop closes the listener
         with contextlib.suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)
-        self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2)
-        with self._sessions_lock:
-            still_open = list(self._sessions)
-        for t in still_open:
-            t.join(timeout=2)
+        if self._accept_thread is None:
+            self._listener.close()
+            self._selector.close()
+        else:
+            self._accept_thread.join(timeout=_STOP_GRACE + 1)
 
     def __enter__(self):
         self.start()
@@ -157,37 +256,231 @@ class TcpServer:
     def __exit__(self, *exc: object) -> None:
         self.stop()
 
-    def admit(self) -> tuple:
-        """Per-session state that must be taken in accept order."""
-        return ()
-
-    def serve(self, sock: socket.socket, *admitted: object) -> None:
+    def open(self, sock: socket.socket) -> Session:
+        """The session of a newly accepted non-blocking socket."""
         raise NotImplementedError
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            t = threading.Thread(
-                target=self._run_session, args=(sock, self.admit()), daemon=True
-            )
-            with self._sessions_lock:
-                self._sessions.add(t)
-            t.start()
-
-    def _run_session(self, sock: socket.socket, admitted: tuple) -> None:
+    def _loop(self) -> None:
+        sessions = self._sessions
+        grace_end = None
         try:
-            self.serve(sock, *admitted)
+            while grace_end is None or (sessions and time.monotonic() < grace_end):
+                deadlines = [s.deadline for s in sessions if s.deadline is not None]
+                if grace_end is not None:
+                    deadlines.append(grace_end)
+                timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+                for key, events in self._selector.select(timeout):
+                    session = key.data
+                    if session is None:
+                        if not self._accept():
+                            grace_end = time.monotonic() + _STOP_GRACE
+                    elif session in sessions:  # not closed earlier in this batch
+                        self._call(session.ready, session, key.fileobj, events)
+                now = time.monotonic()
+                for session in [s for s in sessions if s.deadline is not None and s.deadline <= now]:
+                    self._call(session.expire, session)
         finally:
-            # shut down first so the peer gets a FIN even when bytes it sent
-            # are still unread here; close() alone would send only a reset
-            with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_WR)
+            for session in sessions:
+                session.close()
+            sessions.clear()
+            self._listener.close()
+            self._selector.close()
+
+    def _accept(self) -> bool:
+        """Accept one connection; False once stop() has shut the listener down."""
+        try:
+            sock, _ = self._listener.accept()
+        except BlockingIOError:
+            return True
+        except OSError as exc:
+            if exc.errno != errno.EINVAL:
+                log.warning("accept failed: %s", exc)
+                return True
+            self._selector.unregister(self._listener)
+            self._listener.close()
+            return False
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            session = self.open(sock)
+        except Exception:
+            log.exception("session failed to open")
             sock.close()
-            with self._sessions_lock:
-                self._sessions.discard(threading.current_thread())
+            return True
+        if not session.closed:
+            self._sessions.add(session)
+        return True
+
+    def _call(self, step: Callable, session: Session, *args: object) -> None:
+        """Run one session step; a step that raises closes its session only."""
+        try:
+            step(*args)
+        except Exception:
+            log.exception("session step failed")
+            session.close()
+        if session.closed:
+            self._sessions.discard(session)
+
+
+class _Leg:
+    """One direction of a proxied session: frames read from `src` go to `dst`."""
+
+    __slots__ = ("src", "dst", "direction", "segmenter", "open", "half_closed")
+
+    def __init__(self, src: Connection, dst: Connection, direction: str):
+        self.src, self.dst, self.direction = src, dst, direction
+        self.segmenter = StreamSegmenter()
+        self.open = True  # src is still read
+        self.half_closed = False  # dst is shut down for writing
+
+
+class _ProxySession(Session):
+    """One client connection relayed to its own upstream connection."""
+
+    def __init__(
+        self,
+        selector: selectors.BaseSelector,
+        client: socket.socket,
+        upstream: tuple[str, int],
+        target_code: int,
+        hook: Hook | None,
+        record: SessionRecord,
+    ):
+        super().__init__(selector, client)
+        self._target_code, self._hook, self.record = target_code, hook, record
+        self.upstream = Connection(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+        self._legs = (_Leg(self.conn, self.upstream, _C2U), _Leg(self.upstream, self.conn, _U2C))
+        # the client's bytes wait in the kernel until upstream is reached
+        self._connecting = True
+        sock = self.upstream.sock
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            err = sock.connect_ex(upstream)
+            if err not in (0, errno.EINPROGRESS):
+                raise OSError(err, os.strerror(err))
+        except OSError as exc:
+            self._unreachable(exc)
+            return
+        selector.register(sock, selectors.EVENT_WRITE, self)
+        self.upstream.events = selectors.EVENT_WRITE
+        self.deadline = time.monotonic() + _CONNECT_TIMEOUT
+
+    def _unreachable(self, why: object) -> None:
+        self.record.error = f"upstream unreachable: {why}"
+        log.warning("session %d: %s", self.record.session_id, self.record.error)
+        self.close()
+
+    def ready(self, sock: socket.socket, events: int) -> None:
+        if self._connecting:
+            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if err:
+                self._unreachable(OSError(err, os.strerror(err)))
+                return
+            self._connecting = False
+        else:
+            # a socket is the source of one leg and the destination of the other
+            c2u, u2c = self._legs
+            reading, writing = (c2u, u2c) if sock is self.conn.sock else (u2c, c2u)
+            if events & selectors.EVENT_WRITE:
+                try:
+                    self._count(writing, writing.dst.flush())
+                except OSError:
+                    self._broken(writing)
+            if events & selectors.EVENT_READ and reading.open:
+                self._relay(reading)
+        self._settle()
+
+    def expire(self) -> None:
+        if self._connecting:
+            self._unreachable("timed out")
+            return
+        # both legs open have no deadline: a quiet controller is the switch's timeout
+        self.record.error = f"peer quiet for {STEP_TIMEOUT} s after half-close"
+        self.close()
+
+    def close(self) -> None:
+        if not self._connecting:
+            record = self.record
+            log.info(
+                "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
+                record.session_id, record.target_seen, record.hook_fired,
+                record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
+            )
+        self.upstream.close(self.selector)
+        super().close()
+
+    def _settle(self) -> None:
+        """Half-close drained legs, then end the session or watch what is left."""
+        for leg in self._legs:
+            if not leg.open and not leg.dst.out and not leg.half_closed:
+                leg.half_closed = True
+                with contextlib.suppress(OSError):
+                    leg.dst.sock.shutdown(socket.SHUT_WR)
+        if all(leg.half_closed for leg in self._legs):
+            self.close()
+            return
+        for leg in self._legs:
+            # a leg whose destination holds unsent bytes stops reading
+            leg.src.watch(self.selector, self, leg.open and not leg.dst.out)
+        both_open = all(leg.open for leg in self._legs)
+        self.deadline = None if both_open else time.monotonic() + STEP_TIMEOUT
+
+    def _relay(self, leg: _Leg) -> None:
+        """Relay one read of a readable leg."""
+        chunk = leg.src.recv()
+        if chunk is None:
+            return
+        ended = not chunk
+        try:
+            frames = leg.segmenter.feed(chunk)
+        except LengthFieldInvalidError as exc:
+            self.record.error = f"{leg.direction}: {exc}"
+            log.warning("session %d aborted: %s", self.record.session_id, exc)
+            # relay the frames before the bad header; the rest of this leg
+            # cannot be framed, so it is dropped
+            frames, ended, leg.segmenter.residual = exc.frames, True, b""
+        out = b"".join(self._intercept(frame) for frame in frames)
+        if ended:
+            out += leg.segmenter.residual  # incomplete trailing bytes go too
+            # the other leg relays on; dst is half-closed once drained
+            leg.open = False
+        if out:
+            try:
+                self._count(leg, leg.dst.send(out))
+            except OSError:
+                self._broken(leg)
+
+    def _broken(self, leg: _Leg) -> None:
+        """The leg's destination failed: the leg ends, and what dst still holds is dropped."""
+        leg.open = False
+        leg.dst.out.clear()
+
+    def _count(self, leg: _Leg, sent: int) -> None:
+        if leg.direction == _C2U:
+            self.record.bytes_client_to_upstream += sent
+        else:
+            self.record.bytes_upstream_to_client += sent
+
+    def _intercept(self, frame: bytes) -> bytes:
+        """Apply the hook if this frame is the session's first target frame."""
+        if frame[1] != self._target_code:
+            return frame
+        record = self.record
+        record.target_seen = True
+        if record.hook_fired or self._hook is None:
+            return frame
+        record.hook_fired = True
+        try:
+            out = self._hook(frame)
+        except Exception as exc:  # hook bugs must not wedge the relay
+            log.warning("session %d hook failed: %s", record.session_id, exc)
+            record.error = f"hook: {exc}"
+            return frame
+        log.debug(
+            "session %d fuzzed frame (%d -> %d bytes)", record.session_id, len(frame), len(out)
+        )
+        return out
 
 
 class InterceptProxy(TcpServer):
@@ -208,7 +501,7 @@ class InterceptProxy(TcpServer):
 
         Connect attempts are serialized so that kernel accept order (FIFO
         over completed handshakes) matches hook queue order.  If the block
-        raises before the accept loop took the hook, the hook is retracted.
+        raises before the loop took the hook, the hook is retracted.
         """
         with self._reserve_lock:
             with self._hooks_lock:
@@ -222,96 +515,10 @@ class InterceptProxy(TcpServer):
                         self._hooks.pop()
                 raise
 
-    def admit(self) -> tuple[Hook | None, SessionRecord]:
+    def open(self, sock: socket.socket) -> Session:
         with self._hooks_lock:
             hook = self._hooks.popleft() if self._hooks else None
         record = SessionRecord(session_id=len(self.records) + 1)
         self.records.append(record)
-        return hook, record
-
-    def serve(self, client: socket.socket, hook: Hook | None, record: SessionRecord) -> None:
-        try:
-            upstream = socket.create_connection(
-                (self.config.upstream_host, self.config.upstream_port), timeout=5
-            )
-        except OSError as exc:
-            record.error = f"upstream unreachable: {exc}"
-            log.warning("session %d: %s", record.session_id, record.error)
-            return
-        # the timeout bounds the connect only: a controller that goes quiet
-        # must leave the switch to time out, not look like a dropped session
-        upstream.settimeout(None)
-        with upstream, selectors.DefaultSelector() as sel:
-            # one leg per source socket; key.data is its destination,
-            # its framing and its direction
-            sel.register(client, selectors.EVENT_READ, (upstream, StreamSegmenter(), _C2U))
-            sel.register(upstream, selectors.EVENT_READ, (client, StreamSegmenter(), _U2C))
-            while sel.get_map():
-                events = sel.select(None if len(sel.get_map()) == 2 else STEP_TIMEOUT)
-                if not events:
-                    record.error = f"peer quiet for {STEP_TIMEOUT} s after half-close"
-                    break
-                for key, _ in events:
-                    if not self._relay(key, hook, record):
-                        sel.unregister(key.fileobj)
-        log.info(
-            "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
-            record.session_id, record.target_seen, record.hook_fired,
-            record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
-        )
-
-    def _relay(self, key: selectors.SelectorKey, hook: Hook | None, record: SessionRecord) -> bool:
-        """Relay one read of a readable leg; False once the leg has ended."""
-        src, (dst, segmenter, direction) = key.fileobj, key.data
-        try:
-            chunk = src.recv(_RECV_CHUNK)
-        except OSError:
-            chunk = b""
-        ended = not chunk
-        try:
-            frames = segmenter.feed(chunk)
-        except LengthFieldInvalidError as exc:
-            record.error = f"{direction}: {exc}"
-            log.warning("session %d aborted: %s", record.session_id, exc)
-            # relay the frames before the bad header; the rest of this leg
-            # cannot be framed, so it is dropped
-            frames, ended, segmenter.residual = exc.frames, True, b""
-        out = b"".join(self._intercept(frame, hook, record) for frame in frames)
-        if ended:
-            out += segmenter.residual  # incomplete trailing bytes go too
-        try:
-            if out:
-                dst.sendall(out)
-        except OSError:
-            ended = True
-        else:
-            if direction == _C2U:
-                record.bytes_client_to_upstream += len(out)
-            else:
-                record.bytes_upstream_to_client += len(out)
-        if ended:
-            # propagate the close; the other leg relays on (half-close)
-            with contextlib.suppress(OSError):
-                dst.shutdown(socket.SHUT_WR)
-            with contextlib.suppress(OSError):
-                src.shutdown(socket.SHUT_RD)
-        return not ended
-
-    def _intercept(self, frame: bytes, hook: Hook | None, record: SessionRecord) -> bytes:
-        """Apply the hook if this frame is the session's first target frame."""
-        if frame[1] != self._target_code:
-            return frame
-        record.target_seen = True
-        if record.hook_fired or hook is None:
-            return frame
-        record.hook_fired = True
-        try:
-            out = hook(frame)
-        except Exception as exc:  # hook bugs must not wedge the relay
-            log.warning("session %d hook failed: %s", record.session_id, exc)
-            record.error = f"hook: {exc}"
-            return frame
-        log.debug(
-            "session %d fuzzed frame (%d -> %d bytes)", record.session_id, len(frame), len(out)
-        )
-        return out
+        upstream = (self.config.upstream_host, self.config.upstream_port)
+        return _ProxySession(self._selector, sock, upstream, self._target_code, hook, record)

@@ -11,14 +11,14 @@ the caller, never inside the deterministic endpoints.
 
 A procedure is a tuple of steps, one message each.  Its target step is
 the slot the proxy fuzzes and the one whose receiver checks the oracle.
-One procedure player serves both roles: the mock controller and the
-switch driver run the same step loop, each sending the steps of its own
-role and reading the peer's, and each enacting the failure when it
-receives a target that matches.  The mock controller is a
-`proxy.TcpServer` that plays the controller half once per accepted
-connection, on that connection's own thread.  The controller waits at
-most `proxy.STEP_TIMEOUT` for each step of its peer, and so does the
-switch driver unless `connect_sut` is given another timeout.
+One procedure player serves both roles: `Player` is the step loop with
+no I/O of its own, which sends the steps of its role, reads the peer's,
+and enacts the failure when it receives a target that matches.  The
+switch driver runs it over a blocking socket.  The mock controller is a
+`proxy.TcpServer` that runs one player per accepted connection on the
+server's loop thread.  The controller waits at most `proxy.STEP_TIMEOUT`
+for each step of its peer, and so does the switch driver unless
+`connect_sut` is given another timeout.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -27,8 +27,9 @@ values that were injected.
 """
 from __future__ import annotations
 
-import contextlib
+import selectors
 import socket
+import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,9 +38,10 @@ from typing import Mapping
 
 import yaml
 
+from . import proxy
 from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, decode_as, encode
 from .dataset import ABSENCE, PRESENCE
-from .proxy import STEP_TIMEOUT, TcpServer
+from .proxy import _RECV_CHUNK, Session, TcpServer
 from .rules import Condition, parse_condition
 from .sampler import evaluate
 
@@ -233,55 +235,6 @@ def build_procedure(name: str, target_type: str) -> tuple[Step, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Socket helpers
-# ---------------------------------------------------------------------------
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF before n bytes arrive."""
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def _read_slot(
-    sock: socket.socket, schema: MessageSchema, registry: SchemaRegistry
-) -> tuple[bytes | None, int]:
-    """Read one expected fixed-size slot, skipping unsolicited directives.
-
-    Unsolicited barrier_request frames (the storm failure mode) are
-    counted and discarded when they arrive ahead of the expected message.
-    The target slot itself is read verbatim with no classification since
-    its header bytes may be arbitrary.
-    """
-    floods = 0
-    flood_code = None
-    if "barrier_request" in registry:
-        flood_code = registry.by_name("barrier_request").header_type_code
-    while True:
-        head = _recv_exact(sock, HEADER_BYTES)
-        if head is None:
-            return None, floods
-        if (
-            flood_code is not None
-            and head[1] == flood_code
-            and schema.header_type_code != flood_code
-        ):
-            floods += 1
-            continue
-        rest_len = schema.total_bytes - HEADER_BYTES
-        if rest_len == 0:
-            return head, floods
-        rest = _recv_exact(sock, rest_len)
-        if rest is None:
-            return None, floods
-        return head + rest, floods
-
-
-# ---------------------------------------------------------------------------
 # Procedure player
 # ---------------------------------------------------------------------------
 
@@ -293,68 +246,131 @@ class RunOutcome:
     error: str | None = None
 
 
-def _play(
-    sock: socket.socket,
-    procedure: tuple[Step, ...],
-    registry: SchemaRegistry,
-    oracle: FailureOracle | None,
-    role: str,
-) -> RunOutcome:
-    """Play `role`'s half of a procedure over an open connection.
+class Player:
+    """One role's half of a procedure, with no I/O of its own.
 
-    The role sends its own steps and reads the peer's.  The oracle is
-    consulted only for a received target step; on a match this side
-    enacts the failure itself, by dropping the session or by flooding
-    the peer with unsolicited barrier requests.
+    start() returns the bytes the role sends before its first read, and
+    receive() takes the bytes read from the peer (b"" at EOF) and returns
+    the bytes to send next: a role's consecutive steps leave in one
+    write.  `done` is set once the role has nothing left to send or read,
+    and `outcome` holds what it observed.  The oracle is consulted only
+    for a received target step; on a match this side enacts the failure
+    itself, by ending the session or by flooding the peer with
+    unsolicited barrier requests.  A target slot is read verbatim; ahead
+    of any other expected slot, unsolicited barrier requests (the storm
+    failure mode) are counted and dropped.
     """
-    obs = {"closed_early": False, "ping_ok": False, "flood_count": 0}
-    outcome = RunOutcome(observations=obs)
-    try:
-        for step in procedure:
-            schema = registry.by_name(step.message)
-            if step.sender == role:
-                try:
-                    sock.sendall(encode(default_message(schema)))
-                except OSError:
-                    obs["closed_early"] = True
-                    return outcome
+
+    def __init__(
+        self,
+        procedure: tuple[Step, ...],
+        registry: SchemaRegistry,
+        oracle: FailureOracle | None,
+        role: str,
+    ):
+        self._steps = procedure
+        self._registry = registry
+        self._oracle = oracle
+        self._role = role
+        self._next = 0  # index of the next step to play
+        self._received = bytearray()
+        self._flood = registry.by_name("barrier_request")
+        self.done = False
+        self.outcome = RunOutcome({"closed_early": False, "ping_ok": False, "flood_count": 0})
+
+    def start(self) -> bytes:
+        return self._advance()
+
+    def receive(self, data: bytes) -> bytes:
+        if not data:
+            if not self.done:
+                self.outcome.observations["closed_early"] = True
+                self.done = True
+            return b""
+        self._received += data
+        return self._advance()
+
+    def _advance(self) -> bytes:
+        out = bytearray()
+        obs = self.outcome.observations
+        buf = self._received
+        while self._next < len(self._steps):
+            step = self._steps[self._next]
+            schema = self._registry.by_name(step.message)
+            if step.sender == self._role:
+                out += encode(default_message(schema))
+                self._next += 1
                 continue
-            if step.mark == MARK_TARGET:
-                data, floods = _recv_exact(sock, schema.total_bytes), 0
-            else:
-                data, floods = _read_slot(sock, schema, registry)
-            obs["flood_count"] += floods
-            if data is None:
-                obs["closed_early"] = True
-                return outcome
+            flood_code = self._flood.header_type_code
+            if step.mark != MARK_TARGET and schema.header_type_code != flood_code:
+                while len(buf) >= HEADER_BYTES and buf[1] == flood_code:
+                    del buf[:HEADER_BYTES]
+                    obs["flood_count"] += 1
+            if len(buf) < schema.total_bytes:
+                return bytes(out)
+            data = bytes(buf[: schema.total_bytes])
+            del buf[: schema.total_bytes]
+            self._next += 1
             if step.mark == MARK_ACK:
                 obs["ping_ok"] = True
             if (
                 step.mark == MARK_TARGET
-                and oracle is not None
-                and oracle.matches(decode_as(data, schema).values)
+                and self._oracle is not None
+                and self._oracle.matches(decode_as(data, schema).values)
             ):
-                if oracle.failure_mode == "switch_disconnect":
+                if self._oracle.failure_mode == "switch_disconnect":
                     obs["closed_early"] = True
-                    return outcome
-                frame = encode(default_message(registry.by_name("barrier_request")))
-                with contextlib.suppress(OSError):
-                    sock.sendall(frame * STORM_FRAMES)
+                    break
+                out += encode(default_message(self._flood)) * STORM_FRAMES
                 obs["flood_count"] += STORM_FRAMES
-    except socket.timeout:
-        outcome.error = "timeout"
-    except OSError as exc:
-        outcome.error = str(exc)
-        obs["closed_early"] = True
-    return outcome
+        self.done = True
+        return bytes(out)
 
 
 # ---------------------------------------------------------------------------
 # Mock controller
 # ---------------------------------------------------------------------------
 
+class _ControllerSession(Session):
+    """The controller half of one procedure, played on the server's loop."""
+
+    def __init__(self, selector, sock: socket.socket, player: Player):
+        super().__init__(selector, sock)
+        self._player = player
+        self._play(player.start())
+
+    def ready(self, sock: socket.socket, events: int) -> None:
+        out = b""
+        if events & selectors.EVENT_WRITE:
+            try:
+                self.conn.flush()
+            except OSError:
+                self.close()
+                return
+        if events & selectors.EVENT_READ:
+            data = self.conn.recv()
+            if data is None:
+                return
+            out = self._player.receive(data)
+        self._play(out)
+
+    def _play(self, out: bytes) -> None:
+        try:
+            if out:
+                self.conn.send(out)
+        except OSError:
+            self.close()
+            return
+        if self._player.done and not self.conn.out:
+            self.close()
+            return
+        self.conn.watch(self.selector, self, not self._player.done)
+        # each step waits at most STEP_TIMEOUT for the peer
+        self.deadline = time.monotonic() + proxy.STEP_TIMEOUT
+
+
 class MockController(TcpServer):
-    """Threaded scripted controller bound to an ephemeral local port."""
+    """Scripted controller bound to a local port, one session per connection."""
 
     def __init__(
         self,
@@ -369,22 +385,28 @@ class MockController(TcpServer):
         self._oracle = oracle
         super().__init__(host, port)
 
-    def serve(self, sock: socket.socket) -> None:
-        sock.settimeout(STEP_TIMEOUT)
-        _play(sock, self._procedure, self._registry, self._oracle, CONTROLLER)
+    def open(self, sock: socket.socket) -> Session:
+        player = Player(self._procedure, self._registry, self._oracle, CONTROLLER)
+        return _ControllerSession(self._selector, sock, player)
 
 
 # ---------------------------------------------------------------------------
 # Switch driver
 # ---------------------------------------------------------------------------
 
-def connect_sut(endpoint: tuple[str, int], timeout: float = STEP_TIMEOUT) -> socket.socket:
-    """Open the switch-side connection; SutUnavailableError on failure."""
+def connect_sut(endpoint: tuple[str, int], timeout: float | None = None) -> socket.socket:
+    """Open the switch-side connection; SutUnavailableError on failure.
+
+    `timeout` bounds the connect and each later step; it defaults to
+    `proxy.STEP_TIMEOUT`.
+    """
+    if timeout is None:
+        timeout = proxy.STEP_TIMEOUT
     try:
         sock = socket.create_connection(endpoint, timeout=timeout)
     except OSError as exc:
         raise SutUnavailableError(f"connect to {endpoint}: {exc}") from exc
-    sock.settimeout(timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
 
 
@@ -395,11 +417,29 @@ def run_procedure_on(
     oracle: FailureOracle | None = None,
 ) -> RunOutcome:
     """Drive the switch half of a procedure over an open connection, then close it."""
-    try:
-        return _play(sock, procedure, registry, oracle, SWITCH)
-    finally:
-        with contextlib.suppress(OSError):
-            sock.close()
+    player = Player(procedure, registry, oracle, SWITCH)
+    outcome = player.outcome
+    with sock:
+        out = player.start()
+        while True:
+            try:
+                if out:
+                    sock.sendall(out)
+            except OSError:
+                outcome.observations["closed_early"] = True
+                break
+            if player.done:
+                break
+            try:
+                out = player.receive(sock.recv(_RECV_CHUNK))
+            except socket.timeout:
+                outcome.error = "timeout"
+                break
+            except OSError as exc:
+                outcome.error = str(exc)
+                outcome.observations["closed_early"] = True
+                break
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Every campaign here drives the real TCP stack (driver, proxy, mock
 controller), so iteration counts and n stay tiny to keep the suite fast.
 """
 import csv
+import errno
 import hashlib
 import itertools
 import json
@@ -323,17 +324,17 @@ def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch):
         upstreams.append((config.upstream_host, config.upstream_port))
         return real_proxy(config, registry)
 
-    real_connect = socket.create_connection
+    real_connect_ex = socket.socket.connect_ex
     calls = itertools.count()
 
-    def flaky_connect(address, *args, **kwargs):
+    def flaky_connect_ex(sock, address):
         # the switch connects to the proxy; only the proxy dials upstream
         if tuple(address) in upstreams and next(calls) == 2:
-            raise ConnectionRefusedError("injected upstream refusal")
-        return real_connect(address, *args, **kwargs)
+            return errno.ECONNREFUSED
+        return real_connect_ex(sock, address)
 
     monkeypatch.setattr(orchestrator, "InterceptProxy", recording_proxy)
-    monkeypatch.setattr(socket, "create_connection", flaky_connect)
+    monkeypatch.setattr(socket.socket, "connect_ex", flaky_connect_ex)
     run_faulty_campaign(tmp_path, calls)
 
 

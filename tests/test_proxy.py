@@ -1,6 +1,7 @@
 """Intercept proxy: framing, transparency, hook pairing, and bookkeeping."""
 
 import contextlib
+import itertools
 import random
 import socket
 import sys
@@ -18,7 +19,6 @@ from rulefuzz.proxy import (
     InterceptProxy,
     LengthFieldInvalidError,
     StreamSegmenter,
-    TcpServer,
 )
 from rulefuzz.sut import (
     MockController,
@@ -106,11 +106,62 @@ def test_segmenter_chunking_invariance_property(seed):
     assert seg.residual == tail
 
 
-class EchoUpstream(TcpServer):
+class BlockingServer:
+    """Test peer: one blocking thread per accepted connection runs serve()."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = self._listener.getsockname()[:2]
+        self.threads = set()  # the live connection threads
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+
+    def start(self):
+        self._accept_thread.start()
+
+    def stop(self):
+        # close() alone does not wake a thread blocked in accept()
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._listener.close()
+        self._accept_thread.join(timeout=2)
+        for t in list(self.threads):
+            t.join(timeout=2)
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.stop()
+
+    def serve(self, conn):
+        raise NotImplementedError
+
+    def _accept_loop(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            t = threading.Thread(target=self._run, args=(conn,), daemon=True)
+            self.threads.add(t)
+            t.start()
+
+    def _run(self, conn):
+        try:
+            self.serve(conn)
+        finally:
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_WR)
+            conn.close()
+            self.threads.discard(threading.current_thread())
+
+
+class EchoUpstream(BlockingServer):
     """Buffers each connection until client EOF, echoes it back, closes."""
 
     def __init__(self):
-        super().__init__("127.0.0.1", 0)
+        super().__init__()
         self.port = self.endpoint[1]
         self.start()
 
@@ -269,7 +320,7 @@ def test_large_multi_frame_payload_round_trips(upstream):
         proxy.stop()
 
 
-class StreamingEcho(TcpServer):
+class StreamingEcho(BlockingServer):
     """Echoes every chunk as it arrives, until EOF."""
 
     def serve(self, conn):
@@ -279,9 +330,9 @@ class StreamingEcho(TcpServer):
                 conn.sendall(chunk)
 
 
-def test_proxy_holds_one_thread_per_session():
+def test_proxy_sessions_add_no_thread():
     k = 4
-    with StreamingEcho("127.0.0.1", 0) as upstream:
+    with StreamingEcho() as upstream:
         proxy = make_proxy(upstream.endpoint[1])
         before = set(threading.enumerate())
         clients = []
@@ -294,7 +345,8 @@ def test_proxy_holds_one_thread_per_session():
                 assert sock.recv(8, socket.MSG_WAITALL) == frame(0, 8, fill=tag)
             started = set(threading.enumerate()) - before
             assert len(proxy._sessions) == k
-            assert started - upstream._sessions == proxy._sessions
+            # the k live sessions are all on the proxy's one loop thread
+            assert started == set(upstream.threads)
         finally:
             for sock in clients:
                 sock.close()
@@ -467,7 +519,85 @@ def test_sequential_sessions_leave_no_live_threads():
             proxy.stop()
 
 
-class StallingController(TcpServer):
+
+def test_sequential_sessions_do_not_wait_on_nagle():
+    # with Nagle's algorithm on, every session waits out a delayed ACK
+    # (40 ms on Linux); without it a session takes about 1.5 ms
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with MockController(REGISTRY, procedure, None) as controller:
+        proxy = make_proxy(controller.endpoint[1])
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                with proxy.reserve(lambda data: data) as endpoint:
+                    sock = connect_sut(endpoint)
+                outcome = run_procedure_on(sock, procedure, REGISTRY)
+                assert outcome.observations["ping_ok"] and outcome.error is None
+            assert time.perf_counter() - start < 0.4
+        finally:
+            proxy.stop()
+
+
+class FirstDeafEcho(BlockingServer):
+    """Never reads its first connection until released; echoes every later one."""
+
+    def __init__(self):
+        super().__init__()
+        # accepted sockets inherit it; a small fixed buffer keeps the stall
+        # from depending on the host's buffer autotuning
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+        self.released = threading.Event()
+        self._accepted = itertools.count()
+
+    def serve(self, conn):
+        if next(self._accepted) == 0:
+            self.released.wait(10)
+            return
+        conn.settimeout(5)
+        with contextlib.suppress(OSError):
+            while chunk := conn.recv(65536):
+                conn.sendall(chunk)
+
+
+def send_until_refused(sock, data):
+    with contextlib.suppress(OSError):
+        sock.sendall(data)
+
+
+def test_a_peer_that_stops_reading_stalls_only_its_own_session():
+    payload = frame(0, 65535) * 128  # 8 MiB, more than the socket buffers hold
+    with FirstDeafEcho() as upstream:
+        proxy = make_proxy(upstream.endpoint[1])
+        stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+        sender = threading.Thread(target=send_until_refused, args=(stalled, payload))
+        try:
+            stalled.connect(proxy.endpoint)
+            sender.start()
+            deadline = time.monotonic() + 5
+            while not proxy._sessions and time.monotonic() < deadline:
+                time.sleep(0.01)
+            (session,) = proxy._sessions
+            time.sleep(0.2)  # let the stalled leg fill its buffers
+            start = time.perf_counter()
+            with socket.create_connection(proxy.endpoint, timeout=5) as sock:
+                sock.sendall(frame(0, 8, fill=7))
+                assert sock.recv(8, socket.MSG_WAITALL) == frame(0, 8, fill=7)
+            assert time.perf_counter() - start < 1
+            assert sender.is_alive(), "the first session never stalled"
+            start = time.perf_counter()
+            proxy.stop()
+            assert time.perf_counter() - start < 2.5
+            assert not proxy._sessions
+            assert session.conn.sock.fileno() == -1 and session.upstream.sock.fileno() == -1
+        finally:
+            proxy.stop()
+            upstream.released.set()
+            sender.join(timeout=5)
+            stalled.close()
+        assert not sender.is_alive()
+
+class StallingController(BlockingServer):
     """Answers hello, then reads everything and never answers again."""
 
     def serve(self, conn):
@@ -488,7 +618,7 @@ def test_stalled_controller_is_a_switch_timeout():
     # the switch waits longer than the proxy's 5 s upstream connect timeout;
     # a quiet controller must not be relayed as a dropped session
     procedure = build_procedure("ping_exchange", "packet_in")
-    with StallingController("127.0.0.1", 0) as controller:
+    with StallingController() as controller:
         proxy = make_proxy(controller.endpoint[1])
         try:
             with proxy.reserve(lambda data: data) as endpoint:
@@ -501,11 +631,11 @@ def test_stalled_controller_is_a_switch_timeout():
     assert not outcome.observations["closed_early"]
 
 
-class DeafController(TcpServer):
+class DeafController(BlockingServer):
     """Answers hello, then neither reads nor writes until released."""
 
     def __init__(self):
-        super().__init__("127.0.0.1", 0)
+        super().__init__()
         self.released = threading.Event()
 
     def serve(self, conn):

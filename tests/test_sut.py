@@ -2,9 +2,11 @@
 
 import random
 import socket
+import time
 
 import pytest
 
+import rulefuzz.proxy
 from rulefuzz.codec import builtin_registry, encode
 from rulefuzz.dataset import ABSENCE, PRESENCE
 from rulefuzz.rules import parse_condition
@@ -172,6 +174,24 @@ def test_connect_sut_unavailable():
     with pytest.raises(SutUnavailableError):
         connect_sut(("127.0.0.1", dead), timeout=0.5)
 
+
+
+def test_controller_ends_a_session_whose_peer_goes_quiet(monkeypatch):
+    # the one step timeout is read at call time, so one patch reaches it
+    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with MockController(REGISTRY, procedure, None) as controller:
+        with socket.create_connection(controller.endpoint, timeout=5) as sock:
+            sock.sendall(encode(default_message(REGISTRY.by_name("hello"))))
+            assert len(sock.recv(8, socket.MSG_WAITALL)) == 8
+            start = time.perf_counter()
+            sock.settimeout(1)
+            assert sock.recv(1) == b""
+            assert time.perf_counter() - start < 1
+        deadline = time.monotonic() + 1
+        while controller._sessions and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not controller._sessions
 
 def handshake_then_send(endpoint, values):
     """Raw byte-level exchange, independent of the switch driver code."""

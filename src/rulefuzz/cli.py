@@ -78,7 +78,7 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None,
                    help="output directory (default: $RULEFUZZ_OUT or ./rulefuzz_out)")
     p.add_argument("--workers", type=int, default=4,
-                   help="parallel sessions (default: 4)")
+                   help="sessions in flight across all processes (default: 4)")
     p.add_argument("--precision-target", type=float, default=None,
                    help="stop when CV precision reaches this and recall "
                         "reaches --recall-target; the two are set together")

@@ -34,32 +34,23 @@ Cross-validation stays in bin space too.  cross_validate() encodes the
 whole matrix once; each fold fits on its training rows' codes and scores
 its test rows on their codes from that same encoding, which is exact for
 the same reason.  The folds run on every core the process may use: the
-caller fits one share itself and pipes the encoding and the other shares
-to nproc - 1 worker processes, started on the first call (which fits
-every fold in-process while they import) and ended when the caller
-exits; on one CPU every fold runs in-process.  A fold's seed and rows do
-not depend on where it runs, and each fold yields integer (tp, fp, fn)
-counts that are summed, so (P, R) is the same for any CPU count.
+caller fits one share itself and pool.run() sends the encoding and each
+other share to one of the pool's worker processes; on one CPU every fold
+runs in-process.  A fold's seed and rows do not depend on where it
+runs, and each fold yields integer (tp, fp, fn) counts that are summed,
+so (P, R) is the same for any CPU count.
 
 Everything is deterministic under a fixed seed.
 """
 from __future__ import annotations
 
-import atexit
-import contextlib
 import math
-import os
-import pickle
-import signal
-import subprocess
-import sys
-import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import pool
 from .dataset import ABSENCE, PRESENCE, LabeledDataset, minority_of
 from .rules import OPS, Atom, Condition, DecisionRule, RuleSet
 
@@ -482,14 +473,18 @@ def cross_validate(
         test_idx = np.concatenate((pos_idx[fold::k], neg_idx[fold::k]))
         if test_idx.size:
             folds.append((test_idx, (base_seed * 1000003 + fold) % (2**63)))
-    tp, fp, fn = _count_folds(bins, y, folds)
+    # one share of the folds per CPU; the shares' integer counts sum the
+    # same for any number of CPUs
+    n = min(len(folds), pool.processes())
+    counts = pool.run([(_fold_counts, (bins, y, folds[i::n])) for i in range(n)])
+    tp, fp, fn = (sum(c) for c in zip(*counts))
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     return precision, recall
 
 
 # ---------------------------------------------------------------------------
-# Fold workers
+# Folds
 # ---------------------------------------------------------------------------
 
 _Fold = tuple[np.ndarray, int]  # (test row indices, fold seed)
@@ -516,91 +511,3 @@ def _fold_counts(
         fn += int((~pred & y_test).sum())
     return tp, fp, fn
 
-
-def _serve_folds() -> None:
-    """A fold worker's loop: read pickled _fold_counts arguments, write back the counts."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
-    while True:
-        try:
-            share = pickle.load(stdin)
-        except EOFError:  # the caller closed the pipe or exited
-            return
-        pickle.dump(_fold_counts(*share), stdout, pickle.HIGHEST_PROTOCOL)
-        stdout.flush()
-
-
-# Started on the first exchange and kept for the life of the process; the
-# lock keeps two threads from interleaving pickles on one pipe.
-_workers: list[subprocess.Popen] | None = None
-_workers_lock = threading.Lock()
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _start_workers() -> list[subprocess.Popen]:
-    # A worker imports the rulefuzz this process runs, whatever its cwd.
-    env = dict(os.environ)
-    root = str(Path(__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    command = [sys.executable, "-c", "from rulefuzz.learner import _serve_folds; _serve_folds()"]
-    return [
-        subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-        for _ in range(_cpu_count() - 1)
-    ]
-
-
-@atexit.register
-def _stop_workers(kill: bool = False) -> None:
-    """End the fold workers and wait for them; the next exchange starts new ones."""
-    global _workers
-    workers, _workers = _workers or [], None
-    for worker in workers:
-        if kill:
-            worker.kill()
-        with contextlib.suppress(OSError):  # a dead worker's pipe is broken
-            worker.stdin.close()  # EOF ends an idle worker
-    for worker in workers:
-        worker.wait()
-        worker.stdout.close()
-
-
-def _count_folds(
-    bins: _Bins, presence: np.ndarray, folds: Sequence[_Fold]
-) -> tuple[int, int, int]:
-    """_fold_counts over all folds: the caller fits one share, each worker another.
-
-    The shares' counts are integers, so their sum is the same for any
-    number of CPUs.  A worker that dies fails the call with its exit code.
-    """
-    global _workers
-    with _workers_lock:
-        if _workers is None:
-            # The call that starts the workers fits every fold itself while they import.
-            _workers, ready = _start_workers(), []
-        else:
-            ready = _workers
-        shares = [folds[i :: len(ready) + 1] for i in range(len(ready) + 1)]
-        busy = [(w, share) for w, share in zip(ready, shares[1:]) if share]
-        worker = None
-        try:
-            for worker, share in busy:
-                pickle.dump((bins, presence, share), worker.stdin, pickle.HIGHEST_PROTOCOL)
-                worker.stdin.flush()
-            counts = [_fold_counts(bins, presence, shares[0])]
-            for worker, _ in busy:
-                counts.append(pickle.load(worker.stdout))
-        except BaseException as exc:
-            _stop_workers(kill=True)  # an unfinished exchange leaves the pipes out of step
-            if worker is not None and isinstance(exc, (OSError, EOFError)):
-                raise RuntimeError(
-                    f"cross-validation worker {worker.pid} exited with code {worker.returncode}"
-                ) from exc
-            raise
-    tp, fp, fn = (sum(c) for c in zip(*counts))
-    return tp, fp, fn

@@ -6,13 +6,21 @@ random field subsets; every later iteration (in guided mode) spends a
 planned per-rule budget so that the growing dataset stays balanced and
 the rule model sharpens.  All randomness is pre-drawn into per-run fuzz
 plans before any session starts, which makes results byte-identical for
-a given seed regardless of worker count or scheduling.
+a given seed regardless of worker count, CPU count or scheduling.
 
-A campaign opens one session scope for its whole life: the mock
-controller, the proxy in front of it and one pool of session threads.
+Sessions run on every core the process may use.  Each iteration's rows
+are dealt round-robin into one share per process (at most `workers`):
+the caller runs share 0 in the session scope it opens for the whole
+campaign (the mock controller, the proxy in front of it and one pool of
+session threads), and each of the process pool's workers runs one other
+share in a scope of its own opened for that share.  `workers` bounds the
+sessions in flight across all processes.  A row's label depends only on
+(seed, iteration, index), and the rows are merged back by index.
+
 Each row gets a few session attempts; a row that exhausts them ends its
-iteration at once (rows not yet started are cancelled) and fails the
-campaign, keeping the artifacts of the last whole iteration.
+share at once (rows of that share not yet started are cancelled) and
+fails the campaign with the lowest failed row, keeping the artifacts of
+the last whole iteration.  A pool worker that dies fails it the same way.
 
 Outputs under the campaign directory:
   dataset.csv           every labeled sample, appended per iteration
@@ -30,9 +38,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 from random import Random
+from typing import Sequence
 
+from . import pool
 from .codec import (
     ControlMessage,
     MessageSchema,
@@ -237,20 +248,46 @@ def build_iteration_plans(
 # Execution
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Sessions:
+    """What every session of a campaign runs with; pickled to the pool's workers."""
+
+    registry: SchemaRegistry
+    procedure: tuple
+    oracle: FailureOracle
+    schema: MessageSchema
+    seed: int
+
+    @contextlib.contextmanager
+    def scope(self, threads: int):
+        """The mock controller, the proxy in front of it and `threads` session threads.
+
+        Leaving waits for running sessions, then stops the proxy, then the
+        controller.
+        """
+        with (
+            MockController(self.registry, self.procedure, self.oracle) as controller,
+            InterceptProxy(
+                InterceptConfig(
+                    "127.0.0.1", 0, *controller.endpoint, target_type=self.schema.type_name
+                ),
+                self.registry,
+            ) as proxy,
+            ThreadPoolExecutor(max_workers=threads) as executor,
+        ):
+            yield proxy, executor
+
+
 def _run_one(
     proxy: InterceptProxy,
-    procedure,
-    registry: SchemaRegistry,
-    oracle: FailureOracle,
-    schema: MessageSchema,
-    seed: int,
+    sessions: _Sessions,
     iteration: int,
     index: int,
     fuzz_plan: FuzzPlan,
 ) -> tuple[FuzzAction, str]:
     last = "no attempt made"
     for _ in range(_MAX_RETRIES):
-        hook = PlannedHook(fuzz_plan, schema)
+        hook = PlannedHook(fuzz_plan, sessions.schema)
         try:
             # reserve() pairs the hook with this connection; keep the
             # critical section to the handshake only
@@ -259,20 +296,61 @@ def _run_one(
         except SutUnavailableError as exc:
             last = str(exc)
             continue
-        outcome = run_procedure_on(sock, procedure, registry, oracle=oracle)
+        outcome = run_procedure_on(
+            sock, sessions.procedure, sessions.registry, oracle=sessions.oracle
+        )
         if hook.action is None:
             last = f"target frame never intercepted (error={outcome.error})"
             continue
         if outcome.error is not None:
             last = outcome.error
             continue
-        label_rng = Random(f"{seed}/noise/{iteration}/{index}")
-        label = observe_label(outcome, oracle.noise_rate, label_rng)
+        label_rng = Random(f"{sessions.seed}/noise/{iteration}/{index}")
+        label = observe_label(outcome, sessions.oracle.noise_rate, label_rng)
         return hook.action, label
     raise SutUnavailableError(
         f"iteration {iteration} run {index} failed "
         f"{_MAX_RETRIES} times; last: {last}"
     )
+
+
+_Row = tuple[int, dict, str]  # (index in the iteration, fuzzed field values, label)
+
+
+def _run_rows(
+    sessions: _Sessions,
+    proxy: InterceptProxy,
+    executor: ThreadPoolExecutor,
+    iteration: int,
+    indices: Sequence[int],
+    plans: Sequence[FuzzPlan],
+) -> tuple[list[_Row], tuple[int, SutUnavailableError] | None]:
+    """Each row's session on the executor's threads: the rows in order, and the failure.
+
+    A row that exhausts its retries ends the share there, and rows not
+    yet started are cancelled; it comes back as (index, error).
+    """
+    run = partial(_run_one, proxy, sessions, iteration)
+    rows: list[_Row] = []
+    try:
+        # map yields in row order and raises at the first failed row
+        for action, label in executor.map(run, indices, plans):
+            rows.append((indices[len(rows)], action.after.values, label))
+    except SutUnavailableError as exc:
+        return rows, (indices[len(rows)], exc)
+    return rows, None
+
+
+def _run_share(
+    sessions: _Sessions,
+    threads: int,
+    iteration: int,
+    indices: Sequence[int],
+    plans: Sequence[FuzzPlan],
+) -> tuple[list[_Row], tuple[int, SutUnavailableError] | None]:
+    """_run_rows in a pool worker, on servers and threads opened for this share only."""
+    with sessions.scope(threads) as (proxy, executor):
+        return _run_rows(sessions, proxy, executor, iteration, indices, plans)
 
 
 # ---------------------------------------------------------------------------
@@ -350,34 +428,35 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     ruleset: RuleSet | None = None
     stop_reason = "iterations"
 
-    # leaving the block waits for running sessions, then stops the proxy,
-    # then the controller
-    with (
-        MockController(registry, procedure, oracle) as controller,
-        InterceptProxy(
-            InterceptConfig(
-                "127.0.0.1", 0, *controller.endpoint, target_type=config.message_type
-            ),
-            registry,
-        ) as proxy,
-        ThreadPoolExecutor(max_workers=config.workers) as pool,
-    ):
+    # Each iteration's rows are dealt round-robin into one share per
+    # process, at most config.workers sessions in flight in all: the
+    # caller runs share 0 in its campaign-long session scope, each pool
+    # worker one other share; the rows are merged back by index.
+    sessions = _Sessions(registry, procedure, oracle, schema, config.seed)
+    shares = min(config.workers, pool.processes(), config.n)
+    threads = [config.workers // shares + (s < config.workers % shares) for s in range(shares)]
+    with sessions.scope(threads[0]) as (proxy, executor):
         iteration = 0
         while config.iterations is None or iteration < config.iterations:
             iteration += 1
             plans, fuzz_mode, clamp = build_iteration_plans(
                 config, schema, dataset, ruleset, iteration, mutation_rate
             )
-            # map yields in row order; a row that exhausts its retries
-            # raises here and cancels every row not yet started
-            run = partial(
-                _run_one, proxy, procedure, registry, oracle, schema, config.seed, iteration
-            )
-            results = list(pool.map(run, range(len(plans)), plans))
+            dealt = [(range(len(plans))[s::shares], plans[s::shares]) for s in range(shares)]
+            jobs = [(partial(_run_rows, sessions, proxy, executor, iteration), dealt[0])]
+            jobs += [
+                (_run_share, (sessions, threads[s], iteration, *dealt[s]))
+                for s in range(1, shares)
+            ]
+            replies = pool.run(jobs)
+            failures = [failure for _, failure in replies if failure is not None]
+            if failures:  # the lowest failed row is the one reported
+                raise min(failures, key=itemgetter(0))[1]
+            results = sorted((row for rows, _ in replies for row in rows), key=itemgetter(0))
             start_row = len(dataset)
             presence = 0
-            for action, label in results:
-                dataset.append(action.after.values, label, iteration=iteration)
+            for _, values, label in results:
+                dataset.append(values, label, iteration=iteration)
                 presence += int(label == PRESENCE)
 
             ruleset = learn(dataset, params)

@@ -140,8 +140,9 @@ def should_stop(
     """Stop on budget exhaustion, metric targets, or a metric plateau.
 
     The plateau check compares the latest precision and recall against the
-    values window iterations back; both improving by less than epsilon
-    means the loop stalled.  window=0 disables the plateau check.
+    values window iterations back, so it needs window + 1 entries; both
+    improving by less than epsilon means the loop stalled.  window=0
+    disables the plateau check.
     """
     if clock.expired():
         return True, "budget"
@@ -154,8 +155,8 @@ def should_stop(
             and recall >= recall_target
         ):
             return True, "target"
-    if window > 0 and len(history) >= window:
-        prev_p, prev_r = history[-window]
+    if window > 0 and len(history) > window:
+        prev_p, prev_r = history[-1 - window]
         cur_p, cur_r = history[-1]
         if cur_p - prev_p < epsilon and cur_r - prev_r < epsilon:
             return True, "plateau"

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import rulefuzz.pool as pool
 from rulefuzz.codec import FieldSpec, MessageSchema, SchemaRegistry, builtin_registry
 from rulefuzz.dataset import PRESENCE
 from rulefuzz.sampler import evaluate
@@ -30,6 +31,17 @@ def make_schema(widths, domains=None, type_name="tiny", code=200):
         lo, hi = domains.get(name, (0, (1 << width) - 1))
         fields.append(FieldSpec(name, width, lo, hi))
     return MessageSchema(type_name, code, sum(widths.values()) // 8, tuple(fields))
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) makes the process pool share calls between n CPUs, with fresh
+    workers; the workers are stopped again after the test."""
+    def use(n):
+        pool._stop_workers()
+        monkeypatch.setattr(pool, "_cpu_count", lambda: n)
+    yield use
+    pool._stop_workers()
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rulefuzz.learner as learner
+import rulefuzz.pool as pool
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
 from rulefuzz.learner import (
     _GAIN_EPS,
@@ -507,24 +507,13 @@ def mixed_dataset(seed, per_class):
     return ds
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) makes cross_validate fold on n CPUs, with fresh workers; the
-    workers are stopped again after the test."""
-    def use(n):
-        learner._stop_workers()
-        monkeypatch.setattr(learner, "_cpu_count", lambda: n)
-    yield use
-    learner._stop_workers()
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3, 8, 11])
 def test_cross_validate_matches_subset_folds(seed, cpus):
     ds = mixed_dataset(seed, 60 * seed)
     params = RipperParams(seed=seed)
     expected = {k: subset_cross_validate(ds, k, params) for k in (2, 3, 10)}
-    # One CPU fits every fold in-process, as does the call that starts the
-    # workers; on four, k = 2 and 3 leave a share empty.
+    # One CPU fits every fold in-process; on four, k = 2 and 3 leave no
+    # fold for some workers.
     for n in (1, 4):
         cpus(n)
         for k, want in [*expected.items(), *expected.items()]:
@@ -549,11 +538,12 @@ def test_cross_validate_matches_subset_folds_for_an_absence_minority(seed, cpus)
 def test_fold_workers_end_with_their_caller():
     script = (
         "import rulefuzz.learner as learner\n"
+        "import rulefuzz.pool as pool\n"
         "from tests.test_learner import mixed_dataset\n"
-        "learner._cpu_count = lambda: 3\n"
+        "pool._cpu_count = lambda: 3\n"
         "for _ in range(2):\n"
         "    learner.cross_validate(mixed_dataset(1, 40), k=4)\n"
-        "print(*(w.pid for w in learner._workers))\n"
+        "print(*(w.pid for w in pool._workers))\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
@@ -575,7 +565,7 @@ def test_fold_workers_import_this_rulefuzz_from_any_cwd(cpus, monkeypatch, tmp_p
     ds = mixed_dataset(1, 40)
     params = RipperParams(seed=1)
     want = subset_cross_validate(ds, 4, params)
-    for _ in range(2):  # the second call has the worker fit a share
+    for _ in range(2):  # the worker fits a share in each call
         assert cross_validate(ds, k=4, params=params) == want
 
 
@@ -607,8 +597,8 @@ def test_killed_fold_worker_fails_one_call(cpus):
     cpus(2)
     ds = mixed_dataset(2, 60)
     want = cross_validate(ds, k=4)
-    assert cross_validate(ds, k=4) == want  # the worker's first share
-    [worker] = learner._workers
+    assert cross_validate(ds, k=4) == want  # the worker's second share
+    [worker] = pool._workers
     os.kill(worker.pid, signal.SIGINT)  # ignored: Ctrl-C is the caller's
     assert cross_validate(ds, k=4) == want
     os.kill(worker.pid, signal.SIGKILL)
@@ -616,7 +606,7 @@ def test_killed_fold_worker_fails_one_call(cpus):
     with pytest.raises(RuntimeError, match=f"worker {worker.pid} exited with code -9"):
         cross_validate(ds, k=4)
     assert time.monotonic() - start < 5
-    assert learner._workers is None
+    assert pool._workers is None
     for _ in range(2):
         assert cross_validate(ds, k=4) == want
-    assert learner._workers[0].pid != worker.pid
+    assert pool._workers[0].pid != worker.pid

@@ -10,8 +10,11 @@ import itertools
 import json
 import logging
 import math
+import os
 import signal
 import socket
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import rulefuzz.orchestrator as orchestrator
+import rulefuzz.pool as pool
 from rulefuzz.codec import builtin_registry, decode_as
 from rulefuzz.orchestrator import (
     CampaignConfig,
@@ -32,7 +36,7 @@ from rulefuzz.orchestrator import (
     run_campaign,
 )
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
-from rulefuzz.fuzzer import apply_plan
+from rulefuzz.fuzzer import FuzzPlan, apply_plan
 from rulefuzz.planner import plan
 from rulefuzz.rules import (
     Condition,
@@ -231,6 +235,24 @@ def test_identical_seeds_reproduce_artifacts_across_worker_counts(tmp_path):
         assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes()
 
 
+def test_artifacts_are_identical_for_any_cpu_and_worker_count(tmp_path, cpus):
+    # labels, noise flips included, follow the row index, not the process
+    # or thread that ran the row's session
+    artifacts = set()
+    for n_cpus in (1, 2, 3):
+        cpus(n_cpus)
+        for workers in (1, 4):
+            out = tmp_path / f"cpus{n_cpus}_workers{workers}"
+            run_campaign(small_config(
+                tmp_path, out_dir=out, n=20, iterations=3, workers=workers,
+                oracle=replace(EASY_ORACLE, noise_rate=0.1),
+            ))
+            artifacts.add(tuple(
+                (out / name).read_bytes() for name in ("dataset.csv", "ruleset.txt", "report.json")
+            ))
+    assert len(artifacts) == 1
+
+
 def test_longer_run_extends_shorter_one_byte_for_byte(tmp_path):
     short = run_campaign(small_config(tmp_path, out_dir=tmp_path / "s", iterations=2))
     long = run_campaign(small_config(tmp_path, out_dir=tmp_path / "l", iterations=3))
@@ -268,6 +290,12 @@ def test_golden_artifacts(tmp_path):
     assert got == GOLDEN
 
 
+@pytest.fixture
+def one_cpu(cpus):
+    """Every session runs in this process, the only one a monkeypatch reaches."""
+    cpus(1)
+
+
 def run_faulty_campaign(tmp_path, calls):
     """A noise-free campaign whose rows must all carry the oracle's label.
 
@@ -285,7 +313,7 @@ def run_faulty_campaign(tmp_path, calls):
         assert row[-1] == ("presence" if EASY_ORACLE.matches(values) else "absence")
 
 
-def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch):
+def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     # one injected connect failure mid-campaign: the run is retried, and
     # every row still carries the label of the session that ran its plan
     real_connect = orchestrator.connect_sut
@@ -300,7 +328,7 @@ def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch):
     run_faulty_campaign(tmp_path, calls)
 
 
-def test_raising_hook_never_mislabels_a_row(tmp_path, monkeypatch):
+def test_raising_hook_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     # the proxy relays the unfuzzed frame of the session whose hook raised;
     # that session's outcome must not become the row of its plan
     real_call = PlannedHook.__call__
@@ -315,7 +343,7 @@ def test_raising_hook_never_mislabels_a_row(tmp_path, monkeypatch):
     run_faulty_campaign(tmp_path, calls)
 
 
-def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch):
+def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     # the controller refuses the proxy's upstream connect for one session
     upstreams = []
     real_proxy = orchestrator.InterceptProxy
@@ -338,7 +366,7 @@ def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch):
     run_faulty_campaign(tmp_path, calls)
 
 
-def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch):
+def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     # the first session whose row is presence reports a timeout after its
     # hook fired, with what a switch that timed out saw (no close, no
     # flood, no ack), which reads as absence; its plan must run again
@@ -379,7 +407,7 @@ def assert_stopped(server):
 
 
 def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, one_cpu
 ):
     # every connect after iteration 1's sessions fails: the campaign stops
     # on the first row of iteration 2 and keeps iteration 1's artifacts
@@ -411,6 +439,118 @@ def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
     assert len(servers) == 2
     for server in servers:
         assert_stopped(server)
+
+
+def test_killed_pool_worker_fails_the_campaign_after_its_last_whole_iteration(
+    tmp_path, monkeypatch, cpus
+):
+    # The worker is stopped before iteration 2's rows are dealt and killed
+    # once the caller's share is running, so it dies with its share unrun.
+    cpus(2)
+    config = small_config(tmp_path, n=40, workers=2, oracle=EASY_ORACLE)
+    real_plans, real_run_one = orchestrator.build_iteration_plans, orchestrator._run_one
+    killed = []
+
+    def stopping_plans(*args):
+        if args[4] == 2:  # the iteration
+            [worker] = pool._workers
+            os.kill(worker.pid, signal.SIGSTOP)
+            killed.append(worker)
+        return real_plans(*args)
+
+    def killing_run_one(proxy, sessions, iteration, index, fuzz_plan):
+        if iteration == 2 and index == 0:
+            os.kill(killed[0].pid, signal.SIGKILL)
+        return real_run_one(proxy, sessions, iteration, index, fuzz_plan)
+
+    monkeypatch.setattr(orchestrator, "build_iteration_plans", stopping_plans)
+    monkeypatch.setattr(orchestrator, "_run_one", killing_run_one)
+    servers = record_constructions(monkeypatch, "MockController", "InterceptProxy")
+    with pytest.raises(RuntimeError, match="exited with code -9") as failed:
+        run_campaign(config)
+    assert str(failed.value).startswith(f"pool worker {killed[0].pid} ")
+    assert pool._workers is None
+    out = config.out_dir
+    rows = read_rows(out / "dataset.csv")
+    assert len(rows) - 1 == config.n
+    assert {row[0] for row in rows[1:]} == {"1"}
+    assert (out / "rulesets" / "iter_001.txt").is_file()
+    assert not (out / "rulesets" / "iter_002.txt").exists()
+    assert not (out / "report.json").exists()
+    assert len(servers) == 2
+    for server in servers:
+        assert_stopped(server)
+    # the next campaign starts a fresh worker
+    monkeypatch.setattr(orchestrator, "build_iteration_plans", real_plans)
+    monkeypatch.setattr(orchestrator, "_run_one", real_run_one)
+    again = run_campaign(replace(config, out_dir=tmp_path / "again"))
+    assert len(again.dataset) == config.n * config.iterations
+    [fresh] = pool._workers
+    assert fresh.pid != killed[0].pid
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_the_lowest_failed_row_is_the_one_reported(tmp_path, monkeypatch, cpus, n_cpus):
+    # Rows 5 and 6 of iteration 2 carry a plan that apply_plan rejects, so
+    # their hooks raise on every attempt and both rows exhaust their
+    # retries.  On 2 and 3 CPUs row 5 runs in a worker, row 6 in the caller.
+    cpus(n_cpus)
+    real_plans = orchestrator.build_iteration_plans
+
+    def poisoned_plans(*args):
+        plans, fuzz_mode, clamp = real_plans(*args)
+        if args[4] == 2:  # the iteration
+            for j in (5, 6):
+                plans[j] = FuzzPlan("initial", None, {"cookie_hi": 1}, {"cookie_hi": 2})
+        return plans, fuzz_mode, clamp
+
+    monkeypatch.setattr(orchestrator, "build_iteration_plans", poisoned_plans)
+    config = small_config(tmp_path, n=20, workers=4, oracle=EASY_ORACLE)
+    with pytest.raises(SutUnavailableError, match="iteration 2 run 5 failed 3 times"):
+        run_campaign(config)
+    assert {row[0] for row in read_rows(config.out_dir / "dataset.csv")[1:]} == {"1"}
+
+
+def test_ctrl_c_during_an_iteration_returns_promptly_and_kills_the_workers(tmp_path):
+    # the child prints its worker's pid when the first iteration deals it
+    # a share, and runs iterations until it is interrupted
+    script = (
+        "import rulefuzz.pool as pool\n"
+        "from rulefuzz.orchestrator import CampaignConfig, run_campaign\n"
+        "pool._cpu_count = lambda: 2\n"
+        "start = pool._start_workers\n"
+        "def started(n):\n"
+        "    workers = start(n)\n"
+        "    print(*(w.pid for w in workers), flush=True)\n"
+        "    return workers\n"
+        "pool._start_workers = started\n"
+        "config = CampaignConfig(out_dir=%r, n=200, iterations=None, workers=2,\n"
+        "                        plateau_window=0)\n"
+        "try:\n"
+        "    run_campaign(config)\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted', flush=True)\n"
+    ) % str(tmp_path / "out")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        [worker_pid] = [int(p) for p in child.stdout.readline().split()]
+        time.sleep(0.5)  # into a later iteration's sessions or CV
+        start = time.monotonic()
+        os.killpg(child.pid, signal.SIGINT)  # what Ctrl-C sends the terminal's group
+        assert child.wait(timeout=10) == 0
+        assert time.monotonic() - start < 5
+        assert child.stdout.read() == "interrupted\n"
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker_pid, 0)
 
 
 def test_failed_proxy_construction_stops_the_controller(tmp_path, monkeypatch):

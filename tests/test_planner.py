@@ -172,15 +172,25 @@ def test_should_stop_requires_both_targets():
 
 def test_should_stop_plateau():
     clock = BudgetClock(budget_seconds=None)
-    flat = [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5)]
+    # window=3 compares the last entry with the one three iterations back
+    flat = [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)]
     stop, reason = should_stop(flat, clock, window=3)
     assert (stop, reason) == (True, "plateau")
-    rising = [(0.5, 0.5), (0.6, 0.6), (0.8, 0.8)]
+    rising = [(0.5, 0.5), (0.6, 0.6), (0.8, 0.8), (0.8, 0.8)]
     stop, reason = should_stop(rising, clock, window=3)
     assert (stop, reason) == (False, None)
     # improvement on one metric alone keeps the loop alive
-    rising_p = [(0.5, 0.5), (0.6, 0.5), (0.8, 0.5)]
+    rising_p = [(0.5, 0.5), (0.6, 0.5), (0.8, 0.5), (0.8, 0.5)]
     assert should_stop(rising_p, clock, window=3) == (False, None)
+
+
+def test_should_stop_plateau_of_one_iteration():
+    clock = BudgetClock(budget_seconds=None)
+    # one entry has nothing one iteration back to compare with
+    assert should_stop([(0.5, 0.5)], clock, window=1) == (False, None)
+    assert should_stop([(0.5, 0.5), (0.5, 0.5)], clock, window=1) == (True, "plateau")
+    assert should_stop([(0.5, 0.5), (0.6, 0.6)], clock, window=1) == (False, None)
+    assert should_stop([(0.6, 0.6), (0.5, 0.5)], clock, window=1) == (True, "plateau")
 
 
 def test_should_stop_plateau_disabled_and_short_history():
@@ -188,6 +198,9 @@ def test_should_stop_plateau_disabled_and_short_history():
     flat = [(0.5, 0.5)] * 10
     assert should_stop(flat, clock, window=0) == (False, None)
     assert should_stop(flat[:2], clock, window=3) == (False, None)
+    # three entries hold only two iterations of change
+    assert should_stop(flat[:3], clock, window=3) == (False, None)
+    assert should_stop(flat[:4], clock, window=3) == (True, "plateau")
 
 
 def test_budget_clock():

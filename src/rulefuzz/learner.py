@@ -510,4 +510,3 @@ def _fold_counts(
         fp += int((pred & ~y_test).sum())
         fn += int((~pred & y_test).sum())
     return tp, fp, fn
-

@@ -428,10 +428,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     ruleset: RuleSet | None = None
     stop_reason = "iterations"
 
-    # Each iteration's rows are dealt round-robin into one share per
-    # process, at most config.workers sessions in flight in all: the
-    # caller runs share 0 in its campaign-long session scope, each pool
-    # worker one other share; the rows are merged back by index.
+    # one share of each iteration's rows per process (share 0 is the
+    # caller's), and config.workers session threads dealt between them
     sessions = _Sessions(registry, procedure, oracle, schema, config.seed)
     shares = min(config.workers, pool.processes(), config.n)
     threads = [config.workers // shares + (s < config.workers % shares) for s in range(shares)]

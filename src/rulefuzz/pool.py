@@ -110,7 +110,8 @@ def run(jobs: Sequence[Job]) -> list:
         return [local(*local_args)]
     with _workers_lock:
         _workers = _workers or []
-        _workers += _start_workers(len(remote) - len(_workers))
+        if len(remote) > len(_workers):
+            _workers += _start_workers(len(remote) - len(_workers))
         busy = _workers[: len(remote)]
         worker = None
         try:

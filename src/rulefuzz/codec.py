@@ -116,6 +116,11 @@ class MessageSchema:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name  # type: ignore[attr-defined]
 
+    def __hash__(self) -> int:
+        # equal schemas share these two; hashing every field on each
+        # lookup would cost a cache keyed by schema more than it saves
+        return hash((self.type_name, self.header_type_code))
+
 
 @dataclass(frozen=True, eq=True)
 class ControlMessage:

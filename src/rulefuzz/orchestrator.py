@@ -10,17 +10,19 @@ a given seed regardless of worker count, CPU count or scheduling.
 
 Sessions run on every core the process may use.  Each iteration's rows
 are dealt round-robin into one share per process (at most `workers`):
-the caller runs share 0 in the session scope it opens for the whole
-campaign (the mock controller, the proxy in front of it and one pool of
-session threads), and each of the process pool's workers runs one other
-share in a scope of its own opened for that share.  `workers` bounds the
-sessions in flight across all processes.  A row's label depends only on
-(seed, iteration, index), and the rows are merged back by index.
+the caller runs share 0 and each of the process pool's workers one
+other share, all through one share function.  A share opens a loop, the
+mock controller and the proxy in front of it on that loop, and dials
+each row's session on it too, so every role of its sessions runs in the
+thread that runs the share; it closes them when its rows are done.
+`workers` bounds the sessions in flight across all processes.  A row's
+label depends only on (seed, iteration, index), and the rows are merged
+back by index.
 
-Each row gets a few session attempts; a row that exhausts them ends its
-share at once (rows of that share not yet started are cancelled) and
-fails the campaign with the lowest failed row, keeping the artifacts of
-the last whole iteration.  A pool worker that dies fails it the same way.
+Each row gets a few session attempts; a row that exhausts them stops its
+share from starting new rows (the rows in flight finish) and fails the
+campaign with the lowest failed row, keeping the artifacts of the last
+whole iteration.  A pool worker that dies fails it the same way.
 
 Outputs under the campaign directory:
   dataset.csv           every labeled sample, appended per iteration
@@ -31,13 +33,12 @@ Outputs under the campaign directory:
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 from random import Random
@@ -64,18 +65,17 @@ from .fuzzer import (
 )
 from .learner import RipperParams, learn
 from .planner import BudgetClock, plan, progress, should_stop
-from .proxy import InterceptConfig, InterceptProxy
+from .proxy import InterceptConfig, InterceptProxy, Loop
 from .rules import RuleSet, format_ruleset, parse_ruleset
 from .sampler import UnsatisfiableError, solve
 from .sut import (
     FailureOracle,
     MockController,
     SutUnavailableError,
+    SwitchSession,
     build_procedure,
-    connect_sut,
     default_oracle,
     observe_label,
-    run_procedure_on,
 )
 
 log = logging.getLogger(__name__)
@@ -258,99 +258,120 @@ class _Sessions:
     schema: MessageSchema
     seed: int
 
-    @contextlib.contextmanager
-    def scope(self, threads: int):
-        """The mock controller, the proxy in front of it and `threads` session threads.
-
-        Leaving waits for running sessions, then stops the proxy, then the
-        controller.
-        """
-        with (
-            MockController(self.registry, self.procedure, self.oracle) as controller,
-            InterceptProxy(
-                InterceptConfig(
-                    "127.0.0.1", 0, *controller.endpoint, target_type=self.schema.type_name
-                ),
-                self.registry,
-            ) as proxy,
-            ThreadPoolExecutor(max_workers=threads) as executor,
-        ):
-            yield proxy, executor
-
-
-def _run_one(
-    proxy: InterceptProxy,
-    sessions: _Sessions,
-    iteration: int,
-    index: int,
-    fuzz_plan: FuzzPlan,
-) -> tuple[FuzzAction, str]:
-    last = "no attempt made"
-    for _ in range(_MAX_RETRIES):
-        hook = PlannedHook(fuzz_plan, sessions.schema)
-        try:
-            # reserve() pairs the hook with this connection; keep the
-            # critical section to the handshake only
-            with proxy.reserve(hook) as endpoint:
-                sock = connect_sut(endpoint)
-        except SutUnavailableError as exc:
-            last = str(exc)
-            continue
-        outcome = run_procedure_on(
-            sock, sessions.procedure, sessions.registry, oracle=sessions.oracle
-        )
-        if hook.action is None:
-            last = f"target frame never intercepted (error={outcome.error})"
-            continue
-        if outcome.error is not None:
-            last = outcome.error
-            continue
-        label_rng = Random(f"{sessions.seed}/noise/{iteration}/{index}")
-        label = observe_label(outcome, sessions.oracle.noise_rate, label_rng)
-        return hook.action, label
-    raise SutUnavailableError(
-        f"iteration {iteration} run {index} failed "
-        f"{_MAX_RETRIES} times; last: {last}"
-    )
-
 
 _Row = tuple[int, dict, str]  # (index in the iteration, fuzzed field values, label)
+_Failure = tuple[int, SutUnavailableError]  # (index in the iteration, why it failed)
+# connects started between two waits of a share's loop; the listeners accept
+# every pending connection at each wait, so their backlog of 128 never fills
+_DIALS = 64
 
 
-def _run_rows(
-    sessions: _Sessions,
-    proxy: InterceptProxy,
-    executor: ThreadPoolExecutor,
-    iteration: int,
-    indices: Sequence[int],
-    plans: Sequence[FuzzPlan],
-) -> tuple[list[_Row], tuple[int, SutUnavailableError] | None]:
-    """Each row's session on the executor's threads: the rows in order, and the failure.
+class _Share:
+    """One share's rows, driven on its loop with at most `in_flight` rows in flight.
 
-    A row that exhausts its retries ends the share there, and rows not
-    yet started are cancelled; it comes back as (index, error).
+    Each attempt at a row is a SwitchSession dialled through the proxy,
+    its PlannedHook paired by the session's address.  A row whose
+    attempt failed is dialled again, up to _MAX_RETRIES attempts; a row
+    that exhausts them stops the share from starting new rows, and the
+    rows in flight finish.
     """
-    run = partial(_run_one, proxy, sessions, iteration)
-    rows: list[_Row] = []
-    try:
-        # map yields in row order and raises at the first failed row
-        for action, label in executor.map(run, indices, plans):
-            rows.append((indices[len(rows)], action.after.values, label))
-    except SutUnavailableError as exc:
-        return rows, (indices[len(rows)], exc)
-    return rows, None
+
+    def __init__(self, sessions, proxy, loop, in_flight, iteration, indices, plans):
+        self._sessions, self._proxy, self._loop = sessions, proxy, loop
+        self._endpoint = proxy.endpoint
+        self._in_flight, self._iteration = in_flight, iteration
+        # (index, plan, attempts made); a row to dial again goes to the front
+        self._todo = collections.deque((j, plan, 0) for j, plan in zip(indices, plans))
+        self._ended: list[tuple] = []  # (index, plan, attempts, hook, session)
+        self._running = 0  # attempts in flight
+        self.rows: list[_Row] = []
+        self.failures: list[_Failure] = []
+
+    def advance(self) -> bool:
+        """Settle the attempts that ended and dial the next ones; True once the share is done."""
+        dials = 0
+        while True:
+            ended, self._ended = self._ended, []
+            for attempt in ended:
+                self._settle(*attempt)
+            while dials < _DIALS and self._todo and self._running < self._in_flight:
+                index, plan, attempts = self._todo[0]
+                if self.failures and not attempts:
+                    break  # rows already started finish, no new row starts
+                self._todo.popleft()
+                self._running += 1
+                # a connect that failed at once needs no room in the backlog
+                dials += not self._dial(index, plan, attempts + 1).closed
+            if not self._ended:
+                return not self._running and (not self._todo or bool(self.failures))
+
+    def _dial(self, index: int, plan: FuzzPlan, attempts: int) -> SwitchSession:
+        sessions = self._sessions
+        hook = PlannedHook(plan, sessions.schema)
+        switch = SwitchSession(
+            self._loop.selector, self._endpoint, sessions.procedure, sessions.registry,
+            sessions.oracle, lambda s: self._ended.append((index, plan, attempts, hook, s)),
+        )
+        if not switch.closed:
+            self._proxy.expect(switch.address, hook)
+            self._loop.add(switch)
+        return switch
+
+    def _settle(
+        self, index: int, plan: FuzzPlan, attempts: int, hook: PlannedHook, switch: SwitchSession
+    ) -> None:
+        self._running -= 1
+        outcome = switch.outcome
+        if switch.unreachable is not None:
+            self._proxy.forget(switch.address)
+            last = switch.unreachable
+        elif hook.action is None:
+            last = f"target frame never intercepted (error={outcome.error})"
+        elif outcome.error is not None:
+            last = outcome.error
+        else:
+            sessions = self._sessions
+            label_rng = Random(f"{sessions.seed}/noise/{self._iteration}/{index}")
+            label = observe_label(outcome, sessions.oracle.noise_rate, label_rng)
+            self.rows.append((index, hook.action.after.values, label))
+            return
+        if attempts < _MAX_RETRIES:
+            self._todo.appendleft((index, plan, attempts))
+        else:
+            self.failures.append((index, SutUnavailableError(
+                f"iteration {self._iteration} run {index} failed "
+                f"{_MAX_RETRIES} times; last: {last}"
+            )))
 
 
 def _run_share(
     sessions: _Sessions,
-    threads: int,
+    in_flight: int,
     iteration: int,
     indices: Sequence[int],
     plans: Sequence[FuzzPlan],
-) -> tuple[list[_Row], tuple[int, SutUnavailableError] | None]:
-    """_run_rows in a pool worker, on servers and threads opened for this share only."""
-    with sessions.scope(threads) as (proxy, executor):
-        return _run_rows(sessions, proxy, executor, iteration, indices, plans)
+) -> tuple[list[_Row], _Failure | None]:
+    """Run one share's rows: the rows, and the lowest row that exhausted its retries.
+
+    The share's mock controller, the proxy in front of it and every
+    session's switch side run on one loop in the calling thread, and
+    are closed when the share ends.
+    """
+    with (
+        Loop() as loop,
+        MockController(sessions.registry, sessions.procedure, sessions.oracle, loop=loop)
+        as controller,
+        InterceptProxy(
+            InterceptConfig(
+                "127.0.0.1", 0, *controller.endpoint, target_type=sessions.schema.type_name
+            ),
+            sessions.registry,
+            loop=loop,
+        ) as proxy,
+    ):
+        share = _Share(sessions, proxy, loop, in_flight, iteration, indices, plans)
+        loop.run(share.advance)
+    return share.rows, min(share.failures, key=itemgetter(0), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -429,85 +450,82 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     stop_reason = "iterations"
 
     # one share of each iteration's rows per process (share 0 is the
-    # caller's), and config.workers session threads dealt between them
+    # caller's), and config.workers rows in flight dealt between them
     sessions = _Sessions(registry, procedure, oracle, schema, config.seed)
     shares = min(config.workers, pool.processes(), config.n)
-    threads = [config.workers // shares + (s < config.workers % shares) for s in range(shares)]
-    with sessions.scope(threads[0]) as (proxy, executor):
-        iteration = 0
-        while config.iterations is None or iteration < config.iterations:
-            iteration += 1
-            plans, fuzz_mode, clamp = build_iteration_plans(
-                config, schema, dataset, ruleset, iteration, mutation_rate
-            )
-            dealt = [(range(len(plans))[s::shares], plans[s::shares]) for s in range(shares)]
-            jobs = [(partial(_run_rows, sessions, proxy, executor, iteration), dealt[0])]
-            jobs += [
-                (_run_share, (sessions, threads[s], iteration, *dealt[s]))
-                for s in range(1, shares)
-            ]
-            replies = pool.run(jobs)
-            failures = [failure for _, failure in replies if failure is not None]
-            if failures:  # the lowest failed row is the one reported
-                raise min(failures, key=itemgetter(0))[1]
-            results = sorted((row for rows, _ in replies for row in rows), key=itemgetter(0))
-            start_row = len(dataset)
-            presence = 0
-            for _, values, label in results:
-                dataset.append(values, label, iteration=iteration)
-                presence += int(label == PRESENCE)
+    in_flight = [config.workers // shares + (s < config.workers % shares) for s in range(shares)]
+    iteration = 0
+    while config.iterations is None or iteration < config.iterations:
+        iteration += 1
+        plans, fuzz_mode, clamp = build_iteration_plans(
+            config, schema, dataset, ruleset, iteration, mutation_rate
+        )
+        replies = pool.run([
+            (_run_share, (sessions, in_flight[s], iteration, range(len(plans))[s::shares],
+                          plans[s::shares]))
+            for s in range(shares)
+        ])
+        failures = [failure for _, failure in replies if failure is not None]
+        if failures:  # the lowest failed row is the one reported
+            raise min(failures, key=itemgetter(0))[1]
+        results = sorted((row for rows, _ in replies for row in rows), key=itemgetter(0))
+        start_row = len(dataset)
+        presence = 0
+        for _, values, label in results:
+            dataset.append(values, label, iteration=iteration)
+            presence += int(label == PRESENCE)
 
-            ruleset = learn(dataset, params)
-            precision, recall = progress(
-                dataset, k=config.cv_folds, params=params, seed=config.seed
+        ruleset = learn(dataset, params)
+        precision, recall = progress(
+            dataset, k=config.cv_folds, params=params, seed=config.seed
+        )
+        history.append((precision, recall))
+        counts = dataset.class_counts()
+        records.append(
+            IterationRecord(
+                iteration=iteration,
+                fuzz_mode=fuzz_mode,
+                rows=len(results),
+                presence=presence,
+                absence=len(results) - presence,
+                cumulative_presence=counts[PRESENCE],
+                cumulative_absence=len(dataset) - counts[PRESENCE],
+                precision=precision,
+                recall=recall,
+                rule_count=len(ruleset.minority_rules),
+                clamp=clamp,
             )
-            history.append((precision, recall))
-            counts = dataset.class_counts()
-            records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    fuzz_mode=fuzz_mode,
-                    rows=len(results),
-                    presence=presence,
-                    absence=len(results) - presence,
-                    cumulative_presence=counts[PRESENCE],
-                    cumulative_absence=len(dataset) - counts[PRESENCE],
-                    precision=precision,
-                    recall=recall,
-                    rule_count=len(ruleset.minority_rules),
-                    clamp=clamp,
-                )
-            )
-            log.info(
-                "iteration %d (%s): +%d rows, %d presence, P=%.3f R=%.3f, %d rules",
-                iteration, fuzz_mode, len(results), presence,
-                precision, recall, len(ruleset.minority_rules),
-            )
+        )
+        log.info(
+            "iteration %d (%s): +%d rows, %d presence, P=%.3f R=%.3f, %d rules",
+            iteration, fuzz_mode, len(results), presence,
+            precision, recall, len(ruleset.minority_rules),
+        )
 
-            try:
-                dataset.append_csv(out / "dataset.csv", start=start_row)
-            except OSError as exc:
-                raise PersistenceFailureError(f"dataset.csv: {exc}") from exc
-            _write_text(
-                out / "rulesets" / f"iter_{iteration:03d}.txt",
-                _ruleset_text(ruleset, config.message_type),
-            )
-            _write_json(
-                out / "plans" / f"iter_{iteration:03d}.json",
-                [_plan_entry(j, p) for j, p in enumerate(plans)],
-            )
+        try:
+            dataset.append_csv(out / "dataset.csv", start=start_row)
+        except OSError as exc:
+            raise PersistenceFailureError(f"dataset.csv: {exc}") from exc
+        _write_text(
+            out / "rulesets" / f"iter_{iteration:03d}.txt",
+            _ruleset_text(ruleset, config.message_type),
+        )
+        _write_json(
+            out / "plans" / f"iter_{iteration:03d}.json",
+            [_plan_entry(j, p) for j, p in enumerate(plans)],
+        )
 
-            stop, reason = should_stop(
-                history,
-                clock,
-                epsilon=config.plateau_epsilon,
-                window=config.plateau_window,
-                precision_target=config.precision_target,
-                recall_target=config.recall_target,
-            )
-            if stop:
-                stop_reason = reason or "stopped"
-                break
+        stop, reason = should_stop(
+            history,
+            clock,
+            epsilon=config.plateau_epsilon,
+            window=config.plateau_window,
+            precision_target=config.precision_target,
+            recall_target=config.recall_target,
+        )
+        if stop:
+            stop_reason = reason or "stopped"
+            break
 
     _write_text(out / "ruleset.txt", _ruleset_text(ruleset, config.message_type))
     report_doc = {

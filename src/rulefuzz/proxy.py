@@ -1,12 +1,14 @@
 """Transparent TCP intercept proxy for control channels.
 
-TcpServer is the package's one socket server: one thread runs a
-`selectors` loop over its listener and the non-blocking sockets of every
-live session (the Reactor pattern).  The proxy and the mock controller
-in `sut` are both built on it.  Every session socket sets TCP_NODELAY:
-the lock-step exchanges of a control channel send small messages and
-wait for the reply, so with Nagle's algorithm each one would wait out
-the peer's delayed ACK.
+Loop is the package's one event loop: a `selectors` loop over listeners
+and the non-blocking sockets of every live session (the Reactor
+pattern).  TcpServer, the one socket server, accepts onto a loop: one
+of its own that start() serves on a thread, or one it shares with the
+other roles of its sessions, served inline by whoever runs it.  The
+proxy and the mock controller in `sut` are both built on it.  Every
+session socket sets TCP_NODELAY: the lock-step exchanges of a control
+channel send small messages and wait for the reply, so with Nagle's
+algorithm each one would wait out the peer's delayed ACK.
 
 The proxy sits as an explicit man-in-the-middle between a switch-side
 client and an upstream controller.  Both directions are relayed byte for
@@ -23,12 +25,14 @@ the session ends.  Every socket has its own output buffer, and a leg
 whose destination still holds unsent bytes stops reading until they
 drain, so a peer that stops reading stalls only its own session.
 
-One accepted connection is one independent session.  Hooks pair with
-connections only through reserve(): it queues the hook and serializes
-the register-then-connect step, so accept order matches queue order.  A
-connect that fails inside reserve() retracts its hook, so it cannot be
-handed to a later session.  A session with no queued hook is relayed
-untouched.
+One accepted connection is one independent session.  A client on the
+proxy's own loop pairs its hook with its connection by address through
+expect(), so pairing does not depend on accept order.  A client on
+another thread pairs through reserve(): it queues the hook and
+serializes the register-then-connect step, so accept order matches
+queue order, and a connect that fails inside reserve() retracts its
+hook, so it cannot be handed to a later session.  A session with no
+hook is relayed untouched.
 """
 from __future__ import annotations
 
@@ -138,6 +142,24 @@ class Connection:
             selector.modify(self.sock, events, session)
         self.events = events
 
+    def connect(
+        self, selector: selectors.BaseSelector, session: Session, address: tuple[str, int]
+    ) -> None:
+        """Start a non-blocking connect, watched for the write that ends it; OSError if it fails."""
+        sock = self.sock
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        err = sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS):
+            raise OSError(err, os.strerror(err))
+        selector.register(sock, selectors.EVENT_WRITE, session)
+        self.events = selectors.EVENT_WRITE
+
+    def connect_error(self) -> OSError | None:
+        """Once the socket is writable: why its connect failed, or None."""
+        err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        return OSError(err, os.strerror(err)) if err else None
+
     def recv(self) -> bytes | None:
         """What the peer sent: None if nothing is there, b"" at EOF or on error."""
         try:
@@ -177,7 +199,7 @@ class Connection:
 
 
 class Session:
-    """One accepted connection's state on a TcpServer loop.
+    """One connection's state on a Loop.
 
     The loop calls ready() when a socket of the session is ready for the
     events the session watches it for, and expire() once `deadline` (a
@@ -202,19 +224,81 @@ class Session:
         self.conn.close(self.selector)
 
 
-class TcpServer:
-    """TCP server whose one thread serves every live session.
+class Loop:
+    """A `selectors` loop over listeners and live sessions (the Reactor).
 
-    The listener is bound on construction, so `endpoint` is valid before
-    start().  start() starts the loop thread, which accepts connections,
-    asks open() for each one's Session, in accept order, and dispatches
-    socket events and deadlines to the live sessions.  A session leaves
-    the live set when it closes, so state does not grow with session
-    count.  stop() closes the listener at once and gives live sessions
-    _STOP_GRACE seconds to finish before it closes them.
+    Every role of a session can run on one loop: the TcpServers whose
+    listeners it watches accept onto it, and a client adds its own
+    sessions with add().  The thread that calls run() serves them all.
+    A session leaves the live set when it closes, so state does not grow
+    with session count.  close() closes every live session.
     """
 
-    def __init__(self, host: str, port: int):
+    def __init__(self) -> None:
+        self.selector = selectors.DefaultSelector()
+        self.sessions: set[Session] = set()
+
+    def add(self, session: Session) -> None:
+        if not session.closed:
+            self.sessions.add(session)
+
+    def run(self, step: Callable[[], bool], deadline: float | None = None) -> None:
+        """Serve until step(), called before every wait, returns True, or `deadline` passes."""
+        sessions = self.sessions
+        while not step():
+            deadlines = [s.deadline for s in sessions if s.deadline is not None]
+            if deadline is not None:
+                deadlines.append(deadline)
+            timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+            for key, events in self.selector.select(timeout):
+                handler = key.data
+                if isinstance(handler, TcpServer):
+                    handler._accept()
+                elif handler in sessions:  # not closed earlier in this batch
+                    self._call(handler.ready, handler, key.fileobj, events)
+            now = time.monotonic()
+            for session in [s for s in sessions if s.deadline is not None and s.deadline <= now]:
+                self._call(session.expire, session)
+            if deadline is not None and now >= deadline:
+                return
+
+    def _call(self, step: Callable, session: Session, *args: object) -> None:
+        """Run one session step; a step that raises closes its session only."""
+        try:
+            step(*args)
+        except Exception:
+            log.exception("session step failed")
+            session.close()
+        if session.closed:
+            self.sessions.discard(session)
+
+    def close(self) -> None:
+        for session in list(self.sessions):
+            session.close()
+        self.sessions.clear()
+        self.selector.close()
+
+    def __enter__(self) -> Loop:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+
+class TcpServer:
+    """TCP server whose sessions run on a Loop.
+
+    The listener is bound on construction, so `endpoint` is valid before
+    start().  Each accepted connection gets its Session from open(), in
+    accept order.  A server made without a loop has one of its own, and
+    start() serves it on one new thread; stop() then closes the listener
+    at once and gives live sessions _STOP_GRACE seconds to finish before
+    it closes them.  A server made on a shared `loop` is served by the
+    thread that runs that loop; stop() closes its listener only, and the
+    loop's owner closes what is still live.
+    """
+
+    def __init__(self, host: str, port: int, loop: Loop | None = None):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -225,9 +309,11 @@ class TcpServer:
             listener.close()
             raise
         self._listener = listener
-        self._selector = selectors.DefaultSelector()
+        self._owns_loop = loop is None
+        self._loop = Loop() if loop is None else loop
+        self._loop.selector.register(listener, selectors.EVENT_READ, self)
+        self._sessions = self._loop.sessions  # the live sessions of its loop
         self._accept_thread: threading.Thread | None = None
-        self._sessions: set[Session] = set()
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -235,91 +321,66 @@ class TcpServer:
         return host, port
 
     def start(self) -> None:
-        self._selector.register(self._listener, selectors.EVENT_READ)
-        self._accept_thread = threading.Thread(target=self._loop, daemon=True)
+        """Serve this server's own loop on a new thread."""
+        self._accept_thread = threading.Thread(target=self._serve, daemon=True)
         self._accept_thread.start()
 
     def stop(self) -> None:
-        # the shutdown wakes the loop, and only the loop closes the listener
-        with contextlib.suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)
-        if self._accept_thread is None:
-            self._listener.close()
-            self._selector.close()
-        else:
+        if self._accept_thread is not None:
+            # the shutdown wakes the loop, and only the loop closes the listener
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
             self._accept_thread.join(timeout=_STOP_GRACE + 1)
+            return
+        if self._listener.fileno() >= 0:
+            self._loop.selector.unregister(self._listener)
+            self._listener.close()
+        if self._owns_loop:
+            self._loop.close()
 
     def __enter__(self):
-        self.start()
+        if self._owns_loop:
+            self.start()
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
 
-    def open(self, sock: socket.socket) -> Session:
-        """The session of a newly accepted non-blocking socket."""
+    def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
+        """The session of a newly accepted non-blocking socket from address `peer`."""
         raise NotImplementedError
 
-    def _loop(self) -> None:
-        sessions = self._sessions
-        grace_end = None
+    def _serve(self) -> None:
+        loop = self._loop
         try:
-            while grace_end is None or (sessions and time.monotonic() < grace_end):
-                deadlines = [s.deadline for s in sessions if s.deadline is not None]
-                if grace_end is not None:
-                    deadlines.append(grace_end)
-                timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-                for key, events in self._selector.select(timeout):
-                    session = key.data
-                    if session is None:
-                        if not self._accept():
-                            grace_end = time.monotonic() + _STOP_GRACE
-                    elif session in sessions:  # not closed earlier in this batch
-                        self._call(session.ready, session, key.fileobj, events)
-                now = time.monotonic()
-                for session in [s for s in sessions if s.deadline is not None and s.deadline <= now]:
-                    self._call(session.expire, session)
+            loop.run(lambda: self._listener.fileno() < 0)
+            loop.run(lambda: not loop.sessions, time.monotonic() + _STOP_GRACE)
         finally:
-            for session in sessions:
-                session.close()
-            sessions.clear()
-            self._listener.close()
-            self._selector.close()
+            loop.close()
 
-    def _accept(self) -> bool:
-        """Accept one connection; False once stop() has shut the listener down."""
-        try:
-            sock, _ = self._listener.accept()
-        except BlockingIOError:
-            return True
-        except OSError as exc:
-            if exc.errno != errno.EINVAL:
-                log.warning("accept failed: %s", exc)
-                return True
-            self._selector.unregister(self._listener)
-            self._listener.close()
-            return False
-        try:
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            session = self.open(sock)
-        except Exception:
-            log.exception("session failed to open")
-            sock.close()
-            return True
-        if not session.closed:
-            self._sessions.add(session)
-        return True
-
-    def _call(self, step: Callable, session: Session, *args: object) -> None:
-        """Run one session step; a step that raises closes its session only."""
-        try:
-            step(*args)
-        except Exception:
-            log.exception("session step failed")
-            session.close()
-        if session.closed:
-            self._sessions.discard(session)
+    def _accept(self) -> None:
+        """Accept every pending connection; close the listener once stop() has shut it down."""
+        while True:
+            try:
+                sock, peer = self._listener.accept()
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                if exc.errno == errno.EINVAL:
+                    self._loop.selector.unregister(self._listener)
+                    self._listener.close()
+                else:
+                    log.warning("accept failed: %s", exc)
+                return
+            try:
+                sock.setblocking(False)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                session = self.open(sock, peer)
+            except Exception:
+                log.exception("session failed to open")
+                sock.close()
+                continue
+            self._loop.add(session)
 
 
 class _Leg:
@@ -352,18 +413,11 @@ class _ProxySession(Session):
         self._legs = (_Leg(self.conn, self.upstream, _C2U), _Leg(self.upstream, self.conn, _U2C))
         # the client's bytes wait in the kernel until upstream is reached
         self._connecting = True
-        sock = self.upstream.sock
         try:
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            err = sock.connect_ex(upstream)
-            if err not in (0, errno.EINPROGRESS):
-                raise OSError(err, os.strerror(err))
+            self.upstream.connect(selector, self, upstream)
         except OSError as exc:
             self._unreachable(exc)
             return
-        selector.register(sock, selectors.EVENT_WRITE, self)
-        self.upstream.events = selectors.EVENT_WRITE
         self.deadline = time.monotonic() + _CONNECT_TIMEOUT
 
     def _unreachable(self, why: object) -> None:
@@ -373,9 +427,9 @@ class _ProxySession(Session):
 
     def ready(self, sock: socket.socket, events: int) -> None:
         if self._connecting:
-            err = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            if err:
-                self._unreachable(OSError(err, os.strerror(err)))
+            failed = self.upstream.connect_error()
+            if failed:
+                self._unreachable(failed)
                 return
             self._connecting = False
         else:
@@ -486,22 +540,26 @@ class _ProxySession(Session):
 class InterceptProxy(TcpServer):
     """Long-running proxy serving one session per accepted connection."""
 
-    def __init__(self, config: InterceptConfig, registry: SchemaRegistry):
+    def __init__(
+        self, config: InterceptConfig, registry: SchemaRegistry, loop: Loop | None = None
+    ):
         self._target_code = registry.by_name(config.target_type).header_type_code
         self.config = config
         self.records: list[SessionRecord] = []
         self._hooks: collections.deque[Hook] = collections.deque()
         self._hooks_lock = threading.Lock()
         self._reserve_lock = threading.Lock()
-        super().__init__(config.listen_host, config.listen_port)
+        self._expected: dict[tuple[str, int], Hook] = {}
+        super().__init__(config.listen_host, config.listen_port, loop)
 
     @contextlib.contextmanager
     def reserve(self, hook: Hook) -> Iterator[tuple[str, int]]:
         """Pair `hook` with the connection made inside the with block.
 
-        Connect attempts are serialized so that kernel accept order (FIFO
-        over completed handshakes) matches hook queue order.  If the block
-        raises before the loop took the hook, the hook is retracted.
+        For clients on other threads.  Connect attempts are serialized so
+        that kernel accept order (FIFO over completed handshakes) matches
+        hook queue order.  If the block raises before the loop took the
+        hook, the hook is retracted.
         """
         with self._reserve_lock:
             with self._hooks_lock:
@@ -515,10 +573,27 @@ class InterceptProxy(TcpServer):
                         self._hooks.pop()
                 raise
 
-    def open(self, sock: socket.socket) -> Session:
-        with self._hooks_lock:
-            hook = self._hooks.popleft() if self._hooks else None
+    def expect(self, client: tuple[str, int], hook: Hook) -> None:
+        """Pair `hook` with the connection from address `client`.
+
+        For a client on the proxy's own loop: it calls this once its
+        connect has started and before the loop runs again, so the loop
+        cannot accept the connection first, and the pairing does not
+        depend on the order connections are accepted in.  The pairing
+        lasts until the connection is accepted or forget() drops it.
+        """
+        self._expected[client] = hook
+
+    def forget(self, client: tuple[str, int]) -> None:
+        """Drop the pairing of a connection that was never accepted."""
+        self._expected.pop(client, None)
+
+    def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
+        hook = self._expected.pop(peer, None)
+        if hook is None:
+            with self._hooks_lock:
+                hook = self._hooks.popleft() if self._hooks else None
         record = SessionRecord(session_id=len(self.records) + 1)
         self.records.append(record)
         upstream = (self.config.upstream_host, self.config.upstream_port)
-        return _ProxySession(self._selector, sock, upstream, self._target_code, hook, record)
+        return _ProxySession(self._loop.selector, sock, upstream, self._target_code, hook, record)

@@ -13,12 +13,14 @@ A procedure is a tuple of steps, one message each.  Its target step is
 the slot the proxy fuzzes and the one whose receiver checks the oracle.
 One procedure player serves both roles: `Player` is the step loop with
 no I/O of its own, which sends the steps of its role, reads the peer's,
-and enacts the failure when it receives a target that matches.  The
-switch driver runs it over a blocking socket.  The mock controller is a
-`proxy.TcpServer` that runs one player per accepted connection on the
-server's loop thread.  The controller waits at most `proxy.STEP_TIMEOUT`
-for each step of its peer, and so does the switch driver unless
-`connect_sut` is given another timeout.
+and enacts the failure when it receives a target that matches.  On a
+`proxy.Loop` it runs as a `PlayerSession`: the mock controller, a
+`proxy.TcpServer`, runs one per accepted connection, and the switch
+driver `SwitchSession` dials its peer without blocking, so every role of
+a session can share one loop.  `run_procedure_on` runs the switch half
+over a blocking socket instead, and reports the same `RunOutcome`.
+Each step waits at most `proxy.STEP_TIMEOUT` for the peer, on either
+driver unless `connect_sut` is given another timeout.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -31,17 +33,18 @@ import selectors
 import socket
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from random import Random
-from typing import Mapping
+from typing import Callable, Mapping
 
 import yaml
 
 from . import proxy
 from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, decode_as, encode
 from .dataset import ABSENCE, PRESENCE
-from .proxy import _RECV_CHUNK, Session, TcpServer
+from .proxy import _RECV_CHUNK, Loop, Session, TcpServer
 from .rules import Condition, parse_condition
 from .sampler import evaluate
 
@@ -191,6 +194,12 @@ def default_message(schema: MessageSchema) -> ControlMessage:
     return ControlMessage(schema, values)
 
 
+@lru_cache(maxsize=None)
+def default_frame(schema: MessageSchema) -> bytes:
+    """The wire bytes of default_message(schema), encoded once per schema."""
+    return encode(default_message(schema))
+
+
 # ---------------------------------------------------------------------------
 # Procedures
 # ---------------------------------------------------------------------------
@@ -298,7 +307,7 @@ class Player:
             step = self._steps[self._next]
             schema = self._registry.by_name(step.message)
             if step.sender == self._role:
-                out += encode(default_message(schema))
+                out += default_frame(schema)
                 self._next += 1
                 continue
             flood_code = self._flood.header_type_code
@@ -321,23 +330,35 @@ class Player:
                 if self._oracle.failure_mode == "switch_disconnect":
                     obs["closed_early"] = True
                     break
-                out += encode(default_message(self._flood)) * STORM_FRAMES
+                out += default_frame(self._flood) * STORM_FRAMES
                 obs["flood_count"] += STORM_FRAMES
         self.done = True
         return bytes(out)
 
 
 # ---------------------------------------------------------------------------
-# Mock controller
+# Procedure sessions on a loop
 # ---------------------------------------------------------------------------
 
-class _ControllerSession(Session):
-    """The controller half of one procedure, played on the server's loop."""
+class PlayerSession(Session):
+    """One role of a procedure played on a proxy.Loop.
 
-    def __init__(self, selector, sock: socket.socket, player: Player):
+    Each step waits at most `proxy.STEP_TIMEOUT` for the peer.  The
+    session ends once the player is done and its output has left, or
+    when the peer fails it, with what run_procedure_on would report: a
+    failed send reads as the peer closing early, a failed read (a reset)
+    also sets `outcome.error`, and a step that times out sets it to
+    "timeout".
+    """
+
+    def __init__(self, selector: selectors.BaseSelector, sock: socket.socket, player: Player):
         super().__init__(selector, sock)
         self._player = player
-        self._play(player.start())
+        self.outcome = player.outcome
+
+    def begin(self) -> None:
+        """Send what the role sends before its first read."""
+        self._play(self._player.start())
 
     def ready(self, sock: socket.socket, events: int) -> None:
         out = b""
@@ -345,21 +366,34 @@ class _ControllerSession(Session):
             try:
                 self.conn.flush()
             except OSError:
-                self.close()
+                self._end(None)
                 return
         if events & selectors.EVENT_READ:
-            data = self.conn.recv()
-            if data is None:
+            try:
+                out = self._player.receive(sock.recv(_RECV_CHUNK))
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                self._end(str(exc))
                 return
-            out = self._player.receive(data)
         self._play(out)
+
+    def expire(self) -> None:
+        self.outcome.error = "timeout"
+        self.close()
+
+    def _end(self, error: str | None) -> None:
+        """The peer failed the session: it closed early, with `error` if the read failed."""
+        self.outcome.observations["closed_early"] = True
+        self.outcome.error = error
+        self.close()
 
     def _play(self, out: bytes) -> None:
         try:
             if out:
                 self.conn.send(out)
         except OSError:
-            self.close()
+            self._end(None)
             return
         if self._player.done and not self.conn.out:
             self.close()
@@ -368,6 +402,71 @@ class _ControllerSession(Session):
         # each step waits at most STEP_TIMEOUT for the peer
         self.deadline = time.monotonic() + proxy.STEP_TIMEOUT
 
+
+class SwitchSession(PlayerSession):
+    """The switch half of a procedure, dialled without blocking on a loop.
+
+    The loop counterpart of connect_sut and run_procedure_on: the connect
+    gets `proxy.STEP_TIMEOUT` too.  If it fails, `unreachable` says why
+    and the session closes.  `address` is the local address the connect
+    was made from, and on_close(session) runs once the session closes.
+    """
+
+    def __init__(
+        self,
+        selector: selectors.BaseSelector,
+        endpoint: tuple[str, int],
+        procedure: tuple[Step, ...],
+        registry: SchemaRegistry,
+        oracle: FailureOracle | None,
+        on_close: Callable[[SwitchSession], None],
+    ):
+        super().__init__(
+            selector, socket.socket(socket.AF_INET, socket.SOCK_STREAM),
+            Player(procedure, registry, oracle, SWITCH),
+        )
+        self._endpoint, self._on_close = endpoint, on_close
+        self.unreachable: str | None = None
+        self.address: tuple[str, int] | None = None
+        self._connecting = True
+        try:
+            self.conn.connect(selector, self, endpoint)
+            self.address = self.conn.sock.getsockname()[:2]
+        except OSError as exc:
+            self._unreachable(exc)
+            return
+        self.deadline = time.monotonic() + proxy.STEP_TIMEOUT
+
+    def _unreachable(self, why: object) -> None:
+        self.unreachable = f"connect to {self._endpoint}: {why}"
+        self.close()
+
+    def ready(self, sock: socket.socket, events: int) -> None:
+        if not self._connecting:
+            super().ready(sock, events)
+            return
+        failed = self.conn.connect_error()
+        if failed:
+            self._unreachable(failed)
+            return
+        self._connecting = False
+        self.begin()
+
+    def expire(self) -> None:
+        if self._connecting:
+            self._unreachable("timed out")
+        else:
+            super().expire()
+
+    def close(self) -> None:
+        if not self.closed:
+            super().close()
+            self._on_close(self)
+
+
+# ---------------------------------------------------------------------------
+# Mock controller
+# ---------------------------------------------------------------------------
 
 class MockController(TcpServer):
     """Scripted controller bound to a local port, one session per connection."""
@@ -379,15 +478,18 @@ class MockController(TcpServer):
         oracle: FailureOracle | None,
         host: str = "127.0.0.1",
         port: int = 0,
+        loop: Loop | None = None,
     ):
         self._registry = registry
         self._procedure = procedure
         self._oracle = oracle
-        super().__init__(host, port)
+        super().__init__(host, port, loop)
 
-    def open(self, sock: socket.socket) -> Session:
+    def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
         player = Player(self._procedure, self._registry, self._oracle, CONTROLLER)
-        return _ControllerSession(self._selector, sock, player)
+        session = PlayerSession(self._loop.selector, sock, player)
+        session.begin()
+        return session
 
 
 # ---------------------------------------------------------------------------

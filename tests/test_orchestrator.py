@@ -15,6 +15,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from dataclasses import replace
@@ -313,18 +314,39 @@ def run_faulty_campaign(tmp_path, calls):
         assert row[-1] == ("presence" if EASY_ORACLE.matches(values) else "absence")
 
 
+def fail_switch_connects(monkeypatch, fails):
+    """Refuse the k-th switch connect to the campaign's live proxy whenever fails(k).
+
+    Returns the counter of those connects.  Sessions run in this process
+    only (one_cpu), one share at a time, so the live proxy is the last
+    one built.
+    """
+    live = []
+    real_proxy = orchestrator.InterceptProxy
+
+    def recording_proxy(*args, **kwargs):
+        proxy = real_proxy(*args, **kwargs)
+        live[:] = [proxy.endpoint]
+        return proxy
+
+    real_connect_ex = socket.socket.connect_ex
+    calls = itertools.count()
+
+    def flaky_connect_ex(sock, address):
+        # the switch dials the proxy; the proxy dials the controller
+        if tuple(address) in live and fails(next(calls)):
+            return errno.ECONNREFUSED
+        return real_connect_ex(sock, address)
+
+    monkeypatch.setattr(orchestrator, "InterceptProxy", recording_proxy)
+    monkeypatch.setattr(socket.socket, "connect_ex", flaky_connect_ex)
+    return calls
+
+
 def test_failed_connect_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     # one injected connect failure mid-campaign: the run is retried, and
     # every row still carries the label of the session that ran its plan
-    real_connect = orchestrator.connect_sut
-    calls = itertools.count()
-
-    def flaky_connect(endpoint):
-        if next(calls) == 2:
-            raise SutUnavailableError("injected connect failure")
-        return real_connect(endpoint)
-
-    monkeypatch.setattr(orchestrator, "connect_sut", flaky_connect)
+    calls = fail_switch_connects(monkeypatch, lambda k: k == 2)
     run_faulty_campaign(tmp_path, calls)
 
 
@@ -348,9 +370,9 @@ def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     upstreams = []
     real_proxy = orchestrator.InterceptProxy
 
-    def recording_proxy(config, registry):
+    def recording_proxy(config, *args, **kwargs):
         upstreams.append((config.upstream_host, config.upstream_port))
-        return real_proxy(config, registry)
+        return real_proxy(config, *args, **kwargs)
 
     real_connect_ex = socket.socket.connect_ex
     calls = itertools.count()
@@ -370,19 +392,25 @@ def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu)
     # the first session whose row is presence reports a timeout after its
     # hook fired, with what a switch that timed out saw (no close, no
     # flood, no ack), which reads as absence; its plan must run again
-    real_run = orchestrator.run_procedure_on
     calls = itertools.count()
     presence_calls = itertools.count()
 
-    def flaky_run(*args, **kwargs):
-        next(calls)
-        outcome = real_run(*args, **kwargs)
-        if detect(outcome.observations) == PRESENCE and next(presence_calls) == 0:
-            quiet = {"closed_early": False, "ping_ok": False, "flood_count": 0}
-            return RunOutcome(observations=quiet, error="timeout")
-        return outcome
+    class FlakySwitch(orchestrator.SwitchSession):
+        def __init__(self, *args, **kwargs):
+            next(calls)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(orchestrator, "run_procedure_on", flaky_run)
+        def close(self):
+            if (
+                not self.closed
+                and detect(self.outcome.observations) == PRESENCE
+                and next(presence_calls) == 0
+            ):
+                quiet = {"closed_early": False, "ping_ok": False, "flood_count": 0}
+                self.outcome = RunOutcome(observations=quiet, error="timeout")
+            super().close()
+
+    monkeypatch.setattr(orchestrator, "SwitchSession", FlakySwitch)
     run_faulty_campaign(tmp_path, calls)
 
 
@@ -402,8 +430,10 @@ def record_constructions(monkeypatch, *names):
 
 
 def assert_stopped(server):
+    # a campaign's servers run on their share's loop, which is closed
     assert server._listener.fileno() == -1
-    assert not server._accept_thread.is_alive()
+    assert server._accept_thread is None
+    assert not server._sessions and server._loop.selector.get_map() is None
 
 
 def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
@@ -412,18 +442,16 @@ def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
     # every connect after iteration 1's sessions fails: the campaign stops
     # on the first row of iteration 2 and keeps iteration 1's artifacts
     config = small_config(tmp_path, n=40, workers=4, oracle=EASY_ORACLE)
-    real_connect = orchestrator.connect_sut
-    calls = itertools.count()
 
-    def failing_connect(endpoint):
-        if next(calls) >= config.n:
+    def failing(k):
+        if k >= config.n:
             time.sleep(0.05)
-            raise SutUnavailableError("injected connect failure")
-        return real_connect(endpoint)
+            return True
+        return False
 
-    monkeypatch.setattr(orchestrator, "connect_sut", failing_connect)
+    calls = fail_switch_connects(monkeypatch, failing)
     servers = record_constructions(monkeypatch, "MockController", "InterceptProxy")
-    # results are read in row order, so run 0 is the failure reported
+    # rows start in order, so run 0 is the failure reported
     with pytest.raises(SutUnavailableError, match="iteration 2 run 0 failed 3 times"):
         run_campaign(config)
     # the failed row cancels the rows not yet started: only the rows that
@@ -436,7 +464,8 @@ def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
     assert (out / "rulesets" / "iter_001.txt").is_file()
     assert not (out / "rulesets" / "iter_002.txt").exists()
     assert not (out / "report.json").exists()
-    assert len(servers) == 2
+    # a controller and a proxy for each iteration's one share
+    assert len(servers) == 4
     for server in servers:
         assert_stopped(server)
 
@@ -448,7 +477,7 @@ def test_killed_pool_worker_fails_the_campaign_after_its_last_whole_iteration(
     # once the caller's share is running, so it dies with its share unrun.
     cpus(2)
     config = small_config(tmp_path, n=40, workers=2, oracle=EASY_ORACLE)
-    real_plans, real_run_one = orchestrator.build_iteration_plans, orchestrator._run_one
+    real_plans, real_switch = orchestrator.build_iteration_plans, orchestrator.SwitchSession
     killed = []
 
     def stopping_plans(*args):
@@ -458,13 +487,15 @@ def test_killed_pool_worker_fails_the_campaign_after_its_last_whole_iteration(
             killed.append(worker)
         return real_plans(*args)
 
-    def killing_run_one(proxy, sessions, iteration, index, fuzz_plan):
-        if iteration == 2 and index == 0:
+    def killing_switch(*args, **kwargs):
+        # the first session of iteration 2 in the caller, before any other
+        if len(killed) == 1:
             os.kill(killed[0].pid, signal.SIGKILL)
-        return real_run_one(proxy, sessions, iteration, index, fuzz_plan)
+            killed.append(None)
+        return real_switch(*args, **kwargs)
 
     monkeypatch.setattr(orchestrator, "build_iteration_plans", stopping_plans)
-    monkeypatch.setattr(orchestrator, "_run_one", killing_run_one)
+    monkeypatch.setattr(orchestrator, "SwitchSession", killing_switch)
     servers = record_constructions(monkeypatch, "MockController", "InterceptProxy")
     with pytest.raises(RuntimeError, match="exited with code -9") as failed:
         run_campaign(config)
@@ -477,12 +508,13 @@ def test_killed_pool_worker_fails_the_campaign_after_its_last_whole_iteration(
     assert (out / "rulesets" / "iter_001.txt").is_file()
     assert not (out / "rulesets" / "iter_002.txt").exists()
     assert not (out / "report.json").exists()
-    assert len(servers) == 2
+    # the caller's share of each iteration had a controller and a proxy
+    assert len(servers) == 4
     for server in servers:
         assert_stopped(server)
     # the next campaign starts a fresh worker
     monkeypatch.setattr(orchestrator, "build_iteration_plans", real_plans)
-    monkeypatch.setattr(orchestrator, "_run_one", real_run_one)
+    monkeypatch.setattr(orchestrator, "SwitchSession", real_switch)
     again = run_campaign(replace(config, out_dir=tmp_path / "again"))
     assert len(again.dataset) == config.n * config.iterations
     [fresh] = pool._workers
@@ -556,7 +588,7 @@ def test_ctrl_c_during_an_iteration_returns_promptly_and_kills_the_workers(tmp_p
 def test_failed_proxy_construction_stops_the_controller(tmp_path, monkeypatch):
     controllers = record_constructions(monkeypatch, "MockController")
 
-    def broken_proxy(config, registry):
+    def broken_proxy(*args, **kwargs):
         raise OSError("injected bind failure")
 
     monkeypatch.setattr(orchestrator, "InterceptProxy", broken_proxy)
@@ -566,11 +598,41 @@ def test_failed_proxy_construction_stops_the_controller(tmp_path, monkeypatch):
     assert_stopped(controllers[0])
 
 
-def test_every_iteration_runs_on_one_session_pool(tmp_path, monkeypatch):
-    pools = record_constructions(monkeypatch, "ThreadPoolExecutor")
+def test_a_campaign_starts_no_thread(tmp_path, monkeypatch):
+    # every role of every session runs on its share's loop, in the thread
+    # that runs the share: the caller's for share 0
+    before = threading.active_count()
+    seen = []
+    real_call = PlannedHook.__call__
+
+    def counting_call(self, frame):
+        seen.append(threading.active_count())
+        return real_call(self, frame)
+
+    monkeypatch.setattr(PlannedHook, "__call__", counting_call)
     report = run_campaign(small_config(tmp_path, iterations=3))
     assert len(report.iterations) == 3
-    assert len(pools) == 1
+    assert seen and set(seen) == {before}
+
+
+def test_many_sessions_in_flight_on_one_loop(tmp_path, one_cpu):
+    # more rows in flight than the listeners' backlog of 128: every hook
+    # must still reach the session of its own row
+    config = small_config(tmp_path, n=300, iterations=1, workers=256, oracle=EASY_ORACLE)
+    start = time.perf_counter()
+    report = run_campaign(config)
+    # a connect whose handshake meets a full accept queue is only retried
+    # after a second; this campaign takes about 0.15 s
+    assert time.perf_counter() - start < 1
+    rows = read_rows(report.out_dir / "dataset.csv")
+    assert len(rows) - 1 == config.n
+    names = rows[0][1:-1]
+    for row in rows[1:]:
+        values = {name: int(cell) for name, cell in zip(names, row[1:-1])}
+        assert row[-1] == ("presence" if EASY_ORACLE.matches(values) else "absence")
+    one = run_campaign(replace(config, out_dir=tmp_path / "one", workers=1))
+    for name in ("dataset.csv", "ruleset.txt", "report.json"):
+        assert (report.out_dir / name).read_bytes() == (one.out_dir / name).read_bytes()
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):

@@ -18,6 +18,7 @@ from rulefuzz.proxy import (
     InterceptConfig,
     InterceptProxy,
     LengthFieldInvalidError,
+    Loop,
     StreamSegmenter,
 )
 from rulefuzz.sut import (
@@ -391,6 +392,40 @@ def test_reserve_pairs_hooks_with_connections(upstream):
         assert len(results) == 8
     finally:
         proxy.stop()
+
+
+def test_expect_pairs_hooks_by_client_address(upstream):
+    # the clients' handshakes complete in dial order, and their hooks are
+    # registered the other way round: each must still get its own, and a
+    # forgotten pairing leaves its connection relayed untouched
+    target = REGISTRY.by_name("packet_in")
+    request = frame(target.header_type_code, target.total_bytes)
+    config = InterceptConfig("127.0.0.1", 0, "127.0.0.1", upstream.port, "packet_in")
+    clients = []
+    with Loop() as loop, InterceptProxy(config, REGISTRY, loop=loop) as proxy:
+        try:
+            for _ in range(5):
+                clients.append(socket.create_connection(proxy.endpoint, timeout=5))
+            for tag, sock in reversed(list(enumerate(clients))):
+                marker = frame(target.header_type_code, target.total_bytes, fill=tag)
+                proxy.expect(sock.getsockname()[:2], lambda _data, m=marker: m)
+            proxy.forget(clients[0].getsockname()[:2])
+            for sock in clients:
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)
+            loop.run(
+                lambda: len(proxy.records) == len(clients) and not loop.sessions,
+                time.monotonic() + 5,
+            )
+            got = [sock.recv(65536) for sock in clients]
+        finally:
+            for sock in clients:
+                sock.close()
+    assert got[0] == request
+    for tag in range(1, len(clients)):
+        assert got[tag] == frame(target.header_type_code, target.total_bytes, fill=tag)
+    assert not proxy._expected
+    assert [r.hook_fired for r in proxy.records] == [False] + [True] * (len(clients) - 1)
 
 
 def test_run_session_single_shot(upstream):

@@ -1,8 +1,12 @@
 """Simulated system under test: oracles, procedures, detection, fidelity."""
 
+import contextlib
 import random
 import socket
+import struct
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +24,7 @@ from rulefuzz.sut import (
     MockController,
     OracleConfigError,
     SutUnavailableError,
+    SwitchSession,
     apply_noise,
     build_procedure,
     connect_sut,
@@ -30,7 +35,7 @@ from rulefuzz.sut import (
     observe_label,
     run_procedure_on,
 )
-from rulefuzz.proxy import StreamSegmenter
+from rulefuzz.proxy import Loop, StreamSegmenter
 
 REGISTRY = builtin_registry()
 
@@ -315,3 +320,117 @@ def test_observe_label_pipeline():
         observe_label(outcome, 0.5, random.Random(i)) == PRESENCE for i in range(400)
     )
     assert abs(flips / 400 - 0.5) < 0.1
+
+
+# ---------------------------------------------------------------------------
+# The two switch drivers
+# ---------------------------------------------------------------------------
+
+def loop_drive(endpoint, procedure, oracle=None):
+    """Play the switch half once as a SwitchSession, on a loop of its own."""
+    ended = []
+    with Loop() as loop:
+        switch = SwitchSession(loop.selector, endpoint, procedure, REGISTRY, oracle, ended.append)
+        loop.add(switch)
+        loop.run(lambda: bool(ended))
+    assert ended == [switch] and switch.unreachable is None
+    return switch.outcome
+
+
+@contextlib.contextmanager
+def controller_peer(oracle):
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with MockController(REGISTRY, procedure, oracle) as controller:
+        yield controller.endpoint
+
+
+@contextlib.contextmanager
+def raw_peer(serve):
+    """A peer that serves its connections one at a time on a thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def accept_loop():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                conn.settimeout(5)
+                serve(conn)
+
+    thread = threading.Thread(target=accept_loop, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(timeout=5)
+
+
+def reset_after_hello(conn):
+    assert len(conn.recv(8, socket.MSG_WAITALL)) == 8
+    # closing with a zero linger time sends a reset, not a FIN
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
+def read_until_eof(conn):
+    with contextlib.suppress(OSError):
+        while conn.recv(65536):
+            pass
+
+
+# the stock packet_in has version 4, so this oracle matches every session
+EVERY_SESSION = FailureOracle("packet_in", parse_condition("version >= 4"))
+
+PEERS = {
+    "clean": lambda: controller_peer(default_oracle()),
+    "switch_disconnect": lambda: controller_peer(EVERY_SESSION),
+    "broadcast_storm": lambda: controller_peer(
+        replace(EVERY_SESSION, failure_mode="broadcast_storm")
+    ),
+    "reset": lambda: raw_peer(reset_after_hello),
+    "quiet": lambda: raw_peer(read_until_eof),
+}
+
+
+@pytest.mark.parametrize("peer", PEERS)
+def test_both_switch_drivers_report_the_same_outcome(peer, monkeypatch):
+    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with PEERS[peer]() as endpoint:
+        blocking = run_procedure_on(connect_sut(endpoint), procedure, REGISTRY)
+        on_loop = loop_drive(endpoint, procedure)
+    assert on_loop == blocking
+    obs = on_loop.observations
+    if peer == "clean":
+        assert obs["ping_ok"] and on_loop.error is None
+        assert detect(obs) == ABSENCE
+    elif peer == "switch_disconnect":
+        assert obs["closed_early"] and not obs["ping_ok"] and on_loop.error is None
+        assert detect(obs) == PRESENCE
+    elif peer == "broadcast_storm":
+        assert obs["flood_count"] == STORM_FRAMES and on_loop.error is None
+        assert detect(obs) == PRESENCE
+    elif peer == "reset":
+        # an error, so the campaign runs the row again: never a presence label
+        assert "reset" in on_loop.error
+    else:
+        assert on_loop.error == "timeout" and not obs["closed_early"]
+
+
+def test_switch_session_reports_a_refused_connect():
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    dead = probe.getsockname()[:2]
+    probe.close()
+    ended = []
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with Loop() as loop:
+        switch = SwitchSession(loop.selector, dead, procedure, REGISTRY, None, ended.append)
+        loop.add(switch)
+        loop.run(lambda: bool(ended))
+    assert ended == [switch]
+    assert switch.unreachable.startswith(f"connect to {dead}: ")

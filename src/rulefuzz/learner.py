@@ -17,18 +17,22 @@ value <= value[b]: growing, pruning and description lengths compare bin
 codes, and learn() turns a threshold into a value only when it emits a
 rule; no atom is ever evaluated over values here.
 
-The split search sorts nothing per call.  Counting the covered rows and
-the covered positives per bin (two bincounts) and taking running sums
-gives, for every bin, how many covered rows and positives have a value
-<= the bin's value in its field: the same integers a per-field sort and
-cumulative sum would give, so the same FOIL gains, bit for bit.  Every
-covered row sits in exactly one bin per field, so the running sum
-through field f starts from f times the covered count.  Candidate splits
-are the nonempty bins below a field's last nonempty bin; a ">=" split
-takes the next nonempty bin.  Among equal gains the first in the order
-field, then "<=" before ">=", then ascending value wins.  Within one
-fit each rule's mask over the training rows is computed once, however
-many candidate rule sets it is scored in.
+The split search sorts nothing per call.  A grow holds the codes and
+labels of the rows its rule covers, and narrows them by each chosen
+atom's one column.  Counting those rows and their positives per bin (two
+bincounts) and taking running sums over the nonempty bins gives, for
+every bin, how many covered rows and positives have a value <= the bin's
+value in its field: the same integers a per-field sort and cumulative
+sum would give, so the same FOIL gains, bit for bit (an empty bin adds
+nothing to a sum).  Every covered row sits in exactly one bin per field,
+so the running sum through field f starts from f times the covered
+count.  Candidate splits are the nonempty bins below a field's last
+nonempty bin; a ">=" split takes the next nonempty bin.  Among equal
+gains the first in the order field, then "<=" before ">=", then
+ascending value wins.  Pruning reads each atom's own column of the prune
+rows, and within one fit each rule's mask over the training rows is
+computed once, however many candidate rule sets it is scored in; a new
+rule's coverage of the rows left uncovered is read from that mask.
 
 Cross-validation stays in bin space too.  cross_validate() encodes the
 whole matrix once; each fold fits on its training rows' codes and scores
@@ -136,66 +140,57 @@ def _encode(x: np.ndarray) -> _Bins:
     return _Bins(codes, field, np.concatenate([np.empty(0, np.uint64), *uniques]))
 
 
-def _best_atom(bins: _Bins, y: np.ndarray, mask: np.ndarray) -> tuple[float, _IAtom] | None:
-    """Highest-FOIL-gain threshold atom over the currently covered samples."""
-    idx = np.nonzero(mask)[0]
-    m = idx.size
-    if m == 0:
-        return None
-    yy = y[idx]
-    pos = int(yy.sum())
-    neg = m - pos
+def _best_atom(covered: _Bins, y: np.ndarray) -> tuple[float, _IAtom] | None:
+    """Highest-FOIL-gain threshold atom over the covered rows and their labels."""
+    m = y.size
+    pos = int(np.count_nonzero(y))
     if pos == 0:
         return None
-    base = math.log2(pos / (pos + neg))
-    codes = bins.codes[idx]
-    total = np.bincount(codes.ravel(), minlength=bins.field.size)
-    nonempty = np.nonzero(total)[0]
-    field = bins.field[nonempty]
+    base = math.log2(pos / m)
+    codes = covered.codes
+    total = np.bincount(codes.ravel(), minlength=covered.field.size)
+    nonempty = np.flatnonzero(total > 0)
+    field = covered.field[nonempty]
     # Covered rows and positives with a value <= each nonempty bin's, per field.
-    t_le = np.cumsum(total)[nonempty] - field * m
-    p_le = (
-        np.cumsum(np.bincount(codes[yy].ravel(), minlength=bins.field.size))[nonempty]
-        - field * pos
-    )
-    split = t_le < m
-    if not split.any():
-        return None
-    at = nonempty[split]
-    above = nonempty[1:][split[:-1]]
-    p_le, n_le = p_le[split], t_le[split] - p_le[split]
-    p = np.concatenate((p_le, pos - p_le)).astype(np.float64)
-    n = np.concatenate((n_le, neg - n_le)).astype(np.float64)
+    t_le = np.cumsum(total[nonempty]) - field * m
+    p_le = np.cumsum(np.bincount(codes[y].ravel(), minlength=total.size)[nonempty]) - field * pos
+    # Row 0 holds the "<=" split at each nonempty bin and row 1 the ">=" split
+    # at the next one; a field's last nonempty bin splits nothing off.
+    p = np.array((p_le, pos - p_le))
+    t = np.array((t_le, m - t_le))
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = p * (np.log2(p / (p + n)) - base)
+        gains = p * (np.log2(p / t) - base)
     gains[p == 0] = -np.inf
-    best = float(gains.max())
+    gains[0, t_le == m] = -np.inf
+    w = int(gains.argmax())
+    best = float(gains.flat[w])
     if not best > _GAIN_EPS:
         return None
-    k = at.size
-    fields = np.tile(field[split], 2)
-    candidates = np.concatenate((at, above))
-    ties = np.nonzero(gains == best)[0]
-    # Scan order of a per-field search: field, then "<=" before ">=", then value.
-    w = ties[np.argmin(fields[ties] * 2 + ties // k)]
-    return best, (int(fields[w]), "<=" if w < k else ">=", int(candidates[w]))
+    k = nonempty.size
+    ties = np.flatnonzero(gains == best)
+    if ties.size > 1:
+        # Scan order of a per-field search: field, then "<=" before ">=", then value.
+        w = int(ties[np.argmin(field[ties % k] * 2 + ties // k)])
+    i = w % k
+    return best, (int(field[i]), "<=" if w < k else ">=", int(nonempty[i + w // k]))
 
 
 def _grow(bins: _Bins, y: np.ndarray, base_atoms: Sequence[_IAtom] = ()) -> list[_IAtom]:
     """Add highest-gain atoms until no negatives are covered or gain dries up."""
     atoms = list(base_atoms)
-    mask = _rule_mask(atoms, bins.codes)
+    if atoms:
+        keep = _rule_mask(atoms, bins.codes)
+        bins, y = bins.take(keep), y[keep]
     limit = 2 * bins.codes.shape[1] + len(atoms)
-    while len(atoms) < limit:
-        covered_y = y[mask]
-        if covered_y.size == 0 or not (~covered_y).any():
-            break
-        found = _best_atom(bins, y, mask)
+    # the covered rows narrow by each chosen atom's one column
+    while len(atoms) < limit and y.size and not y.all():
+        found = _best_atom(bins, y)
         if found is None:
             break
-        _, atom = found
+        f, op, b = atom = found[1]
         atoms.append(atom)
-        mask &= _rule_mask((atom,), bins.codes)
+        keep = OPS[op](bins.codes[:, f], b)
+        bins, y = bins.take(keep), y[keep]
     return atoms
 
 
@@ -216,16 +211,18 @@ def _accuracy(p: int, n: int) -> int:
 def _prune(
     atoms: list[_IAtom],
     codes: np.ndarray,
+    rows: np.ndarray,
     y: np.ndarray,
     score: Callable[[int, int], float],
 ) -> list[_IAtom]:
-    """Keep the prefix scoring best on the prune split; ties keep the shorter."""
+    """Keep the prefix of atoms scoring best on `rows` of codes and y; ties keep the shorter."""
     best_j, best = 0, -math.inf
-    mask = np.ones(len(codes), dtype=bool)
-    for j, atom in enumerate(atoms, start=1):
-        mask &= _rule_mask((atom,), codes)
-        p = int(y[mask].sum())
-        v = score(p, int(mask.sum()) - p)
+    y = y[rows]
+    for j, (f, op, b) in enumerate(atoms, start=1):
+        keep = OPS[op](codes[rows, f], b)
+        rows, y = rows[keep], y[keep]
+        p = int(np.count_nonzero(y))
+        v = score(p, rows.size - p)
         if v > best + _DL_EPS:
             best_j, best = j, v
     return atoms[:best_j]
@@ -306,7 +303,6 @@ def _induce(
     exp_fp: float,
     rules: list[list[_IAtom]] | None = None,
 ) -> list[list[_IAtom]]:
-    codes = bins.codes
     rules = list(rules or [])
     covered = masks.union(rules)
     dl_min = _ruleset_dl(rules, masks, y, n_possible, exp_fp)
@@ -319,10 +315,10 @@ def _induce(
         if not atoms:
             break
         if prune_idx.size:
-            atoms = _prune(atoms, codes[prune_idx], y[prune_idx], _purity)
-        rem_mask = _rule_mask(atoms, codes[rem])
-        t_cov = int(rem_mask.sum())
-        p_cov = int(y[rem][rem_mask].sum())
+            atoms = _prune(atoms, bins.codes, prune_idx, y, _purity)
+        rem_mask = masks[tuple(atoms)][rem]
+        t_cov = int(np.count_nonzero(rem_mask))
+        p_cov = int(np.count_nonzero(y[rem][rem_mask]))
         if t_cov < _MIN_RULE_COVERAGE or p_cov == 0:
             break
         if p_cov / t_cov <= 0.5:
@@ -345,7 +341,6 @@ def _optimize(
     n_possible: int,
     exp_fp: float,
 ) -> list[list[_IAtom]]:
-    codes = bins.codes
     for _ in range(_OPTIMIZATION_PASSES):
         for i in range(len(rules)):
             others = rules[:i] + rules[i + 1 :]
@@ -359,7 +354,7 @@ def _optimize(
             for base_atoms in ((), rules[i]):
                 cand = _grow(grow, y[grow_idx], base_atoms)
                 if cand and prune_idx.size:
-                    cand = _prune(cand, codes[prune_idx], y[prune_idx], _accuracy)
+                    cand = _prune(cand, bins.codes, prune_idx, y, _accuracy)
                 if not cand:
                     continue
                 trial = rules[:i] + [cand] + rules[i + 1 :]

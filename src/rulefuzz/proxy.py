@@ -21,9 +21,12 @@ types the registry does not know, is forwarded unmodified and in order.
 A session relays two legs, each with its own framing.  A leg that
 reaches EOF forwards its trailing bytes and half-closes its destination
 while the other leg relays on; if that leg stays quiet for STEP_TIMEOUT,
-the session ends.  Every socket has its own output buffer, and a leg
-whose destination still holds unsent bytes stops reading until they
-drain, so a peer that stops reading stalls only its own session.
+the session ends.  A read that fails on either leg, as a peer's reset
+makes it, ends the session with a reset on both legs, so the switch's
+read fails as it would on a direct connection instead of reading a
+clean close.  Every socket has its own output buffer, and a leg whose
+destination still holds unsent bytes stops reading until they drain, so
+a peer that stops reading stalls only its own session.
 
 One accepted connection is one independent session.  A client on the
 proxy's own loop pairs its hook with its connection by address through
@@ -43,6 +46,7 @@ import logging
 import os
 import selectors
 import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -161,13 +165,11 @@ class Connection:
         return OSError(err, os.strerror(err)) if err else None
 
     def recv(self) -> bytes | None:
-        """What the peer sent: None if nothing is there, b"" at EOF or on error."""
+        """What the peer sent: None if nothing is there, b"" at EOF; OSError if the read failed."""
         try:
             return self.sock.recv(_RECV_CHUNK)
         except BlockingIOError:
             return None
-        except OSError:
-            return b""
 
     def send(self, data: bytes) -> int:
         """Queue `data` and send what the socket takes now; OSError if it failed."""
@@ -187,14 +189,19 @@ class Connection:
         del self.out[:sent]
         return sent
 
-    def close(self, selector: selectors.BaseSelector) -> None:
+    def close(self, selector: selectors.BaseSelector, reset: bool = False) -> None:
+        """Close with a FIN, or with a reset, which fails the peer's next read, if `reset`."""
         if self.events:
             selector.unregister(self.sock)
             self.events = 0
-        # shut down first so the peer gets a FIN even when bytes it sent
-        # are still unread here; close() alone would send only a reset
-        with contextlib.suppress(OSError):
-            self.sock.shutdown(socket.SHUT_WR)
+        if reset:
+            # a zero linger time makes close() send a reset and drop unsent bytes
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        else:
+            # shut down first so the peer gets a FIN even when bytes it sent
+            # are still unread here; close() alone would send only a reset
+            with contextlib.suppress(OSError):
+                self.sock.shutdown(socket.SHUT_WR)
         self.sock.close()
 
 
@@ -442,7 +449,11 @@ class _ProxySession(Session):
                 except OSError:
                     self._broken(writing)
             if events & selectors.EVENT_READ and reading.open:
-                self._relay(reading)
+                try:
+                    self._relay(reading)
+                except OSError as exc:  # the read failed: the peer reset, most likely
+                    self._reset(f"{reading.direction}: {exc}")
+                    return
         self._settle()
 
     def expire(self) -> None:
@@ -464,6 +475,14 @@ class _ProxySession(Session):
         self.upstream.close(self.selector)
         super().close()
 
+    def _reset(self, why: str) -> None:
+        """A read failed: end the session with a reset on both legs."""
+        self.record.error = why
+        log.warning("session %d reset: %s", self.record.session_id, why)
+        for conn in (self.upstream, self.conn):
+            conn.close(self.selector, reset=True)
+        self.close()
+
     def _settle(self) -> None:
         """Half-close drained legs, then end the session or watch what is left."""
         for leg in self._legs:
@@ -481,7 +500,7 @@ class _ProxySession(Session):
         self.deadline = None if both_open else time.monotonic() + STEP_TIMEOUT
 
     def _relay(self, leg: _Leg) -> None:
-        """Relay one read of a readable leg."""
+        """Relay one read of a readable leg; OSError if the read failed."""
         chunk = leg.src.recv()
         if chunk is None:
             return

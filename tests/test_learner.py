@@ -1,5 +1,7 @@
 """Rule induction: recovery of planted predicates, stats, and cross-validation."""
 
+import contextlib
+import hashlib
 import itertools
 import math
 import os
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rulefuzz.learner as learner
 import rulefuzz.pool as pool
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
 from rulefuzz.learner import (
@@ -24,6 +27,8 @@ from rulefuzz.learner import (
     RipperParams,
     _best_atom,
     _encode,
+    _fold_counts,
+    _grow,
     _rule_mask,
     cross_validate,
     learn,
@@ -38,6 +43,7 @@ from rulefuzz.rules import (
     parse_condition,
 )
 from rulefuzz.sampler import evaluate, intervals_for
+from rulefuzz.sut import default_message, default_oracle
 
 from .conftest import classify, make_schema, predict_rows
 
@@ -422,8 +428,9 @@ def split_problems(draw):
 
 
 def best_value_atom(bins, y, mask):
-    """_best_atom with its (field, op, bin) atom mapped to (field, op, value)."""
-    found = _best_atom(bins, y, mask)
+    """_best_atom over the masked rows, its (field, op, bin) atom mapped to
+    (field, op, value)."""
+    found = _best_atom(bins.take(mask), y[mask])
     if found is None:
         return None
     gain, (f, op, b) = found
@@ -450,8 +457,45 @@ def test_bin_count_search_tie_order():
         got = best_value_atom(_encode(x), y, mask)
         assert got == sorted_best_atom(x, y, mask)
         assert got[1][0] == 0
-    assert _best_atom(_encode(x), y, np.zeros(3, bool)) is None
-    assert _best_atom(_encode(x), y, y) is None  # no negatives: nothing to gain
+    assert best_value_atom(_encode(x), y, np.zeros(3, bool)) is None
+    assert best_value_atom(_encode(x), y, y) is None  # no negatives: nothing to gain
+
+
+def sorted_grow(x, y, base_atoms):
+    """_grow in value space: each step re-searches every covered row with
+    sorted_best_atom, then narrows the cover by the chosen atom."""
+    atoms = list(base_atoms)
+    mask = np.ones(len(y), dtype=bool)
+    for f, op, v in atoms:
+        mask &= OPS[op](x[:, f], v)
+    limit = 2 * x.shape[1] + len(atoms)
+    while len(atoms) < limit and mask.any() and not y[mask].all():
+        found = sorted_best_atom(x, y, mask)
+        if found is None:
+            break
+        f, op, v = found[1]
+        atoms.append((f, op, v))
+        mask &= OPS[op](x[:, f], v)
+    return atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=split_problems(), data=st.data())
+def test_grow_matches_value_space_grow(problem, data):
+    # _grow narrows its covered rows atom by atom; the reference recomputes
+    # the cover from scratch each step
+    x, y, rows, _ = problem
+    bins = _encode(x)
+    drawn = data.draw(st.lists(
+        st.tuples(st.integers(0, bins.field.size - 1), st.sampled_from(("<=", ">="))),
+        max_size=2,
+    ))
+    base = [(int(bins.field[b]), op, b) for b, op in drawn]
+    got = _grow(bins.take(rows), y[rows], base)
+    assert got[: len(base)] == base
+    values = [(f, op, int(bins.value[b])) for f, op, b in got]
+    assert all(bins.field[b] == f for f, _, b in got)
+    assert values == sorted_grow(x[rows], y[rows], values[: len(base)])
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +577,93 @@ def test_cross_validate_matches_subset_folds_for_an_absence_minority(seed, cpus)
     cpus(1)
     for k in (2, 3, 10):
         assert cross_validate(ds, k=k, params=params) == subset_cross_validate(ds, k, params)
+
+
+# ---------------------------------------------------------------------------
+# Every fit of learn() and cross_validate(), pinned
+# ---------------------------------------------------------------------------
+
+def oracle_dataset(registry, seed, n):
+    """n packet_in rows labeled by the default oracle, 5 % flipped.
+
+    Each row mutates a few fields of the default message, as a fuzz plan
+    does, and half the rows draw cookie_hi near the oracle's threshold.
+    """
+    rng = random.Random(seed)
+    oracle = default_oracle()
+    schema = registry.by_name(oracle.message_type)
+    base = default_message(schema).values
+    ds = LabeledDataset(schema.field_names())
+    for _ in range(n):
+        values = dict(base)
+        for f in schema.fields:
+            if rng.random() < 0.1:
+                values[f.name] = rng.randint(f.domain_lo, f.domain_hi)
+        if rng.random() < 0.5:
+            values["cookie_hi"] = rng.randint(4_000_000_000, 2**32 - 1)
+        hit = oracle.matches(values) != (rng.random() < 0.05)
+        ds.append(values, PRESENCE if hit else ABSENCE)
+    return ds
+
+
+@contextlib.contextmanager
+def recorded_fits():
+    """Every (minority, rules) that learner._fit returns in this process meanwhile."""
+    fits = []
+    fit = learner._fit
+
+    def record(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    learner._fit = record
+    try:
+        yield fits
+    finally:
+        learner._fit = fit
+
+
+def fold_counts_and_fits(bins, presence, folds):
+    """_fold_counts, and each of its folds' seed with that fold's fit."""
+    with recorded_fits() as fits:
+        counts = _fold_counts(bins, presence, folds)
+    return counts, [(seed, fit) for (_, seed), fit in zip(folds, fits)]
+
+
+# of the record below, as the learner gave it before its split search
+# narrowed the covered rows; no rule set may change with a speed-up
+FITS_SHA256 = "16cd04931c0d0264d55b2f1a179d6fcceabebfa7af2cb85cd1d1f46521206d71"
+
+
+def test_every_fit_is_pinned(registry, cpus, monkeypatch):
+    # the artifacts keep only the last fit's rules and the pooled fold
+    # counts, so a changed fold fit can hide there; this pins every fit
+    ds = oracle_dataset(registry, 8, 1000)
+    params = RipperParams(seed=8)
+    fold_fits = []
+    run = pool.run
+
+    def run_recording(jobs):
+        replies = run(jobs)
+        for _, fits in replies:
+            fold_fits.extend(fits)
+        return [counts for counts, _ in replies]
+
+    # the workers unpickle fold_counts_and_fits from this module
+    root = str(Path(__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    monkeypatch.setenv("PYTHONPATH", path)
+    monkeypatch.setattr(learner, "_fold_counts", fold_counts_and_fits)
+    monkeypatch.setattr(pool, "run", run_recording)
+    for n in (1, 2):
+        cpus(n)
+        fold_fits.clear()
+        with recorded_fits() as fits:
+            learn(ds, params)
+        scores = cross_validate(ds, k=10, params=params)
+        assert len(fold_fits) == 10
+        record = repr((fits, sorted(fold_fits), scores))
+        assert hashlib.sha256(record.encode()).hexdigest() == FITS_SHA256, (n, record)
 
 
 def test_fold_workers_end_with_their_caller():

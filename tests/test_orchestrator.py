@@ -25,6 +25,7 @@ import pytest
 
 import rulefuzz.orchestrator as orchestrator
 import rulefuzz.pool as pool
+import rulefuzz.sut as sut
 from rulefuzz.codec import builtin_registry, decode_as
 from rulefuzz.orchestrator import (
     CampaignConfig,
@@ -411,6 +412,35 @@ def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu)
             super().close()
 
     monkeypatch.setattr(orchestrator, "SwitchSession", FlakySwitch)
+    run_faulty_campaign(tmp_path, calls)
+
+
+def test_controller_reset_after_the_target_frame_never_mislabels_a_row(
+    tmp_path, monkeypatch, one_cpu
+):
+    # the controller resets the first session whose target frame the oracle
+    # does not match, right after reading it; passed on as a clean close,
+    # that reset would read as the switch being dropped: a presence label
+    calls = itertools.count()  # controller sessions
+    resets = itertools.count()
+
+    class ResettingSession(sut.PlayerSession):
+        def __init__(self, *args):
+            next(calls)
+            super().__init__(*args)
+
+        def _play(self, out):
+            if (
+                self._player.done
+                and not self.outcome.observations["closed_early"]
+                and next(resets) == 0
+            ):
+                self.conn.close(self.selector, reset=True)
+                self.close()
+                return
+            super()._play(out)
+
+    monkeypatch.setattr(sut, "PlayerSession", ResettingSession)
     run_faulty_campaign(tmp_path, calls)
 
 

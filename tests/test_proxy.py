@@ -649,15 +649,16 @@ class StallingController(BlockingServer):
             pass
 
 
-def test_stalled_controller_is_a_switch_timeout():
-    # the switch waits longer than the proxy's 5 s upstream connect timeout;
+def test_stalled_controller_is_a_switch_timeout(monkeypatch):
+    # the switch waits longer than the proxy's upstream connect timeout;
     # a quiet controller must not be relayed as a dropped session
+    monkeypatch.setattr(rulefuzz.proxy, "_CONNECT_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     with StallingController() as controller:
         proxy = make_proxy(controller.endpoint[1])
         try:
             with proxy.reserve(lambda data: data) as endpoint:
-                sock = connect_sut(endpoint, 6.0)
+                sock = connect_sut(endpoint, 0.6)
             outcome = run_procedure_on(sock, procedure, REGISTRY)
         finally:
             proxy.stop()

@@ -35,7 +35,7 @@ from rulefuzz.sut import (
     observe_label,
     run_procedure_on,
 )
-from rulefuzz.proxy import Loop, StreamSegmenter
+from rulefuzz.proxy import InterceptConfig, InterceptProxy, Loop, StreamSegmenter
 
 REGISTRY = builtin_registry()
 
@@ -403,7 +403,11 @@ def test_both_switch_drivers_report_the_same_outcome(peer, monkeypatch):
     with PEERS[peer]() as endpoint:
         blocking = run_procedure_on(connect_sut(endpoint), procedure, REGISTRY)
         on_loop = loop_drive(endpoint, procedure)
-    assert on_loop == blocking
+        # and behind the proxy, which must pass a reset on as an error
+        config = InterceptConfig("127.0.0.1", 0, *endpoint, target_type="packet_in")
+        with InterceptProxy(config, REGISTRY) as proxy:
+            proxied = loop_drive(proxy.endpoint, procedure)
+    assert on_loop == blocking == proxied
     obs = on_loop.observations
     if peer == "clean":
         assert obs["ping_ok"] and on_loop.error is None
@@ -417,6 +421,7 @@ def test_both_switch_drivers_report_the_same_outcome(peer, monkeypatch):
     elif peer == "reset":
         # an error, so the campaign runs the row again: never a presence label
         assert "reset" in on_loop.error
+        assert "reset" in proxy.records[0].error
     else:
         assert on_loop.error == "timeout" and not obs["closed_early"]
 

@@ -63,8 +63,8 @@ from .fuzzer import (
     make_guided_plan,
     make_initial_plan,
 )
-from .learner import RipperParams, learn
-from .planner import BudgetClock, plan, progress, should_stop
+from .learner import RipperParams, cross_validate, learn
+from .planner import BudgetClock, plan, should_stop
 from .proxy import InterceptConfig, InterceptProxy, Loop
 from .rules import RuleSet, format_ruleset, parse_ruleset
 from .sampler import UnsatisfiableError, solve
@@ -476,9 +476,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             presence += int(label == PRESENCE)
 
         ruleset = learn(dataset, params)
-        precision, recall = progress(
-            dataset, k=config.cv_folds, params=params, seed=config.seed
-        )
+        precision, recall = cross_validate(dataset, k=config.cv_folds, seed=config.seed)
         history.append((precision, recall))
         counts = dataset.class_counts()
         records.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dataset import LabeledDataset
-from .learner import RipperParams, cross_validate
+from .learner import cross_validate
 from .rules import DecisionRule, RuleSet
 
 log = logging.getLogger(__name__)
@@ -100,19 +100,9 @@ def plan(
     return budget, clamp
 
 
-def progress(
-    dataset: LabeledDataset,
-    k: int = 10,
-    params: RipperParams | None = None,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """Model quality estimate on the accumulated data: k-fold (P, R).
-
-    Early iterations may hold fewer samples than the requested fold
-    count; `cross_validate` owns that small-data rule (k shrinks to the
-    row count, and under two rows both metrics are zero).
-    """
-    return cross_validate(dataset, k=k, params=params, seed=seed)
+# the loop's model-quality estimate: k-fold (P, R) of the accumulated data,
+# small-data rule included
+progress = cross_validate
 
 
 @dataclass

@@ -59,16 +59,12 @@ _workers: list[subprocess.Popen] | None = None
 _workers_lock = threading.Lock()
 
 
-def _cpu_count() -> int:
+def processes() -> int:
+    """How many shares a call can run at once: the caller and one per worker, one per CPU."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
-
-
-def processes() -> int:
-    """How many shares a call can run at once: the caller and one per worker."""
-    return _cpu_count()
 
 
 def _start_workers(n: int) -> list[subprocess.Popen]:

@@ -18,6 +18,9 @@ message of the target type in the session can be handed to a fuzz hook
 and replaced with the hook's output.  Everything else, including message
 types the registry does not know, is forwarded unmodified and in order.
 
+STEP_TIMEOUT is the one session timeout: it bounds every non-blocking
+connect, the upstream dial too, and each step of a session in `sut`.
+
 A session relays two legs, each with its own framing.  A leg that
 reaches EOF forwards its trailing bytes and half-closes its destination
 while the other leg relays on; if that leg stays quiet for STEP_TIMEOUT,
@@ -57,8 +60,7 @@ from .codec import HEADER_BYTES, SchemaRegistry
 log = logging.getLogger(__name__)
 
 _RECV_CHUNK = 65536
-STEP_TIMEOUT = 10.0  # seconds a session step may wait for its peer
-_CONNECT_TIMEOUT = 5.0  # seconds the proxy waits for its upstream connect
+STEP_TIMEOUT = 10.0  # seconds a connect or a session step may wait for its peer
 _STOP_GRACE = 2.0  # seconds stop() lets live sessions finish
 _C2U, _U2C = "client->upstream", "upstream->client"
 
@@ -124,12 +126,13 @@ class StreamSegmenter:
 class Connection:
     """A non-blocking socket on a TcpServer loop, with its own output buffer."""
 
-    __slots__ = ("sock", "out", "events")
+    __slots__ = ("sock", "out", "events", "connecting")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.out = bytearray()  # bytes queued for the peer, not yet sent
         self.events = 0  # what the loop's selector watches this socket for
+        self.connecting = False  # a connect() has started and not ended
 
     def watch(self, selector: selectors.BaseSelector, session: Session, read: bool) -> None:
         """Watch for reads if `read`, and for writes while output is queued."""
@@ -148,8 +151,12 @@ class Connection:
 
     def connect(
         self, selector: selectors.BaseSelector, session: Session, address: tuple[str, int]
-    ) -> None:
-        """Start a non-blocking connect, watched for the write that ends it; OSError if it fails."""
+    ) -> float:
+        """Start a non-blocking connect, watched for the write that ends it; OSError if it fails.
+
+        Returns the connect's deadline, STEP_TIMEOUT from now.
+        """
+        self.connecting = True
         sock = self.sock
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -158,11 +165,14 @@ class Connection:
             raise OSError(err, os.strerror(err))
         selector.register(sock, selectors.EVENT_WRITE, session)
         self.events = selectors.EVENT_WRITE
+        return time.monotonic() + STEP_TIMEOUT
 
-    def connect_error(self) -> OSError | None:
-        """Once the socket is writable: why its connect failed, or None."""
+    def connected(self) -> None:
+        """Once the socket is writable: end the connect; OSError if it failed."""
+        self.connecting = False
         err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-        return OSError(err, os.strerror(err)) if err else None
+        if err:
+            raise OSError(err, os.strerror(err))
 
     def recv(self) -> bytes | None:
         """What the peer sent: None if nothing is there, b"" at EOF; OSError if the read failed."""
@@ -419,13 +429,10 @@ class _ProxySession(Session):
         self.upstream = Connection(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
         self._legs = (_Leg(self.conn, self.upstream, _C2U), _Leg(self.upstream, self.conn, _U2C))
         # the client's bytes wait in the kernel until upstream is reached
-        self._connecting = True
         try:
-            self.upstream.connect(selector, self, upstream)
+            self.deadline = self.upstream.connect(selector, self, upstream)
         except OSError as exc:
             self._unreachable(exc)
-            return
-        self.deadline = time.monotonic() + _CONNECT_TIMEOUT
 
     def _unreachable(self, why: object) -> None:
         self.record.error = f"upstream unreachable: {why}"
@@ -433,12 +440,12 @@ class _ProxySession(Session):
         self.close()
 
     def ready(self, sock: socket.socket, events: int) -> None:
-        if self._connecting:
-            failed = self.upstream.connect_error()
-            if failed:
-                self._unreachable(failed)
+        if self.upstream.connecting:
+            try:
+                self.upstream.connected()
+            except OSError as exc:
+                self._unreachable(exc)
                 return
-            self._connecting = False
         else:
             # a socket is the source of one leg and the destination of the other
             c2u, u2c = self._legs
@@ -457,7 +464,7 @@ class _ProxySession(Session):
         self._settle()
 
     def expire(self) -> None:
-        if self._connecting:
+        if self.upstream.connecting:
             self._unreachable("timed out")
             return
         # both legs open have no deadline: a quiet controller is the switch's timeout
@@ -465,13 +472,12 @@ class _ProxySession(Session):
         self.close()
 
     def close(self) -> None:
-        if not self._connecting:
-            record = self.record
-            log.info(
-                "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
-                record.session_id, record.target_seen, record.hook_fired,
-                record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
-            )
+        record = self.record
+        log.info(
+            "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
+            record.session_id, record.target_seen, record.hook_fired,
+            record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
+        )
         self.upstream.close(self.selector)
         super().close()
 

@@ -19,7 +19,8 @@ and enacts the failure when it receives a target that matches.  On a
 driver `SwitchSession` dials its peer without blocking, so every role of
 a session can share one loop.  `run_procedure_on` runs the switch half
 over a blocking socket instead, and reports the same `RunOutcome`.
-Each step waits at most `proxy.STEP_TIMEOUT` for the peer, on either
+There is one session timeout, `proxy.STEP_TIMEOUT`: the switch's
+connect and each step wait at most that long for the peer, on either
 driver unless `connect_sut` is given another timeout.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
@@ -370,12 +371,12 @@ class PlayerSession(Session):
                 return
         if events & selectors.EVENT_READ:
             try:
-                out = self._player.receive(sock.recv(_RECV_CHUNK))
-            except BlockingIOError:
-                pass
+                data = self.conn.recv()
             except OSError as exc:
                 self._end(str(exc))
                 return
+            if data is not None:
+                out = self._player.receive(data)
         self._play(out)
 
     def expire(self) -> None:
@@ -407,9 +408,10 @@ class SwitchSession(PlayerSession):
     """The switch half of a procedure, dialled without blocking on a loop.
 
     The loop counterpart of connect_sut and run_procedure_on: the connect
-    gets `proxy.STEP_TIMEOUT` too.  If it fails, `unreachable` says why
-    and the session closes.  `address` is the local address the connect
-    was made from, and on_close(session) runs once the session closes.
+    gets `proxy.STEP_TIMEOUT` too, as every `Connection.connect` does.
+    If it fails, `unreachable` says why and the session closes.
+    `address` is the local address the connect was made from, and
+    on_close(session) runs once the session closes.
     """
 
     def __init__(
@@ -428,32 +430,29 @@ class SwitchSession(PlayerSession):
         self._endpoint, self._on_close = endpoint, on_close
         self.unreachable: str | None = None
         self.address: tuple[str, int] | None = None
-        self._connecting = True
         try:
-            self.conn.connect(selector, self, endpoint)
+            self.deadline = self.conn.connect(selector, self, endpoint)
             self.address = self.conn.sock.getsockname()[:2]
         except OSError as exc:
             self._unreachable(exc)
-            return
-        self.deadline = time.monotonic() + proxy.STEP_TIMEOUT
 
     def _unreachable(self, why: object) -> None:
         self.unreachable = f"connect to {self._endpoint}: {why}"
         self.close()
 
     def ready(self, sock: socket.socket, events: int) -> None:
-        if not self._connecting:
+        if not self.conn.connecting:
             super().ready(sock, events)
             return
-        failed = self.conn.connect_error()
-        if failed:
-            self._unreachable(failed)
+        try:
+            self.conn.connected()
+        except OSError as exc:
+            self._unreachable(exc)
             return
-        self._connecting = False
         self.begin()
 
     def expire(self) -> None:
-        if self._connecting:
+        if self.conn.connecting:
             self._unreachable("timed out")
         else:
             super().expire()

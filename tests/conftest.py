@@ -39,7 +39,7 @@ def cpus(monkeypatch):
     workers; the workers are stopped again after the test."""
     def use(n):
         pool._stop_workers()
-        monkeypatch.setattr(pool, "_cpu_count", lambda: n)
+        monkeypatch.setattr(pool, "processes", lambda: n)
     yield use
     pool._stop_workers()
 

@@ -671,7 +671,7 @@ def test_fold_workers_end_with_their_caller():
         "import rulefuzz.learner as learner\n"
         "import rulefuzz.pool as pool\n"
         "from tests.test_learner import mixed_dataset\n"
-        "pool._cpu_count = lambda: 3\n"
+        "pool.processes = lambda: 3\n"
         "for _ in range(2):\n"
         "    learner.cross_validate(mixed_dataset(1, 40), k=4)\n"
         "print(*(w.pid for w in pool._workers))\n"

@@ -579,7 +579,7 @@ def test_ctrl_c_during_an_iteration_returns_promptly_and_kills_the_workers(tmp_p
     script = (
         "import rulefuzz.pool as pool\n"
         "from rulefuzz.orchestrator import CampaignConfig, run_campaign\n"
-        "pool._cpu_count = lambda: 2\n"
+        "pool.processes = lambda: 2\n"
         "start = pool._start_workers\n"
         "def started(n):\n"
         "    workers = start(n)\n"

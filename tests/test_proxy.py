@@ -2,8 +2,10 @@
 
 import contextlib
 import itertools
+import logging
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -573,14 +575,19 @@ def test_sequential_sessions_do_not_wait_on_nagle():
             proxy.stop()
 
 
-class FirstDeafEcho(BlockingServer):
+class SmallBufferServer(BlockingServer):
+    def __init__(self):
+        super().__init__()
+        # accepted sockets inherit it; a small fixed buffer makes the proxy
+        # queue output without depending on the host's buffer autotuning
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+
+
+class FirstDeafEcho(SmallBufferServer):
     """Never reads its first connection until released; echoes every later one."""
 
     def __init__(self):
         super().__init__()
-        # accepted sockets inherit it; a small fixed buffer keeps the stall
-        # from depending on the host's buffer autotuning
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
         self.released = threading.Event()
         self._accepted = itertools.count()
 
@@ -632,6 +639,132 @@ def test_a_peer_that_stops_reading_stalls_only_its_own_session():
             stalled.close()
         assert not sender.is_alive()
 
+
+class LateEcho(SmallBufferServer):
+    """Reads nothing for 0.3 s, then echoes every chunk as it arrives, until EOF."""
+
+    def serve(self, conn):
+        time.sleep(0.3)
+        conn.settimeout(5)
+        with contextlib.suppress(OSError):
+            while chunk := conn.recv(65536):
+                conn.sendall(chunk)
+
+
+class ResetAfterReading(SmallBufferServer):
+    """Once `reading` is set, reads `size` bytes into `got`; resets once `resetting` is set."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+        self.got = b""
+        self.reading = threading.Event()
+        self.resetting = threading.Event()
+
+    def serve(self, conn):
+        self.reading.wait(10)
+        conn.settimeout(5)
+        got = bytearray()
+        while len(got) < self.size and (chunk := conn.recv(self.size - len(got))):
+            got += chunk
+        self.got = bytes(got)
+        self.resetting.wait(10)
+        # closing with a zero linger time sends a reset, not a FIN
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+
+
+def upstream_output_queued(loop):
+    """Whether the loop's one proxy session holds bytes it could not yet send upstream."""
+    return any(session.upstream.out for session in loop.sessions)
+
+
+def serve_until(loop, done, seconds=5):
+    """Serve the loop until done(), checked at least every 10 ms, or `seconds` pass."""
+    limit = time.monotonic() + seconds
+    while not done() and time.monotonic() < limit:
+        loop.run(done, time.monotonic() + 0.01)
+    return done()
+
+
+def test_output_queued_for_a_slow_upstream_is_relayed_whole():
+    payload = random.Random(3).randbytes(8 << 20)
+    got = bytearray()
+
+    def receive(sock):
+        with contextlib.suppress(OSError):
+            while chunk := sock.recv(65536):
+                got.extend(chunk)
+
+    def send(sock):
+        with contextlib.suppress(OSError):
+            sock.sendall(payload)
+            sock.shutdown(socket.SHUT_WR)
+
+    queued = []
+
+    def step():
+        queued.append(upstream_output_queued(loop))
+        return bool(proxy.records) and not loop.sessions
+
+    with LateEcho() as upstream, Loop() as loop:
+        config = InterceptConfig("127.0.0.1", 0, *upstream.endpoint, "packet_in")
+        with InterceptProxy(config, REGISTRY, loop=loop) as proxy:
+            with socket.create_connection(proxy.endpoint, timeout=5) as client:
+                peers = [threading.Thread(target=f, args=(client,)) for f in (send, receive)]
+                for thread in peers:
+                    thread.start()
+                loop.run(step, time.monotonic() + 20)
+                assert not loop.sessions
+                for thread in peers:
+                    thread.join(timeout=5)
+    assert any(queued), "the proxy never queued output for upstream"
+    assert bytes(got) == payload
+    record = proxy.records[0]
+    assert record.error is None
+    assert record.bytes_client_to_upstream == len(payload)
+    assert record.bytes_upstream_to_client == len(payload)
+
+
+def test_an_upstream_reset_drops_the_output_queued_for_it(caplog):
+    block = random.Random(4).randbytes(8 << 20)
+    size = 6 << 20  # more than the proxy's kernel buffers pass on before it queues
+
+    def send(sock):
+        with contextlib.suppress(OSError):
+            while True:
+                sock.sendall(block)
+
+    with (
+        ResetAfterReading(size) as upstream,
+        Loop() as loop,
+        caplog.at_level(logging.ERROR, logger="rulefuzz.proxy"),
+    ):
+        config = InterceptConfig("127.0.0.1", 0, *upstream.endpoint, "packet_in")
+        with InterceptProxy(config, REGISTRY, loop=loop) as proxy:
+            with socket.create_connection(proxy.endpoint, timeout=5) as client:
+                sender = threading.Thread(target=send, args=(client,))
+                sender.start()
+                try:
+                    assert serve_until(loop, lambda: upstream_output_queued(loop))
+                    upstream.reading.set()
+                    assert serve_until(
+                        loop, lambda: len(upstream.got) == size and upstream_output_queued(loop)
+                    )
+                    upstream.resetting.set()
+                    start = time.monotonic()
+                    loop.run(lambda: not loop.sessions, start + 5)
+                    took = time.monotonic() - start
+                    assert not loop.sessions
+                finally:
+                    with contextlib.suppress(OSError):
+                        client.shutdown(socket.SHUT_RDWR)
+                    sender.join(timeout=5)
+    assert took < 1
+    assert upstream.got == block[:size]  # what upstream read came whole and in order
+    assert "session step failed" not in caplog.text
+
+
 class StallingController(BlockingServer):
     """Answers hello, then reads everything and never answers again."""
 
@@ -650,9 +783,9 @@ class StallingController(BlockingServer):
 
 
 def test_stalled_controller_is_a_switch_timeout(monkeypatch):
-    # the switch waits longer than the proxy's upstream connect timeout;
+    # the switch waits longer than the proxy's upstream connect deadline;
     # a quiet controller must not be relayed as a dropped session
-    monkeypatch.setattr(rulefuzz.proxy, "_CONNECT_TIMEOUT", 0.3)
+    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     with StallingController() as controller:
         proxy = make_proxy(controller.endpoint[1])

@@ -439,3 +439,36 @@ def test_switch_session_reports_a_refused_connect():
         loop.run(lambda: bool(ended))
     assert ended == [switch]
     assert switch.unreachable.startswith(f"connect to {dead}: ")
+
+
+def test_switch_and_proxy_dials_time_out(monkeypatch):
+    # a listener that never accepts and whose accept queue is full drops
+    # every later handshake, so a connect to it neither succeeds nor fails
+    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    procedure = build_procedure("ping_exchange", "packet_in")
+    ended = []
+    with contextlib.ExitStack() as stack:
+        listener = stack.enter_context(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        full = listener.getsockname()[:2]
+        for _ in range(3):
+            filler = stack.enter_context(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+            filler.setblocking(False)
+            filler.connect_ex(full)
+        time.sleep(0.05)  # let the fillers' handshakes fill the queue
+        loop = stack.enter_context(Loop())
+        config = InterceptConfig("127.0.0.1", 0, *full, target_type="packet_in")
+        proxy = stack.enter_context(InterceptProxy(config, REGISTRY, loop=loop))
+        start = time.monotonic()
+        switch = SwitchSession(loop.selector, full, procedure, REGISTRY, None, ended.append)
+        loop.add(switch)
+        client = stack.enter_context(socket.create_connection(proxy.endpoint, timeout=5))
+        loop.run(lambda: bool(ended and proxy.records) and not loop.sessions, start + 1)
+        took = time.monotonic() - start
+        assert not loop.sessions
+        assert client.recv(1) == b""  # the proxy closed its client
+    assert took < 1
+    assert ended == [switch]
+    assert switch.unreachable == f"connect to {full}: timed out"
+    assert [r.error for r in proxy.records] == ["upstream unreachable: timed out"]

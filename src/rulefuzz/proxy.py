@@ -2,13 +2,17 @@
 
 Loop is the package's one event loop: a `selectors` loop over listeners
 and the non-blocking sockets of every live session (the Reactor
-pattern).  TcpServer, the one socket server, accepts onto a loop: one
-of its own that start() serves on a thread, or one it shares with the
-other roles of its sessions, served inline by whoever runs it.  The
-proxy and the mock controller in `sut` are both built on it.  Every
-session socket sets TCP_NODELAY: the lock-step exchanges of a control
-channel send small messages and wait for the reply, so with Nagle's
-algorithm each one would wait out the peer's delayed ACK.
+pattern).  Every session step, accept, hook call and session close runs
+on the thread that serves the session's loop.  A campaign share makes a
+Loop of its own and serves it inline on the share's thread.  Everything
+else shares process_loop(): one loop per process, served on one daemon
+thread from first use until exit.  Other threads hand work to a loop
+through submit() and call().  TcpServer, the one socket server, accepts
+onto a loop: the one it is given, or the process loop.  The proxy and
+the mock controller in `sut` are both built on it.  Every session
+socket sets TCP_NODELAY: the lock-step exchanges of a control channel
+send small messages and wait for the reply, so with Nagle's algorithm
+each one would wait out the peer's delayed ACK.
 
 The proxy sits as an explicit man-in-the-middle between a switch-side
 client and an upstream controller.  Both directions are relayed byte for
@@ -38,10 +42,11 @@ another thread pairs through reserve(): it queues the hook and
 serializes the register-then-connect step, so accept order matches
 queue order, and a connect that fails inside reserve() retracts its
 hook, so it cannot be handed to a later session.  A session with no
-hook is relayed untouched.
+hook is relayed untouched.  Hooks run on the loop's thread.
 """
 from __future__ import annotations
 
+import atexit
 import collections
 import contextlib
 import errno
@@ -52,6 +57,7 @@ import socket
 import struct
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -126,13 +132,14 @@ class StreamSegmenter:
 class Connection:
     """A non-blocking socket on a TcpServer loop, with its own output buffer."""
 
-    __slots__ = ("sock", "out", "events", "connecting")
+    __slots__ = ("sock", "out", "events", "connecting", "shut")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.out = bytearray()  # bytes queued for the peer, not yet sent
         self.events = 0  # what the loop's selector watches this socket for
         self.connecting = False  # a connect() has started and not ended
+        self.shut = False  # shut down for writing: the peer has its FIN
 
     def watch(self, selector: selectors.BaseSelector, session: Session, read: bool) -> None:
         """Watch for reads if `read`, and for writes while output is queued."""
@@ -199,6 +206,12 @@ class Connection:
         del self.out[:sent]
         return sent
 
+    def shut_write(self) -> None:
+        """Send the peer a FIN; the socket still reads."""
+        self.shut = True
+        with contextlib.suppress(OSError):
+            self.sock.shutdown(socket.SHUT_WR)
+
     def close(self, selector: selectors.BaseSelector, reset: bool = False) -> None:
         """Close with a FIN, or with a reset, which fails the peer's next read, if `reset`."""
         if self.events:
@@ -207,11 +220,10 @@ class Connection:
         if reset:
             # a zero linger time makes close() send a reset and drop unsent bytes
             self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        else:
+        elif not self.shut:
             # shut down first so the peer gets a FIN even when bytes it sent
             # are still unread here; close() alone would send only a reset
-            with contextlib.suppress(OSError):
-                self.sock.shutdown(socket.SHUT_WR)
+            self.shut_write()
         self.sock.close()
 
 
@@ -221,7 +233,8 @@ class Session:
     The loop calls ready() when a socket of the session is ready for the
     events the session watches it for, and expire() once `deadline` (a
     time.monotonic() value, or None for no deadline) has passed.  The
-    session leaves the loop once `closed` is set.
+    session leaves the loop once `closed` is set.  The first close()
+    calls on_close(session), if it is set.
     """
 
     def __init__(self, selector: selectors.BaseSelector, sock: socket.socket):
@@ -229,6 +242,7 @@ class Session:
         self.conn = Connection(sock)
         self.deadline: float | None = None
         self.closed = False
+        self.on_close: Callable[[Session], None] | None = None
 
     def ready(self, sock: socket.socket, events: int) -> None:
         raise NotImplementedError
@@ -237,8 +251,12 @@ class Session:
         self.close()
 
     def close(self) -> None:
+        if self.closed:
+            return
         self.closed = True
         self.conn.close(self.selector)
+        if self.on_close is not None:
+            self.on_close(self)
 
 
 class Loop:
@@ -246,7 +264,10 @@ class Loop:
 
     Every role of a session can run on one loop: the TcpServers whose
     listeners it watches accept onto it, and a client adds its own
-    sessions with add().  The thread that calls run() serves them all.
+    sessions with add().  The thread that calls run() serves them all,
+    and only that thread may touch the loop's sessions and selector;
+    another thread hands it work through submit() or call().  `thread`
+    is the thread that serves the loop in the background, if one does.
     A session leaves the live set when it closes, so state does not grow
     with session count.  close() closes every live session.
     """
@@ -254,10 +275,38 @@ class Loop:
     def __init__(self) -> None:
         self.selector = selectors.DefaultSelector()
         self.sessions: set[Session] = set()
+        self.thread: threading.Thread | None = None
+        self._calls: collections.deque = collections.deque()  # (fn, its future) pairs
+        # a byte on the waker wakes the loop's wait to run the queued calls
+        self._waker, self._wakee = socket.socketpair()
+        for end in (self._waker, self._wakee):
+            end.setblocking(False)
+        self.selector.register(self._wakee, selectors.EVENT_READ, self)
 
     def add(self, session: Session) -> None:
         if not session.closed:
             self.sessions.add(session)
+
+    def submit(self, fn: Callable[[], object]) -> Future:
+        """Run fn() on the loop's thread at its next wake; safe from any thread.
+
+        The future returned gets fn's result or exception.
+        """
+        future: Future = Future()
+        self._calls.append((fn, future))
+        with contextlib.suppress(BlockingIOError):  # a full waker wakes the loop anyway
+            self._waker.send(b"\0")
+        return future
+
+    def call(self, fn: Callable[[], object]) -> object:
+        """fn()'s result, run on the loop's thread; fn's exception is raised here.
+
+        It runs inline on the loop's own thread, or when no thread
+        serves the loop.
+        """
+        if self.thread is None or self.thread is threading.current_thread():
+            return fn()
+        return self.submit(fn).result()
 
     def run(self, step: Callable[[], bool], deadline: float | None = None) -> None:
         """Serve until step(), called before every wait, returns True, or `deadline` passes."""
@@ -269,7 +318,9 @@ class Loop:
             timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
             for key, events in self.selector.select(timeout):
                 handler = key.data
-                if isinstance(handler, TcpServer):
+                if handler is self:
+                    self._run_calls()
+                elif isinstance(handler, TcpServer):
                     handler._accept()
                 elif handler in sessions:  # not closed earlier in this batch
                     self._call(handler.ready, handler, key.fileobj, events)
@@ -278,6 +329,16 @@ class Loop:
                 self._call(session.expire, session)
             if deadline is not None and now >= deadline:
                 return
+
+    def _run_calls(self) -> None:
+        with contextlib.suppress(BlockingIOError):
+            self._wakee.recv(4096)
+        while self._calls:
+            fn, future = self._calls.popleft()
+            try:
+                future.set_result(fn())
+            except BaseException as exc:  # the future's reader raises it
+                future.set_exception(exc)
 
     def _call(self, step: Callable, session: Session, *args: object) -> None:
         """Run one session step; a step that raises closes its session only."""
@@ -294,6 +355,8 @@ class Loop:
             session.close()
         self.sessions.clear()
         self.selector.close()
+        self._waker.close()
+        self._wakee.close()
 
     def __enter__(self) -> Loop:
         return self
@@ -302,17 +365,55 @@ class Loop:
         self.close()
 
 
+_process_loop: Loop | None = None
+_process_loop_lock = threading.Lock()
+
+
+def process_loop() -> Loop:
+    """The process's one background loop: served on a daemon thread from first use until exit."""
+    global _process_loop
+    with _process_loop_lock:
+        if _process_loop is None:
+            loop = Loop()
+            loop.thread = threading.Thread(
+                target=loop.run, args=(lambda: loop.selector.get_map() is None,),
+                name="rulefuzz-loop", daemon=True,
+            )
+            loop.thread.start()
+            atexit.register(_close_process_loop, loop)
+            _process_loop = loop
+        return _process_loop
+
+
+def _close_process_loop(loop: Loop) -> None:
+    if loop.thread.is_alive():
+        loop.call(loop.close)
+        loop.thread.join()
+
+
+def _forget_process_loop() -> None:
+    """A forked child has no thread serving its copy of the parent's loop."""
+    global _process_loop, _process_loop_lock
+    _process_loop, _process_loop_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_process_loop)
+
+
 class TcpServer:
     """TCP server whose sessions run on a Loop.
 
     The listener is bound on construction, so `endpoint` is valid before
-    start().  Each accepted connection gets its Session from open(), in
-    accept order.  A server made without a loop has one of its own, and
-    start() serves it on one new thread; stop() then closes the listener
-    at once and gives live sessions _STOP_GRACE seconds to finish before
-    it closes them.  A server made on a shared `loop` is served by the
-    thread that runs that loop; stop() closes its listener only, and the
-    loop's owner closes what is still live.
+    start(), which registers it on the server's loop; each accepted
+    connection then gets its Session from open(), in accept order.  The
+    server keeps its own live sessions in `_sessions`.  A server made
+    without a loop serves on process_loop(), which a thread serves in
+    the background: stop() closes the listener, gives the server's live
+    sessions _STOP_GRACE seconds to finish, and then closes them.  A
+    server made on a `loop` of the caller's is served by the thread that
+    runs that loop; stop() closes its listener only, and the loop's
+    owner closes what is still live.
     """
 
     def __init__(self, host: str, port: int, loop: Loop | None = None):
@@ -326,11 +427,9 @@ class TcpServer:
             listener.close()
             raise
         self._listener = listener
-        self._owns_loop = loop is None
-        self._loop = Loop() if loop is None else loop
-        self._loop.selector.register(listener, selectors.EVENT_READ, self)
-        self._sessions = self._loop.sessions  # the live sessions of its loop
-        self._accept_thread: threading.Thread | None = None
+        self._loop = process_loop() if loop is None else loop
+        self._sessions: set[Session] = set()
+        self._idle: threading.Event | None = None  # from stop(): set once no session is live
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -338,26 +437,19 @@ class TcpServer:
         return host, port
 
     def start(self) -> None:
-        """Serve this server's own loop on a new thread."""
-        self._accept_thread = threading.Thread(target=self._serve, daemon=True)
-        self._accept_thread.start()
+        """Accept onto the server's loop."""
+        self._loop.call(
+            lambda: self._loop.selector.register(self._listener, selectors.EVENT_READ, self)
+        )
 
     def stop(self) -> None:
-        if self._accept_thread is not None:
-            # the shutdown wakes the loop, and only the loop closes the listener
-            with contextlib.suppress(OSError):
-                self._listener.shutdown(socket.SHUT_RDWR)
-            self._accept_thread.join(timeout=_STOP_GRACE + 1)
-            return
-        if self._listener.fileno() >= 0:
-            self._loop.selector.unregister(self._listener)
-            self._listener.close()
-        if self._owns_loop:
-            self._loop.close()
+        self._loop.call(self._close_listener)
+        if self._loop.thread is not None:  # the loop serves sessions while this waits
+            self._idle.wait(_STOP_GRACE)
+            self._loop.call(self._close_sessions)
 
     def __enter__(self):
-        if self._owns_loop:
-            self.start()
+        self.start()
         return self
 
     def __exit__(self, *exc: object) -> None:
@@ -367,27 +459,34 @@ class TcpServer:
         """The session of a newly accepted non-blocking socket from address `peer`."""
         raise NotImplementedError
 
-    def _serve(self) -> None:
-        loop = self._loop
-        try:
-            loop.run(lambda: self._listener.fileno() < 0)
-            loop.run(lambda: not loop.sessions, time.monotonic() + _STOP_GRACE)
-        finally:
-            loop.close()
+    def _close_listener(self) -> None:
+        if self._listener.fileno() >= 0:
+            with contextlib.suppress(KeyError):  # a server never started is not registered
+                self._loop.selector.unregister(self._listener)
+            self._listener.close()
+        self._idle = threading.Event()
+        if not self._sessions:
+            self._idle.set()
+
+    def _close_sessions(self) -> None:
+        for session in list(self._sessions):
+            session.close()
+            self._loop.sessions.discard(session)
+
+    def _closed(self, session: Session) -> None:
+        self._sessions.discard(session)
+        if not self._sessions and self._idle is not None:
+            self._idle.set()
 
     def _accept(self) -> None:
-        """Accept every pending connection; close the listener once stop() has shut it down."""
+        """Accept every pending connection."""
         while True:
             try:
                 sock, peer = self._listener.accept()
             except BlockingIOError:
                 return
             except OSError as exc:
-                if exc.errno == errno.EINVAL:
-                    self._loop.selector.unregister(self._listener)
-                    self._listener.close()
-                else:
-                    log.warning("accept failed: %s", exc)
+                log.warning("accept failed: %s", exc)
                 return
             try:
                 sock.setblocking(False)
@@ -397,19 +496,21 @@ class TcpServer:
                 log.exception("session failed to open")
                 sock.close()
                 continue
-            self._loop.add(session)
+            if not session.closed:
+                session.on_close = self._closed
+                self._sessions.add(session)
+                self._loop.add(session)
 
 
 class _Leg:
     """One direction of a proxied session: frames read from `src` go to `dst`."""
 
-    __slots__ = ("src", "dst", "direction", "segmenter", "open", "half_closed")
+    __slots__ = ("src", "dst", "direction", "segmenter", "open")
 
     def __init__(self, src: Connection, dst: Connection, direction: str):
         self.src, self.dst, self.direction = src, dst, direction
         self.segmenter = StreamSegmenter()
         self.open = True  # src is still read
-        self.half_closed = False  # dst is shut down for writing
 
 
 class _ProxySession(Session):
@@ -492,11 +593,9 @@ class _ProxySession(Session):
     def _settle(self) -> None:
         """Half-close drained legs, then end the session or watch what is left."""
         for leg in self._legs:
-            if not leg.open and not leg.dst.out and not leg.half_closed:
-                leg.half_closed = True
-                with contextlib.suppress(OSError):
-                    leg.dst.sock.shutdown(socket.SHUT_WR)
-        if all(leg.half_closed for leg in self._legs):
+            if not leg.open and not leg.dst.out and not leg.dst.shut:
+                leg.dst.shut_write()
+        if all(leg.dst.shut for leg in self._legs):
             self.close()
             return
         for leg in self._legs:

@@ -13,15 +13,18 @@ A procedure is a tuple of steps, one message each.  Its target step is
 the slot the proxy fuzzes and the one whose receiver checks the oracle.
 One procedure player serves both roles: `Player` is the step loop with
 no I/O of its own, which sends the steps of its role, reads the peer's,
-and enacts the failure when it receives a target that matches.  On a
-`proxy.Loop` it runs as a `PlayerSession`: the mock controller, a
-`proxy.TcpServer`, runs one per accepted connection, and the switch
-driver `SwitchSession` dials its peer without blocking, so every role of
-a session can share one loop.  `run_procedure_on` runs the switch half
-over a blocking socket instead, and reports the same `RunOutcome`.
-There is one session timeout, `proxy.STEP_TIMEOUT`: the switch's
-connect and each step wait at most that long for the peer, on either
-driver unless `connect_sut` is given another timeout.
+and enacts the failure when it receives a target that matches.  It runs
+only as a `PlayerSession` on a `proxy.Loop`, on the thread that serves
+that loop: the mock controller, a `proxy.TcpServer`, runs one per
+accepted connection, and the switch driver `SwitchSession` dials its
+peer without blocking, so every role of a session can share one loop.
+`run_procedure_on` is the blocking front of the same switch half for a
+caller on another thread: it hands the connection to the process loop
+(`proxy.process_loop()`) and waits until the session closes.  There is
+one session timeout, `proxy.STEP_TIMEOUT`: the switch's connect and each
+step wait at most that long for the peer.  A connection from
+`connect_sut(endpoint, timeout)` carries its own: `run_procedure_on`
+takes the socket's timeout as each step's deadline.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import selectors
 import socket
+import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -45,7 +50,7 @@ import yaml
 from . import proxy
 from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, decode_as, encode
 from .dataset import ABSENCE, PRESENCE
-from .proxy import _RECV_CHUNK, Loop, Session, TcpServer
+from .proxy import Loop, Session, TcpServer
 from .rules import Condition, parse_condition
 from .sampler import evaluate
 
@@ -344,17 +349,24 @@ class Player:
 class PlayerSession(Session):
     """One role of a procedure played on a proxy.Loop.
 
-    Each step waits at most `proxy.STEP_TIMEOUT` for the peer.  The
-    session ends once the player is done and its output has left, or
-    when the peer fails it, with what run_procedure_on would report: a
-    failed send reads as the peer closing early, a failed read (a reset)
-    also sets `outcome.error`, and a step that times out sets it to
-    "timeout".
+    Each step waits at most `timeout` seconds for the peer, or for ever
+    if it is None.  Output the socket does not take at once is queued
+    and flushed as the socket drains.  The session ends once the player
+    is done and its output has left, or when the peer fails it: a failed
+    send reads as the peer closing early, a failed read (a reset) also
+    sets `outcome.error`, and a step that times out sets it to "timeout".
     """
 
-    def __init__(self, selector: selectors.BaseSelector, sock: socket.socket, player: Player):
+    def __init__(
+        self,
+        selector: selectors.BaseSelector,
+        sock: socket.socket,
+        player: Player,
+        timeout: float | None,
+    ):
         super().__init__(selector, sock)
         self._player = player
+        self._timeout = timeout
         self.outcome = player.outcome
 
     def begin(self) -> None:
@@ -400,18 +412,18 @@ class PlayerSession(Session):
             self.close()
             return
         self.conn.watch(self.selector, self, not self._player.done)
-        # each step waits at most STEP_TIMEOUT for the peer
-        self.deadline = time.monotonic() + proxy.STEP_TIMEOUT
+        if self._timeout is not None:
+            self.deadline = time.monotonic() + self._timeout
 
 
 class SwitchSession(PlayerSession):
     """The switch half of a procedure, dialled without blocking on a loop.
 
-    The loop counterpart of connect_sut and run_procedure_on: the connect
-    gets `proxy.STEP_TIMEOUT` too, as every `Connection.connect` does.
-    If it fails, `unreachable` says why and the session closes.
-    `address` is the local address the connect was made from, and
-    on_close(session) runs once the session closes.
+    The connect and each step get `proxy.STEP_TIMEOUT`, as every
+    `Connection.connect` does.  If the connect fails, `unreachable` says
+    why and the session closes.  `address` is the local address the
+    connect was made from, and on_close(session) runs once the session
+    closes.
     """
 
     def __init__(
@@ -425,9 +437,9 @@ class SwitchSession(PlayerSession):
     ):
         super().__init__(
             selector, socket.socket(socket.AF_INET, socket.SOCK_STREAM),
-            Player(procedure, registry, oracle, SWITCH),
+            Player(procedure, registry, oracle, SWITCH), proxy.STEP_TIMEOUT,
         )
-        self._endpoint, self._on_close = endpoint, on_close
+        self._endpoint, self.on_close = endpoint, on_close
         self.unreachable: str | None = None
         self.address: tuple[str, int] | None = None
         try:
@@ -457,11 +469,6 @@ class SwitchSession(PlayerSession):
         else:
             super().expire()
 
-    def close(self) -> None:
-        if not self.closed:
-            super().close()
-            self._on_close(self)
-
 
 # ---------------------------------------------------------------------------
 # Mock controller
@@ -486,7 +493,7 @@ class MockController(TcpServer):
 
     def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
         player = Player(self._procedure, self._registry, self._oracle, CONTROLLER)
-        session = PlayerSession(self._loop.selector, sock, player)
+        session = PlayerSession(self._loop.selector, sock, player, proxy.STEP_TIMEOUT)
         session.begin()
         return session
 
@@ -517,30 +524,33 @@ def run_procedure_on(
     registry: SchemaRegistry,
     oracle: FailureOracle | None = None,
 ) -> RunOutcome:
-    """Drive the switch half of a procedure over an open connection, then close it."""
+    """Drive the switch half of a procedure over an open connection, then close it.
+
+    The session runs on the process loop, while the caller waits; each
+    step waits at most the socket's timeout for the peer.  A caller on
+    the loop's own thread gets RuntimeError, as its wait would stop the
+    loop that serves the session.
+    """
+    loop = proxy.process_loop()
+    if threading.current_thread() is loop.thread:
+        raise RuntimeError("run_procedure_on cannot wait on the loop thread that serves it")
     player = Player(procedure, registry, oracle, SWITCH)
-    outcome = player.outcome
-    with sock:
-        out = player.start()
-        while True:
-            try:
-                if out:
-                    sock.sendall(out)
-            except OSError:
-                outcome.observations["closed_early"] = True
-                break
-            if player.done:
-                break
-            try:
-                out = player.receive(sock.recv(_RECV_CHUNK))
-            except socket.timeout:
-                outcome.error = "timeout"
-                break
-            except OSError as exc:
-                outcome.error = str(exc)
-                outcome.observations["closed_early"] = True
-                break
-    return outcome
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    ended: Future = Future()
+
+    def begin() -> None:
+        try:
+            session = PlayerSession(loop.selector, sock, player, timeout)
+            session.on_close = lambda _session: ended.set_result(player.outcome)
+            session.begin()
+            loop.add(session)
+        except BaseException as exc:  # the caller's wait raises it
+            sock.close()
+            ended.set_exception(exc)
+
+    loop.submit(begin)
+    return ended.result()
 
 
 # ---------------------------------------------------------------------------

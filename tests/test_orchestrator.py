@@ -460,9 +460,10 @@ def record_constructions(monkeypatch, *names):
 
 
 def assert_stopped(server):
-    # a campaign's servers run on their share's loop, which is closed
+    # a campaign's servers run on their share's loop, which no thread
+    # serves in the background, and which is closed
     assert server._listener.fileno() == -1
-    assert server._accept_thread is None
+    assert server._loop.thread is None
     assert not server._sessions and server._loop.selector.get_map() is None
 
 

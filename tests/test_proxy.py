@@ -348,7 +348,7 @@ def test_proxy_sessions_add_no_thread():
                 assert sock.recv(8, socket.MSG_WAITALL) == frame(0, 8, fill=tag)
             started = set(threading.enumerate()) - before
             assert len(proxy._sessions) == k
-            # the k live sessions are all on the proxy's one loop thread
+            # the k live sessions are all on the process's one loop thread
             assert started == set(upstream.threads)
         finally:
             for sock in clients:
@@ -520,21 +520,25 @@ def test_failed_connects_keep_concurrent_pairing(upstream):
     }
 
 
-def test_stop_ends_accept_thread(upstream):
+def test_stop_is_prompt_and_servers_add_no_thread():
+    before = set(threading.enumerate())
     procedure = build_procedure("ping_exchange", "packet_in")
     controller = MockController(REGISTRY, procedure, None)
     controller.start()
-    outcome = run_procedure_on(connect_sut(controller.endpoint, 5.0), procedure, REGISTRY)
-    assert outcome.observations["ping_ok"]
-    assert outcome.error is None
-    proxy = make_proxy(upstream.port)
-    assert roundtrip(proxy, frame(0, 8)) == frame(0, 8)
+    proxy = make_proxy(controller.endpoint[1])
+    # a session straight to the controller, then one through the proxy
+    for endpoint in (controller.endpoint, proxy.endpoint):
+        outcome = run_procedure_on(connect_sut(endpoint, 5.0), procedure, REGISTRY)
+        assert outcome.observations["ping_ok"]
+        assert outcome.error is None
     for server in (proxy, controller):
-        accept_thread = server._accept_thread
         start = time.perf_counter()
         server.stop()
         assert time.perf_counter() - start < 0.25, type(server).__name__
-        assert not accept_thread.is_alive()
+        assert server._listener.fileno() == -1
+        assert not server._sessions
+    # both servers served on the process's one loop thread, and only there
+    assert set(threading.enumerate()) - before <= {rulefuzz.proxy.process_loop().thread}
 
 
 def test_sequential_sessions_leave_no_live_threads():

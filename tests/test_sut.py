@@ -4,6 +4,7 @@ import contextlib
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -11,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 import rulefuzz.proxy
-from rulefuzz.codec import builtin_registry, encode
+from rulefuzz.codec import SchemaRegistry, builtin_registry, encode
 from rulefuzz.dataset import ABSENCE, PRESENCE
 from rulefuzz.rules import parse_condition
 from rulefuzz.sut import (
@@ -28,6 +29,7 @@ from rulefuzz.sut import (
     apply_noise,
     build_procedure,
     connect_sut,
+    default_frame,
     default_message,
     default_oracle,
     detect,
@@ -36,6 +38,8 @@ from rulefuzz.sut import (
     run_procedure_on,
 )
 from rulefuzz.proxy import InterceptConfig, InterceptProxy, Loop, StreamSegmenter
+
+from .conftest import make_schema
 
 REGISTRY = builtin_registry()
 
@@ -345,9 +349,14 @@ def controller_peer(oracle):
 
 
 @contextlib.contextmanager
-def raw_peer(serve):
-    """A peer that serves its connections one at a time on a thread."""
+def raw_peer(serve, rcvbuf=None):
+    """A peer that serves its connections one at a time on a thread.
+
+    `rcvbuf` sets the receive buffer of every connection it accepts.
+    """
     listener = socket.create_server(("127.0.0.1", 0))
+    if rcvbuf is not None:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
 
     def accept_loop():
         while True:
@@ -472,3 +481,107 @@ def test_switch_and_proxy_dials_time_out(monkeypatch):
     assert ended == [switch]
     assert switch.unreachable == f"connect to {full}: timed out"
     assert [r.error for r in proxy.records] == ["upstream unreachable: timed out"]
+
+
+def test_blocking_switches_on_many_threads_share_the_process_loop():
+    # 8 client threads each run 25 sessions through one proxy; every hook
+    # must reach its own session, whose storm shows whether it matched
+    oracle = replace(default_oracle(), failure_mode="broadcast_storm")
+    procedure = build_procedure("ping_exchange", "packet_in")
+    matching = encode(
+        default_message(REGISTRY.by_name("packet_in")).with_values({"cookie_hi": 2**32 - 1})
+    )
+    before = set(threading.enumerate())
+    seen = set()
+    results = {}
+
+    def client(tag):
+        for j in range(25):
+            storm = (tag + j) % 2 == 0
+            fired = []
+
+            def hook(frame, storm=storm, fired=fired):
+                fired.append(frame)
+                return matching if storm else frame
+
+            with proxy.reserve(hook) as endpoint:
+                sock = connect_sut(endpoint, 5.0)
+            outcome = run_procedure_on(sock, procedure, REGISTRY)
+            results[tag, j] = (storm, len(fired), outcome)
+            seen.update(threading.enumerate())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # frequent thread switches shake out hand-off races
+    try:
+        with MockController(REGISTRY, procedure, oracle) as controller:
+            config = InterceptConfig(
+                "127.0.0.1", 0, *controller.endpoint, target_type="packet_in"
+            )
+            with InterceptProxy(config, REGISTRY) as proxy:
+                clients = [threading.Thread(target=client, args=(tag,)) for tag in range(8)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8 * 25
+    for storm, fired, outcome in results.values():
+        assert fired == 1
+        assert outcome.error is None and outcome.observations["ping_ok"]
+        assert outcome.observations["flood_count"] == (STORM_FRAMES if storm else 0)
+    assert [r.hook_fired for r in proxy.records] == [True] * len(results)
+    # the threads grew by the clients and the process's one loop thread only
+    assert seen - before <= set(clients) | {rulefuzz.proxy.process_loop().thread}
+
+
+def test_run_procedure_on_the_loop_thread_raises():
+    procedure = build_procedure("ping_exchange", "packet_in")
+    loop = rulefuzz.proxy.process_loop()
+    ours, theirs = socket.socketpair()
+    with ours, theirs, pytest.raises(RuntimeError, match="loop thread"):
+        loop.call(lambda: run_procedure_on(ours, procedure, REGISTRY))
+
+
+def test_a_frame_larger_than_the_socket_buffers_leaves_through_flush(monkeypatch):
+    # 48 KB is more than the switch's send buffer and the peer's receive
+    # buffer hold, and the peer reads nothing for 0.2 s: the switch queues
+    # what the socket does not take and sends it as the socket drains
+    widths = {"version": 8, "type": 8, "length": 16, "xid": 32, "payload": 48 * 1024 * 8 - 64}
+    bulk = make_schema(widths, type_name="bulk", code=200)
+    registry = SchemaRegistry((*REGISTRY.schemas, bulk))
+    procedure = build_procedure("ping_exchange", "bulk")
+    hello, request, reply = (
+        default_frame(registry.by_name(name))
+        for name in ("hello", "barrier_request", "barrier_reply")
+    )
+    target = default_frame(bulk)
+    flushed = []
+    flush = rulefuzz.proxy.Connection.flush
+
+    def counting_flush(conn):
+        flushed.append(len(conn.out))
+        return flush(conn)
+
+    monkeypatch.setattr(rulefuzz.proxy.Connection, "flush", counting_flush)
+    got = []
+
+    def slow_reader(conn):
+        assert conn.recv(len(hello), socket.MSG_WAITALL) == hello
+        conn.sendall(hello)
+        time.sleep(0.2)
+        # a socket with a timeout does not wait for MSG_WAITALL
+        data = b""
+        while len(data) < len(target) + len(request) and (chunk := conn.recv(65536)):
+            data += chunk
+        got.append(data)
+        conn.sendall(reply)
+
+    with raw_peer(slow_reader, rcvbuf=4096) as endpoint:
+        sock = connect_sut(endpoint, 5.0)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        outcome = run_procedure_on(sock, procedure, registry)
+    assert outcome.error is None and outcome.observations["ping_ok"]
+    assert got == [target + request]
+    assert flushed, "the switch never queued output"

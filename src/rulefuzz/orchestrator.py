@@ -65,7 +65,8 @@ from .fuzzer import (
 )
 from .learner import RipperParams, cross_validate, learn
 from .planner import BudgetClock, plan, should_stop
-from .proxy import InterceptConfig, InterceptProxy, Loop
+from .proxy import InterceptConfig, InterceptProxy
+from .reactor import Loop
 from .rules import RuleSet, format_ruleset, parse_ruleset
 from .sampler import UnsatisfiableError, solve
 from .sut import (

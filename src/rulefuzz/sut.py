@@ -14,14 +14,14 @@ the slot the proxy fuzzes and the one whose receiver checks the oracle.
 One procedure player serves both roles: `Player` is the step loop with
 no I/O of its own, which sends the steps of its role, reads the peer's,
 and enacts the failure when it receives a target that matches.  It runs
-only as a `PlayerSession` on a `proxy.Loop`, on the thread that serves
-that loop: the mock controller, a `proxy.TcpServer`, runs one per
+only as a `PlayerSession` on a `reactor.Loop`, on the thread that serves
+that loop: the mock controller, a `reactor.TcpServer`, runs one per
 accepted connection, and the switch driver `SwitchSession` dials its
 peer without blocking, so every role of a session can share one loop.
 `run_procedure_on` is the blocking front of the same switch half for a
 caller on another thread: it hands the connection to the process loop
-(`proxy.process_loop()`) and waits until the session closes.  There is
-one session timeout, `proxy.STEP_TIMEOUT`: the switch's connect and each
+(`reactor.process_loop()`) and waits until the session closes.  There is
+one session timeout, `reactor.STEP_TIMEOUT`: the switch's connect and each
 step wait at most that long for the peer.  A connection from
 `connect_sut(endpoint, timeout)` carries its own: `run_procedure_on`
 takes the socket's timeout as each step's deadline.
@@ -47,10 +47,10 @@ from typing import Callable, Mapping
 
 import yaml
 
-from . import proxy
+from . import reactor
 from .codec import HEADER_BYTES, ControlMessage, MessageSchema, SchemaRegistry, decode_as, encode
 from .dataset import ABSENCE, PRESENCE
-from .proxy import Loop, Session, TcpServer
+from .reactor import Loop, Session, TcpServer
 from .rules import Condition, parse_condition
 from .sampler import evaluate
 
@@ -347,7 +347,7 @@ class Player:
 # ---------------------------------------------------------------------------
 
 class PlayerSession(Session):
-    """One role of a procedure played on a proxy.Loop.
+    """One role of a procedure played on a reactor.Loop.
 
     Each step waits at most `timeout` seconds for the peer, or for ever
     if it is None.  Output the socket does not take at once is queued
@@ -419,11 +419,11 @@ class PlayerSession(Session):
 class SwitchSession(PlayerSession):
     """The switch half of a procedure, dialled without blocking on a loop.
 
-    The connect and each step get `proxy.STEP_TIMEOUT`, as every
-    `Connection.connect` does.  If the connect fails, `unreachable` says
-    why and the session closes.  `address` is the local address the
-    connect was made from, and on_close(session) runs once the session
-    closes.
+    The connect and each step get `reactor.STEP_TIMEOUT`, as every
+    `reactor.Connection.connect` does.  If the connect fails,
+    `unreachable` says why and the session closes.  `address` is the
+    local address the connect was made from, and on_close(session) runs
+    once the session closes.
     """
 
     def __init__(
@@ -437,7 +437,7 @@ class SwitchSession(PlayerSession):
     ):
         super().__init__(
             selector, socket.socket(socket.AF_INET, socket.SOCK_STREAM),
-            Player(procedure, registry, oracle, SWITCH), proxy.STEP_TIMEOUT,
+            Player(procedure, registry, oracle, SWITCH), reactor.STEP_TIMEOUT,
         )
         self._endpoint, self.on_close = endpoint, on_close
         self.unreachable: str | None = None
@@ -493,7 +493,7 @@ class MockController(TcpServer):
 
     def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
         player = Player(self._procedure, self._registry, self._oracle, CONTROLLER)
-        session = PlayerSession(self._loop.selector, sock, player, proxy.STEP_TIMEOUT)
+        session = PlayerSession(self._loop.selector, sock, player, reactor.STEP_TIMEOUT)
         session.begin()
         return session
 
@@ -506,10 +506,10 @@ def connect_sut(endpoint: tuple[str, int], timeout: float | None = None) -> sock
     """Open the switch-side connection; SutUnavailableError on failure.
 
     `timeout` bounds the connect and each later step; it defaults to
-    `proxy.STEP_TIMEOUT`.
+    `reactor.STEP_TIMEOUT`.
     """
     if timeout is None:
-        timeout = proxy.STEP_TIMEOUT
+        timeout = reactor.STEP_TIMEOUT
     try:
         sock = socket.create_connection(endpoint, timeout=timeout)
     except OSError as exc:
@@ -531,12 +531,11 @@ def run_procedure_on(
     the loop's own thread gets RuntimeError, as its wait would stop the
     loop that serves the session.
     """
-    loop = proxy.process_loop()
+    loop = reactor.process_loop()
     if threading.current_thread() is loop.thread:
         raise RuntimeError("run_procedure_on cannot wait on the loop thread that serves it")
     player = Player(procedure, registry, oracle, SWITCH)
     timeout = sock.gettimeout()
-    sock.setblocking(False)
     ended: Future = Future()
 
     def begin() -> None:

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rulefuzz.proxy
+import rulefuzz.reactor
 from rulefuzz.codec import HEADER_BYTES, builtin_registry, encode
 from rulefuzz.proxy import (
     InterceptConfig,
     InterceptProxy,
     LengthFieldInvalidError,
-    Loop,
     StreamSegmenter,
 )
+from rulefuzz.reactor import Loop
 from rulefuzz.sut import (
     MockController,
     build_procedure,
@@ -538,7 +538,7 @@ def test_stop_is_prompt_and_servers_add_no_thread():
         assert server._listener.fileno() == -1
         assert not server._sessions
     # both servers served on the process's one loop thread, and only there
-    assert set(threading.enumerate()) - before <= {rulefuzz.proxy.process_loop().thread}
+    assert set(threading.enumerate()) - before <= {rulefuzz.reactor.process_loop().thread}
 
 
 def test_sequential_sessions_leave_no_live_threads():
@@ -742,7 +742,7 @@ def test_an_upstream_reset_drops_the_output_queued_for_it(caplog):
     with (
         ResetAfterReading(size) as upstream,
         Loop() as loop,
-        caplog.at_level(logging.ERROR, logger="rulefuzz.proxy"),
+        caplog.at_level(logging.ERROR, logger="rulefuzz.reactor"),
     ):
         config = InterceptConfig("127.0.0.1", 0, *upstream.endpoint, "packet_in")
         with InterceptProxy(config, REGISTRY, loop=loop) as proxy:
@@ -789,7 +789,7 @@ class StallingController(BlockingServer):
 def test_stalled_controller_is_a_switch_timeout(monkeypatch):
     # the switch waits longer than the proxy's upstream connect deadline;
     # a quiet controller must not be relayed as a dropped session
-    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    monkeypatch.setattr(rulefuzz.reactor, "STEP_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     with StallingController() as controller:
         proxy = make_proxy(controller.endpoint[1])
@@ -827,7 +827,7 @@ class DeafController(BlockingServer):
 def test_deaf_controller_session_ends_after_the_switch_leaves(monkeypatch):
     # the switch times out and closes its leg; the controller never reads
     # that close, so only the proxy's step timeout can end the session
-    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3, raising=False)
+    monkeypatch.setattr(rulefuzz.reactor, "STEP_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     controller = DeafController()
     controller.start()

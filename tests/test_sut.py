@@ -1,17 +1,22 @@
 """Simulated system under test: oracles, procedures, detection, fidelity."""
 
 import contextlib
+import os
 import random
+import signal
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-import rulefuzz.proxy
+import rulefuzz.reactor
 from rulefuzz.codec import SchemaRegistry, builtin_registry, encode
 from rulefuzz.dataset import ABSENCE, PRESENCE
 from rulefuzz.rules import parse_condition
@@ -37,7 +42,8 @@ from rulefuzz.sut import (
     observe_label,
     run_procedure_on,
 )
-from rulefuzz.proxy import InterceptConfig, InterceptProxy, Loop, StreamSegmenter
+from rulefuzz.proxy import InterceptConfig, InterceptProxy, StreamSegmenter
+from rulefuzz.reactor import Loop
 
 from .conftest import make_schema
 
@@ -187,7 +193,7 @@ def test_connect_sut_unavailable():
 
 def test_controller_ends_a_session_whose_peer_goes_quiet(monkeypatch):
     # the one step timeout is read at call time, so one patch reaches it
-    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    monkeypatch.setattr(rulefuzz.reactor, "STEP_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     with MockController(REGISTRY, procedure, None) as controller:
         with socket.create_connection(controller.endpoint, timeout=5) as sock:
@@ -407,7 +413,7 @@ PEERS = {
 
 @pytest.mark.parametrize("peer", PEERS)
 def test_both_switch_drivers_report_the_same_outcome(peer, monkeypatch):
-    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    monkeypatch.setattr(rulefuzz.reactor, "STEP_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     with PEERS[peer]() as endpoint:
         blocking = run_procedure_on(connect_sut(endpoint), procedure, REGISTRY)
@@ -453,7 +459,7 @@ def test_switch_session_reports_a_refused_connect():
 def test_switch_and_proxy_dials_time_out(monkeypatch):
     # a listener that never accepts and whose accept queue is full drops
     # every later handshake, so a connect to it neither succeeds nor fails
-    monkeypatch.setattr(rulefuzz.proxy, "STEP_TIMEOUT", 0.3)
+    monkeypatch.setattr(rulefuzz.reactor, "STEP_TIMEOUT", 0.3)
     procedure = build_procedure("ping_exchange", "packet_in")
     ended = []
     with contextlib.ExitStack() as stack:
@@ -533,15 +539,74 @@ def test_blocking_switches_on_many_threads_share_the_process_loop():
         assert outcome.observations["flood_count"] == (STORM_FRAMES if storm else 0)
     assert [r.hook_fired for r in proxy.records] == [True] * len(results)
     # the threads grew by the clients and the process's one loop thread only
-    assert seen - before <= set(clients) | {rulefuzz.proxy.process_loop().thread}
+    assert seen - before <= set(clients) | {rulefuzz.reactor.process_loop().thread}
 
 
 def test_run_procedure_on_the_loop_thread_raises():
     procedure = build_procedure("ping_exchange", "packet_in")
-    loop = rulefuzz.proxy.process_loop()
+    loop = rulefuzz.reactor.process_loop()
     ours, theirs = socket.socketpair()
     with ours, theirs, pytest.raises(RuntimeError, match="loop thread"):
         loop.call(lambda: run_procedure_on(ours, procedure, REGISTRY))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_serves_sessions_on_a_process_loop_of_its_own():
+    # no thread serves the child's copy of the parent's process loop, so
+    # a child that kept it would hang at its first server's start()
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with MockController(REGISTRY, procedure, None):
+        parent_loop = rulefuzz.reactor.process_loop()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                loop = rulefuzz.reactor.process_loop()
+                code = 2
+                if loop is not parent_loop and loop.thread.is_alive():
+                    with MockController(REGISTRY, procedure, None) as controller:
+                        sock = connect_sut(controller.endpoint, 5.0)
+                        outcome = run_procedure_on(sock, procedure, REGISTRY)
+                    code = 0 if outcome.error is None and outcome.observations["ping_ok"] else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child hung")
+            time.sleep(0.01)
+    # 2: the child has no new process loop with a live thread; 3: its session failed
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+
+def test_the_system_under_test_imports_the_reactor_not_the_proxy():
+    # the simulated switch and controller know nothing of the fuzzer in
+    # between, and the reactor knows nothing of either
+    script = (
+        "import ast, pathlib, sys\n"
+        "import rulefuzz.sut\n"
+        "print('rulefuzz.proxy' in sys.modules)\n"
+        "import rulefuzz.reactor\n"
+        "tree = ast.parse(pathlib.Path(rulefuzz.reactor.__file__).read_text('utf-8'))\n"
+        "for node in ast.walk(tree):\n"
+        "    if isinstance(node, ast.ImportFrom):\n"
+        "        print('.' * node.level + (node.module or ''))\n"
+        "    elif isinstance(node, ast.Import):\n"
+        "        print(*(alias.name for alias in node.names))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    proxy_loaded, *imported = done.stdout.split()
+    assert proxy_loaded == "False", "importing rulefuzz.sut imports rulefuzz.proxy"
+    assert [name for name in imported if name.startswith((".", "rulefuzz"))] == []
 
 
 def test_a_frame_larger_than_the_socket_buffers_leaves_through_flush(monkeypatch):
@@ -558,13 +623,13 @@ def test_a_frame_larger_than_the_socket_buffers_leaves_through_flush(monkeypatch
     )
     target = default_frame(bulk)
     flushed = []
-    flush = rulefuzz.proxy.Connection.flush
+    flush = rulefuzz.reactor.Connection.flush
 
     def counting_flush(conn):
         flushed.append(len(conn.out))
         return flush(conn)
 
-    monkeypatch.setattr(rulefuzz.proxy.Connection, "flush", counting_flush)
+    monkeypatch.setattr(rulefuzz.reactor.Connection, "flush", counting_flush)
     got = []
 
     def slow_reader(conn):

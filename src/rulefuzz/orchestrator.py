@@ -24,7 +24,8 @@ share from starting new rows (the rows in flight finish) and fails the
 campaign with the lowest failed row, keeping the artifacts of the last
 whole iteration.  A pool worker that dies fails it the same way.
 
-Outputs under the campaign directory:
+Outputs under the campaign directory, which a run first clears of
+these names (and of nothing else), so that it holds one campaign:
   dataset.csv           every labeled sample, appended per iteration
   rulesets/iter_NNN.txt rule set learned after each iteration
   plans/iter_NNN.json   the fuzz plans executed in each iteration
@@ -440,6 +441,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         out.mkdir(parents=True, exist_ok=True)
         (out / "rulesets").mkdir(exist_ok=True)
         (out / "plans").mkdir(exist_ok=True)
+        for pattern in ("dataset.csv", "ruleset.txt", "report.json",
+                        "rulesets/iter_*.txt", "plans/iter_*.json"):
+            for stale in out.glob(pattern):
+                stale.unlink()
     except OSError as exc:
         raise PersistenceFailureError(f"cannot create {out}: {exc}") from exc
 

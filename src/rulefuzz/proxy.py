@@ -23,11 +23,12 @@ a peer that stops reading stalls only its own session.
 One accepted connection is one independent session.  A client on the
 proxy's own loop pairs its hook with its connection by address through
 expect(), so pairing does not depend on accept order.  A client on
-another thread pairs through reserve(): it queues the hook and
-serializes the register-then-connect step, so accept order matches
-queue order, and a connect that fails inside reserve() retracts its
-hook, so it cannot be handed to a later session.  A session with no
-hook is relayed untouched.  Hooks run on the loop's thread.
+another thread pairs through reserve(): under its one lock it queues
+the hook and makes its connect, so accept order matches queue order.
+The loop's thread alone takes hooks off the queue, and a connect that
+fails inside reserve() retracts its hook on that thread too, so the
+hook cannot be handed to a later session.  A session with no hook is
+relayed untouched.  Hooks run on the loop's thread.
 """
 from __future__ import annotations
 
@@ -178,23 +179,21 @@ class _ProxySession(Session):
         self.record.error = f"peer quiet for {reactor.STEP_TIMEOUT} s after half-close"
         self.close()
 
-    def close(self) -> None:
+    def close(self, reset: bool = False) -> None:
         record = self.record
         log.info(
             "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
             record.session_id, record.target_seen, record.hook_fired,
             record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
         )
-        self.upstream.close(self.selector)
-        super().close()
+        self.upstream.close(self.selector, reset)
+        super().close(reset)
 
     def _reset(self, why: str) -> None:
         """A read failed: end the session with a reset on both legs."""
         self.record.error = why
         log.warning("session %d reset: %s", self.record.session_id, why)
-        for conn in (self.upstream, self.conn):
-            conn.close(self.selector, reset=True)
-        self.close()
+        self.close(reset=True)
 
     def _settle(self) -> None:
         """Half-close drained legs, then end the session or watch what is left."""
@@ -276,8 +275,8 @@ class InterceptProxy(TcpServer):
         self._target_code = registry.by_name(config.target_type).header_type_code
         self.config = config
         self.records: list[SessionRecord] = []
+        # queued under the reserve lock; taken and retracted on the loop's thread only
         self._hooks: collections.deque[Hook] = collections.deque()
-        self._hooks_lock = threading.Lock()
         self._reserve_lock = threading.Lock()
         self._expected: dict[tuple[str, int], Hook] = {}
         super().__init__(config.listen_host, config.listen_port, loop)
@@ -289,19 +288,21 @@ class InterceptProxy(TcpServer):
         For clients on other threads.  Connect attempts are serialized so
         that kernel accept order (FIFO over completed handshakes) matches
         hook queue order.  If the block raises before the loop took the
-        hook, the hook is retracted.
+        hook, the hook is retracted, on the loop's thread, so that open()
+        cannot take it meanwhile.
         """
         with self._reserve_lock:
-            with self._hooks_lock:
-                self._hooks.append(hook)
+            self._hooks.append(hook)
             try:
                 yield self.endpoint
             except BaseException:
-                with self._hooks_lock:
-                    # nothing is queued behind it while the reserve lock is held
-                    if self._hooks and self._hooks[-1] is hook:
-                        self._hooks.pop()
+                self._loop.call(lambda: self._retract(hook))
                 raise
+
+    def _retract(self, hook: Hook) -> None:
+        # nothing is queued behind it while the reserve lock is held
+        if self._hooks and self._hooks[-1] is hook:
+            self._hooks.pop()
 
     def expect(self, client: tuple[str, int], hook: Hook) -> None:
         """Pair `hook` with the connection from address `client`.
@@ -320,9 +321,8 @@ class InterceptProxy(TcpServer):
 
     def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
         hook = self._expected.pop(peer, None)
-        if hook is None:
-            with self._hooks_lock:
-                hook = self._hooks.popleft() if self._hooks else None
+        if hook is None and self._hooks:
+            hook = self._hooks.popleft()
         record = SessionRecord(session_id=len(self.records) + 1)
         self.records.append(record)
         upstream = (self.config.upstream_host, self.config.upstream_port)

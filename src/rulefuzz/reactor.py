@@ -6,10 +6,13 @@ pattern).  Every session step, accept, hook call and session close runs
 on the thread that serves the session's loop.  A campaign share makes a
 Loop of its own and serves it inline on the share's thread.  Everything
 else shares process_loop(): one loop per process, served on one daemon
-thread from first use until exit.  Other threads hand work to a loop
-through submit() and call().  TcpServer, the one socket server, accepts
-onto a loop: the one it is given, or the process loop.  The intercept
-proxy in `proxy` and the mock controller in `sut` are both built on it.
+thread from first use until exit.  Only that loop carries a hand-off:
+other threads give it work through submit() and call(), and a socketpair
+waker wakes its wait; a share's Loop opens no socket of its own.
+TcpServer, the one socket server, accepts onto a loop: the one it is
+given, or the process loop.  Its one stop() closes the listener and the
+server's live sessions at once, on either loop.  The intercept proxy in
+`proxy` and the mock controller in `sut` are both built on it.
 Every session socket is made non-blocking and sets TCP_NODELAY when its
 Connection is made: the lock-step exchanges of a control channel send
 small messages and wait for the reply, so with Nagle's algorithm each
@@ -39,7 +42,6 @@ log = logging.getLogger(__name__)
 
 _RECV_CHUNK = 65536
 STEP_TIMEOUT = 10.0  # seconds a connect or a session step may wait for its peer
-_STOP_GRACE = 2.0  # seconds stop() lets live sessions finish
 
 
 class Connection:
@@ -147,7 +149,8 @@ class Session:
     events the session watches it for, and expire() once `deadline` (a
     time.monotonic() value, or None for no deadline) has passed.  The
     session leaves the loop once `closed` is set.  The first close()
-    calls on_close(session), if it is set.
+    closes the session's socket, with a reset if `reset`, and calls
+    on_close(session), if it is set.
     """
 
     def __init__(self, selector: selectors.BaseSelector, sock: socket.socket):
@@ -163,11 +166,11 @@ class Session:
     def expire(self) -> None:
         self.close()
 
-    def close(self) -> None:
+    def close(self, reset: bool = False) -> None:
         if self.closed:
             return
         self.closed = True
-        self.conn.close(self.selector)
+        self.conn.close(self.selector, reset)
         if self.on_close is not None:
             self.on_close(self)
 
@@ -178,11 +181,12 @@ class Loop:
     Every role of a session can run on one loop: the TcpServers whose
     listeners it watches accept onto it, and a client adds its own
     sessions with add().  The thread that calls run() serves them all,
-    and only that thread may touch the loop's sessions and selector;
-    another thread hands it work through submit() or call().  `thread`
-    is the thread that serves the loop in the background, if one does.
-    A session leaves the live set when it closes, so state does not grow
-    with session count.  close() closes every live session.
+    and only that thread may touch the loop's sessions and selector.
+    `thread` is the thread that serves the loop in the background, if
+    one does; only such a loop has a waker, and another thread hands it
+    work through submit() or call().  A session leaves the live set when
+    it closes, so state does not grow with session count.  close()
+    closes every live session.
     """
 
     def __init__(self) -> None:
@@ -190,11 +194,8 @@ class Loop:
         self.sessions: set[Session] = set()
         self.thread: threading.Thread | None = None
         self._calls: collections.deque = collections.deque()  # (fn, its future) pairs
-        # a byte on the waker wakes the loop's wait to run the queued calls
-        self._waker, self._wakee = socket.socketpair()
-        for end in (self._waker, self._wakee):
-            end.setblocking(False)
-        self.selector.register(self._wakee, selectors.EVENT_READ, self)
+        # with a thread: a byte on the waker wakes the loop's wait to run the queued calls
+        self._waker: tuple[socket.socket, socket.socket] | None = None
 
     def add(self, session: Session) -> None:
         if not session.closed:
@@ -208,7 +209,7 @@ class Loop:
         future: Future = Future()
         self._calls.append((fn, future))
         with contextlib.suppress(BlockingIOError):  # a full waker wakes the loop anyway
-            self._waker.send(b"\0")
+            self._waker[0].send(b"\0")
         return future
 
     def call(self, fn: Callable[[], object]) -> object:
@@ -232,7 +233,7 @@ class Loop:
             for key, events in self.selector.select(timeout):
                 handler = key.data
                 if handler is self:
-                    self._run_calls()
+                    self._run_calls(key.fileobj)
                 elif isinstance(handler, TcpServer):
                     handler._accept()
                 elif handler in sessions:  # not closed earlier in this batch
@@ -243,9 +244,9 @@ class Loop:
             if deadline is not None and now >= deadline:
                 return
 
-    def _run_calls(self) -> None:
+    def _run_calls(self, wakee: socket.socket) -> None:
         with contextlib.suppress(BlockingIOError):
-            self._wakee.recv(4096)
+            wakee.recv(4096)
         while self._calls:
             fn, future = self._calls.popleft()
             try:
@@ -268,8 +269,8 @@ class Loop:
             session.close()
         self.sessions.clear()
         self.selector.close()
-        self._waker.close()
-        self._wakee.close()
+        for end in self._waker or ():
+            end.close()
 
     def __enter__(self) -> Loop:
         return self
@@ -288,6 +289,10 @@ def process_loop() -> Loop:
     with _process_loop_lock:
         if _process_loop is None:
             loop = Loop()
+            loop._waker = socket.socketpair()
+            for end in loop._waker:
+                end.setblocking(False)
+            loop.selector.register(loop._waker[1], selectors.EVENT_READ, loop)
             loop.thread = threading.Thread(
                 target=loop.run, args=(lambda: loop.selector.get_map() is None,),
                 name="rulefuzz-loop", daemon=True,
@@ -320,13 +325,11 @@ class TcpServer:
     The listener is bound on construction, so `endpoint` is valid before
     start(), which registers it on the server's loop; each accepted
     connection then gets its Session from open(), in accept order.  The
-    server keeps its own live sessions in `_sessions`.  A server made
-    without a loop serves on process_loop(), which a thread serves in
-    the background: stop() closes the listener, gives the server's live
-    sessions _STOP_GRACE seconds to finish, and then closes them.  A
-    server made on a `loop` of the caller's is served by the thread that
-    runs that loop; stop() closes its listener only, and the loop's
-    owner closes what is still live.
+    server keeps its own live sessions in `_sessions`.  A server made on
+    a `loop` of the caller's is served by the thread that runs that
+    loop; one made without serves on process_loop().  On either, stop()
+    closes the listener and the server's live sessions at once, on the
+    loop's thread: each peer still connected reads EOF.
     """
 
     def __init__(self, host: str, port: int, loop: Loop | None = None):
@@ -342,7 +345,6 @@ class TcpServer:
         self._listener = listener
         self._loop = process_loop() if loop is None else loop
         self._sessions: set[Session] = set()
-        self._idle: threading.Event | None = None  # from stop(): set once no session is live
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -356,10 +358,7 @@ class TcpServer:
         )
 
     def stop(self) -> None:
-        self._loop.call(self._close_listener)
-        if self._loop.thread is not None:  # the loop serves sessions while this waits
-            self._idle.wait(_STOP_GRACE)
-            self._loop.call(self._close_sessions)
+        self._loop.call(self._close)
 
     def __enter__(self):
         self.start()
@@ -372,24 +371,15 @@ class TcpServer:
         """The session of a newly accepted socket from address `peer`."""
         raise NotImplementedError
 
-    def _close_listener(self) -> None:
+    def _close(self) -> None:
+        """Close the listener and every live session of the server's."""
         if self._listener.fileno() >= 0:
             with contextlib.suppress(KeyError):  # a server never started is not registered
                 self._loop.selector.unregister(self._listener)
             self._listener.close()
-        self._idle = threading.Event()
-        if not self._sessions:
-            self._idle.set()
-
-    def _close_sessions(self) -> None:
+        self._loop.sessions.difference_update(self._sessions)
         for session in list(self._sessions):
             session.close()
-            self._loop.sessions.discard(session)
-
-    def _closed(self, session: Session) -> None:
-        self._sessions.discard(session)
-        if not self._sessions and self._idle is not None:
-            self._idle.set()
 
     def _accept(self) -> None:
         """Accept every pending connection."""
@@ -408,6 +398,6 @@ class TcpServer:
                 sock.close()
                 continue
             if not session.closed:
-                session.on_close = self._closed
+                session.on_close = self._sessions.discard
                 self._sessions.add(session)
                 self._loop.add(session)

@@ -24,7 +24,8 @@ caller on another thread: it hands the connection to the process loop
 one session timeout, `reactor.STEP_TIMEOUT`: the switch's connect and each
 step wait at most that long for the peer.  A connection from
 `connect_sut(endpoint, timeout)` carries its own: `run_procedure_on`
-takes the socket's timeout as each step's deadline.
+takes the socket's timeout as each step's deadline, and STEP_TIMEOUT
+when the socket has none, so no step waits for ever.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -349,12 +350,12 @@ class Player:
 class PlayerSession(Session):
     """One role of a procedure played on a reactor.Loop.
 
-    Each step waits at most `timeout` seconds for the peer, or for ever
-    if it is None.  Output the socket does not take at once is queued
-    and flushed as the socket drains.  The session ends once the player
-    is done and its output has left, or when the peer fails it: a failed
-    send reads as the peer closing early, a failed read (a reset) also
-    sets `outcome.error`, and a step that times out sets it to "timeout".
+    Each step waits at most `timeout` seconds for the peer.  Output the
+    socket does not take at once is queued and flushed as the socket
+    drains.  The session ends once the player is done and its output has
+    left, or when the peer fails it: a failed send reads as the peer
+    closing early, a failed read (a reset) also sets `outcome.error`,
+    and a step that times out sets it to "timeout".
     """
 
     def __init__(
@@ -362,7 +363,7 @@ class PlayerSession(Session):
         selector: selectors.BaseSelector,
         sock: socket.socket,
         player: Player,
-        timeout: float | None,
+        timeout: float,
     ):
         super().__init__(selector, sock)
         self._player = player
@@ -412,8 +413,7 @@ class PlayerSession(Session):
             self.close()
             return
         self.conn.watch(self.selector, self, not self._player.done)
-        if self._timeout is not None:
-            self.deadline = time.monotonic() + self._timeout
+        self.deadline = time.monotonic() + self._timeout
 
 
 class SwitchSession(PlayerSession):
@@ -526,16 +526,16 @@ def run_procedure_on(
 ) -> RunOutcome:
     """Drive the switch half of a procedure over an open connection, then close it.
 
-    The session runs on the process loop, while the caller waits; each
-    step waits at most the socket's timeout for the peer.  A caller on
-    the loop's own thread gets RuntimeError, as its wait would stop the
-    loop that serves the session.
+    The session runs on the process loop while the caller waits.  Each
+    step waits for the peer at most the socket's timeout, or
+    `reactor.STEP_TIMEOUT` if it has none.  A caller on the loop's own
+    thread gets RuntimeError: its wait would stop the loop.
     """
     loop = reactor.process_loop()
     if threading.current_thread() is loop.thread:
         raise RuntimeError("run_procedure_on cannot wait on the loop thread that serves it")
     player = Player(procedure, registry, oracle, SWITCH)
-    timeout = sock.gettimeout()
+    timeout = sock.gettimeout() or reactor.STEP_TIMEOUT
     ended: Future = Future()
 
     def begin() -> None:

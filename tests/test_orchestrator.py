@@ -109,6 +109,26 @@ def test_campaign_writes_all_artifacts(tmp_path):
     )
 
 
+def directory_bytes(root):
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def test_a_rerun_into_a_campaign_directory_holds_only_the_rerun(tmp_path):
+    # a shorter rerun must neither append to the last run's dataset.csv
+    # nor leave its later iterations' rule sets and plans behind
+    again = small_config(tmp_path, out_dir=tmp_path / "again", iterations=3)
+    run_campaign(again)
+    (again.out_dir / "notes.txt").write_text("kept\n")
+    run_campaign(replace(again, iterations=1))
+    run_campaign(small_config(tmp_path, out_dir=tmp_path / "fresh", iterations=1))
+    rerun = directory_bytes(again.out_dir)
+    assert rerun.pop("notes.txt") == b"kept\n"  # what is not a campaign artifact stays
+    assert rerun == directory_bytes(tmp_path / "fresh")
+
+
 def test_campaign_rejects_oracle_type_mismatch(tmp_path):
     config = small_config(tmp_path, message_type="hello", procedure="handshake_only")
     with pytest.raises(ValueError, match="oracle watches"):

@@ -541,6 +541,37 @@ def test_stop_is_prompt_and_servers_add_no_thread():
     assert set(threading.enumerate()) - before <= {rulefuzz.reactor.process_loop().thread}
 
 
+def test_stop_closes_a_live_session_at_once(upstream):
+    # stop() waits for no session: the peer of one still live reads EOF
+    procedure = build_procedure("ping_exchange", "packet_in")
+    controller = MockController(REGISTRY, procedure, None)
+    controller.start()
+    proxy = make_proxy(upstream.port)
+    try:
+        for server in (proxy, controller):
+            with socket.create_connection(server.endpoint, timeout=5) as peer:
+                deadline = time.monotonic() + 5
+                while not server._sessions and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (session,) = server._sessions
+                start = time.perf_counter()
+                server.stop()
+                assert time.perf_counter() - start < 0.25, type(server).__name__
+                assert not server._sessions and session.closed
+                assert peer.recv(1) == b""
+    finally:
+        proxy.stop()
+        controller.stop()
+
+
+def test_only_the_process_loop_has_a_waker():
+    # a share's loop opens no socket; the process loop's thread takes work
+    with Loop() as loop:
+        assert len(loop.selector.get_map()) == 0
+    loop = rulefuzz.reactor.process_loop()
+    assert loop.call(threading.current_thread) is loop.thread
+
+
 def test_sequential_sessions_leave_no_live_threads():
     procedure = build_procedure("ping_exchange", "packet_in")
     with MockController(REGISTRY, procedure, None) as controller:

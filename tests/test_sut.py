@@ -1,6 +1,9 @@
 """Simulated system under test: oracles, procedures, detection, fidelity."""
 
+import collections
 import contextlib
+import errno
+import logging
 import os
 import random
 import signal
@@ -439,6 +442,85 @@ def test_both_switch_drivers_report_the_same_outcome(peer, monkeypatch):
         assert "reset" in proxy.records[0].error
     else:
         assert on_loop.error == "timeout" and not obs["closed_early"]
+
+
+def broken_pipe(*_args):
+    raise BrokenPipeError(errno.EPIPE, "injected")
+
+
+def fail_a_send(monkeypatch, fault, front_port):
+    """Make one kind of send fail, as a peer that is gone fails it.
+
+    "switch_send": the switch's second write (its target and probe).
+    "switch_flush": that write is queued whole, and its flush fails.
+    "to_switch": every send toward the switch, by the server at
+    `front_port` that it dialled.  The switch's loop runs on this
+    thread, and the servers' on the process loop's.
+    """
+    Connection = rulefuzz.reactor.Connection
+    send, switch, writes = Connection.send, threading.current_thread(), collections.Counter()
+
+    def queue(conn, data):  # a full socket takes none of it
+        conn.out += data
+        return 0
+
+    def faulty_send(conn, data):
+        if fault == "to_switch":
+            if conn.sock.getsockname()[1] == front_port:
+                broken_pipe()
+        elif threading.current_thread() is switch:
+            writes[conn] += 1
+            if writes[conn] == 2:
+                return (broken_pipe if fault == "switch_send" else queue)(conn, data)
+        return send(conn, data)
+
+    monkeypatch.setattr(Connection, "send", faulty_send)
+    if fault == "switch_flush":
+        monkeypatch.setattr(Connection, "flush", broken_pipe)
+
+
+@pytest.mark.parametrize("fault", ["switch_send", "switch_flush", "to_switch"])
+def test_a_failed_send_ends_the_session_alike_direct_and_proxied(fault, monkeypatch, caplog):
+    procedure = build_procedure("ping_exchange", "packet_in")
+    outcomes = []
+    with (
+        caplog.at_level(logging.ERROR, logger="rulefuzz.reactor"),
+        MockController(REGISTRY, procedure, default_oracle()) as controller,
+        InterceptProxy(
+            InterceptConfig("127.0.0.1", 0, *controller.endpoint, target_type="packet_in"),
+            REGISTRY,
+        ) as proxy,
+    ):
+        for front in (controller, proxy):
+            with monkeypatch.context() as patch:
+                fail_a_send(patch, fault, front.endpoint[1])
+                outcomes.append(loop_drive(front.endpoint, procedure))
+                deadline = time.monotonic() + 2
+                while (proxy._sessions or controller._sessions) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not proxy._sessions and not controller._sessions
+    direct, proxied = outcomes
+    assert direct == proxied
+    # a failed send reads as the peer closing early, on either side
+    assert direct.observations["closed_early"] and not direct.observations["ping_ok"]
+    assert "session step failed" not in caplog.text
+
+
+def test_run_procedure_on_a_socket_without_a_timeout_still_times_out(monkeypatch):
+    # a socket with no timeout of its own gets STEP_TIMEOUT for each step
+    monkeypatch.setattr(rulefuzz.reactor, "STEP_TIMEOUT", 0.3)
+    procedure = build_procedure("ping_exchange", "packet_in")
+    got = []
+    with raw_peer(read_until_eof) as endpoint:
+        sock = socket.create_connection(endpoint)
+        assert sock.gettimeout() is None
+        driver = threading.Thread(
+            target=lambda: got.append(run_procedure_on(sock, procedure, REGISTRY)), daemon=True
+        )
+        driver.start()
+        driver.join(timeout=3)
+        assert not driver.is_alive(), "a step with no deadline waited for ever"
+    assert got[0].error == "timeout" and not got[0].observations["closed_early"]
 
 
 def test_switch_session_reports_a_refused_connect():

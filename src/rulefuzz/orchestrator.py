@@ -323,14 +323,12 @@ class _Share:
         self, index: int, plan: FuzzPlan, attempts: int, hook: PlannedHook, switch: SwitchSession
     ) -> None:
         self._running -= 1
+        self._proxy.forget(switch.address)  # a connection the proxy never accepted
         outcome = switch.outcome
-        if switch.unreachable is not None:
-            self._proxy.forget(switch.address)
-            last = switch.unreachable
-        elif hook.action is None:
-            last = f"target frame never intercepted (error={outcome.error})"
-        elif outcome.error is not None:
+        if outcome.error is not None:
             last = outcome.error
+        elif hook.action is None:
+            last = "target frame never intercepted"
         else:
             sessions = self._sessions
             label_rng = Random(f"{sessions.seed}/noise/{self._iteration}/{index}")

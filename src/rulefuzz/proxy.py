@@ -13,10 +13,12 @@ InterceptProxy is a `reactor.TcpServer`: its sessions run on a
 A session relays two legs, each with its own framing.  A leg that
 reaches EOF forwards its trailing bytes and half-closes its destination
 while the other leg relays on; if that leg stays quiet for STEP_TIMEOUT,
-the session ends.  A read that fails on either leg, as a peer's reset
-makes it, ends the session with a reset on both legs, so the switch's
-read fails as it would on a direct connection instead of reading a
-clean close.  Every socket has its own output buffer, and a leg whose
+the session ends.  A read or send that fails on either leg, as a peer's
+reset or departure makes it, and an upstream dial that fails or times
+out, fail the session as every `reactor.Session` fails: with a reset on
+both legs, so the switch's read fails as it would on a direct
+connection instead of reading a clean close, and the record's `error`
+says why.  Every socket has its own output buffer, and a leg whose
 destination still holds unsent bytes stops reading until they drain, so
 a peer that stops reading stalls only its own session.
 
@@ -140,40 +142,24 @@ class _ProxySession(Session):
         try:
             self.deadline = self.upstream.connect(selector, self, upstream)
         except OSError as exc:
-            self._unreachable(exc)
-
-    def _unreachable(self, why: object) -> None:
-        self.record.error = f"upstream unreachable: {why}"
-        log.warning("session %d: %s", self.record.session_id, self.record.error)
-        self.close()
+            self.fail(str(exc))
 
     def ready(self, sock: socket.socket, events: int) -> None:
         if self.upstream.connecting:
-            try:
-                self.upstream.connected()
-            except OSError as exc:
-                self._unreachable(exc)
-                return
+            self.upstream.connected()
         else:
             # a socket is the source of one leg and the destination of the other
             c2u, u2c = self._legs
             reading, writing = (c2u, u2c) if sock is self.conn.sock else (u2c, c2u)
             if events & selectors.EVENT_WRITE:
-                try:
-                    self._count(writing, writing.dst.flush())
-                except OSError:
-                    self._broken(writing)
+                self._count(writing, writing.dst.flush())
             if events & selectors.EVENT_READ and reading.open:
-                try:
-                    self._relay(reading)
-                except OSError as exc:  # the read failed: the peer reset, most likely
-                    self._reset(f"{reading.direction}: {exc}")
-                    return
+                self._relay(reading)
         self._settle()
 
     def expire(self) -> None:
         if self.upstream.connecting:
-            self._unreachable("timed out")
+            self.fail("timed out")
             return
         # both legs open have no deadline: a quiet controller is the switch's timeout
         self.record.error = f"peer quiet for {reactor.STEP_TIMEOUT} s after half-close"
@@ -189,11 +175,12 @@ class _ProxySession(Session):
         self.upstream.close(self.selector, reset)
         super().close(reset)
 
-    def _reset(self, why: str) -> None:
-        """A read failed: end the session with a reset on both legs."""
+    def fail(self, why: str) -> None:
+        if self.upstream.connecting:
+            why = f"upstream unreachable: {why}"
         self.record.error = why
-        log.warning("session %d reset: %s", self.record.session_id, why)
-        self.close(reset=True)
+        log.warning("session %d failed: %s", self.record.session_id, why)
+        super().fail(why)  # close() resets both legs
 
     def _settle(self) -> None:
         """Half-close drained legs, then end the session or watch what is left."""
@@ -210,7 +197,7 @@ class _ProxySession(Session):
         self.deadline = None if both_open else time.monotonic() + reactor.STEP_TIMEOUT
 
     def _relay(self, leg: _Leg) -> None:
-        """Relay one read of a readable leg; OSError if the read failed."""
+        """Relay one read of a readable leg; OSError if the read or the send failed."""
         chunk = leg.src.recv()
         if chunk is None:
             return
@@ -229,15 +216,7 @@ class _ProxySession(Session):
             # the other leg relays on; dst is half-closed once drained
             leg.open = False
         if out:
-            try:
-                self._count(leg, leg.dst.send(out))
-            except OSError:
-                self._broken(leg)
-
-    def _broken(self, leg: _Leg) -> None:
-        """The leg's destination failed: the leg ends, and what dst still holds is dropped."""
-        leg.open = False
-        leg.dst.out.clear()
+            self._count(leg, leg.dst.send(out))
 
     def _count(self, leg: _Leg, sent: int) -> None:
         if leg.direction == _C2U:
@@ -316,7 +295,7 @@ class InterceptProxy(TcpServer):
         self._expected[client] = hook
 
     def forget(self, client: tuple[str, int]) -> None:
-        """Drop the pairing of a connection that was never accepted."""
+        """Drop the pairing of `client`, if the proxy never accepted its connection."""
         self._expected.pop(client, None)
 
     def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:

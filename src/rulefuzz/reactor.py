@@ -21,6 +21,11 @@ one would wait out the peer's delayed ACK.
 STEP_TIMEOUT is the one session timeout: it bounds every non-blocking
 connect, the proxy's upstream dial too, and each step of a session in
 `sut`.  Both read it at call time, so setting it here sets it for all.
+
+A session fails one way: a step that raises, because a connect, read or
+send failed or because the step has a bug, fails its session.
+Session.fail closes it with a reset, so the peer's next read fails too
+instead of reading a clean close.  Only a bug's traceback is logged.
 """
 from __future__ import annotations
 
@@ -90,11 +95,11 @@ class Connection:
         return time.monotonic() + STEP_TIMEOUT
 
     def connected(self) -> None:
-        """Once the socket is writable: end the connect; OSError if it failed."""
-        self.connecting = False
+        """Once the socket is writable: end the connect; OSError if it failed, still connecting."""
         err = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
         if err:
             raise OSError(err, os.strerror(err))
+        self.connecting = False
 
     def recv(self) -> bytes | None:
         """What the peer sent: None if nothing is there, b"" at EOF; OSError if the read failed."""
@@ -150,7 +155,9 @@ class Session:
     time.monotonic() value, or None for no deadline) has passed.  The
     session leaves the loop once `closed` is set.  The first close()
     closes the session's socket, with a reset if `reset`, and calls
-    on_close(session), if it is set.
+    on_close(session), if it is set.  The loop calls fail(why) with the
+    exception's text when a step raises: it closes the session with a
+    reset, and a subclass overrides it only to record `why`.
     """
 
     def __init__(self, selector: selectors.BaseSelector, sock: socket.socket):
@@ -165,6 +172,9 @@ class Session:
 
     def expire(self) -> None:
         self.close()
+
+    def fail(self, why: str) -> None:
+        self.close(reset=True)
 
     def close(self, reset: bool = False) -> None:
         if self.closed:
@@ -255,12 +265,13 @@ class Loop:
                 future.set_exception(exc)
 
     def _call(self, step: Callable, session: Session, *args: object) -> None:
-        """Run one session step; a step that raises closes its session only."""
+        """Run one session step; a step that raises fails its session only."""
         try:
             step(*args)
-        except Exception:
-            log.exception("session step failed")
-            session.close()
+        except Exception as exc:
+            if not isinstance(exc, OSError):  # a socket error is the peer's, not a bug
+                log.exception("session step failed")
+            session.fail(str(exc))
         if session.closed:
             self.sessions.discard(session)
 

@@ -25,7 +25,11 @@ one session timeout, `reactor.STEP_TIMEOUT`: the switch's connect and each
 step wait at most that long for the peer.  A connection from
 `connect_sut(endpoint, timeout)` carries its own: `run_procedure_on`
 takes the socket's timeout as each step's deadline, and STEP_TIMEOUT
-when the socket has none, so no step waits for ever.
+when the socket has none, so no step waits for ever.  A session fails
+one way, as every `reactor.Session` does: a connect, read or send that
+fails, or a step that raises, resets the connection, so the peer's read
+fails too, and the role's outcome reads the peer closing early with an
+`error`, which a campaign retries instead of labelling.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -353,9 +357,10 @@ class PlayerSession(Session):
     Each step waits at most `timeout` seconds for the peer.  Output the
     socket does not take at once is queued and flushed as the socket
     drains.  The session ends once the player is done and its output has
-    left, or when the peer fails it: a failed send reads as the peer
-    closing early, a failed read (a reset) also sets `outcome.error`,
-    and a step that times out sets it to "timeout".
+    left, or when it fails: a failed send or read, or a step that raises,
+    fails it as every `reactor.Session` fails, and the role reads it as
+    the peer closing early, with `outcome.error` saying why.  A step
+    that times out sets `outcome.error` to "timeout".
     """
 
     def __init__(
@@ -371,23 +376,18 @@ class PlayerSession(Session):
         self.outcome = player.outcome
 
     def begin(self) -> None:
-        """Send what the role sends before its first read."""
-        self._play(self._player.start())
+        """Send what the role sends before its first read; a failed send fails the session."""
+        try:
+            self._play(self._player.start())
+        except OSError as exc:
+            self.fail(str(exc))
 
     def ready(self, sock: socket.socket, events: int) -> None:
         out = b""
         if events & selectors.EVENT_WRITE:
-            try:
-                self.conn.flush()
-            except OSError:
-                self._end(None)
-                return
+            self.conn.flush()
         if events & selectors.EVENT_READ:
-            try:
-                data = self.conn.recv()
-            except OSError as exc:
-                self._end(str(exc))
-                return
+            data = self.conn.recv()
             if data is not None:
                 out = self._player.receive(data)
         self._play(out)
@@ -396,19 +396,14 @@ class PlayerSession(Session):
         self.outcome.error = "timeout"
         self.close()
 
-    def _end(self, error: str | None) -> None:
-        """The peer failed the session: it closed early, with `error` if the read failed."""
+    def fail(self, why: str) -> None:
         self.outcome.observations["closed_early"] = True
-        self.outcome.error = error
-        self.close()
+        self.outcome.error = why
+        super().fail(why)
 
     def _play(self, out: bytes) -> None:
-        try:
-            if out:
-                self.conn.send(out)
-        except OSError:
-            self._end(None)
-            return
+        if out:
+            self.conn.send(out)
         if self._player.done and not self.conn.out:
             self.close()
             return
@@ -420,10 +415,10 @@ class SwitchSession(PlayerSession):
     """The switch half of a procedure, dialled without blocking on a loop.
 
     The connect and each step get `reactor.STEP_TIMEOUT`, as every
-    `reactor.Connection.connect` does.  If the connect fails,
-    `unreachable` says why and the session closes.  `address` is the
-    local address the connect was made from, and on_close(session) runs
-    once the session closes.
+    `reactor.Connection.connect` does.  A connect that fails or times
+    out fails the session, and `outcome.error` names the endpoint.
+    `address` is the local address the connect was made from, and
+    on_close(session) runs once the session closes.
     """
 
     def __init__(
@@ -440,32 +435,28 @@ class SwitchSession(PlayerSession):
             Player(procedure, registry, oracle, SWITCH), reactor.STEP_TIMEOUT,
         )
         self._endpoint, self.on_close = endpoint, on_close
-        self.unreachable: str | None = None
         self.address: tuple[str, int] | None = None
         try:
             self.deadline = self.conn.connect(selector, self, endpoint)
             self.address = self.conn.sock.getsockname()[:2]
         except OSError as exc:
-            self._unreachable(exc)
+            self.fail(str(exc))
 
-    def _unreachable(self, why: object) -> None:
-        self.unreachable = f"connect to {self._endpoint}: {why}"
-        self.close()
+    def fail(self, why: str) -> None:
+        if self.conn.connecting:
+            why = f"connect to {self._endpoint}: {why}"
+        super().fail(why)
 
     def ready(self, sock: socket.socket, events: int) -> None:
         if not self.conn.connecting:
             super().ready(sock, events)
             return
-        try:
-            self.conn.connected()
-        except OSError as exc:
-            self._unreachable(exc)
-            return
+        self.conn.connected()
         self.begin()
 
     def expire(self) -> None:
         if self.conn.connecting:
-            self._unreachable("timed out")
+            self.fail("timed out")
         else:
             super().expire()
 

@@ -3,6 +3,7 @@
 Every campaign here drives the real TCP stack (driver, proxy, mock
 controller), so iteration counts and n stay tiny to keep the suite fast.
 """
+import contextlib
 import csv
 import errno
 import hashlib
@@ -25,6 +26,7 @@ import pytest
 
 import rulefuzz.orchestrator as orchestrator
 import rulefuzz.pool as pool
+import rulefuzz.reactor as reactor
 import rulefuzz.sut as sut
 from rulefuzz.codec import builtin_registry, decode_as
 from rulefuzz.orchestrator import (
@@ -321,8 +323,9 @@ def one_cpu(cpus):
 def run_faulty_campaign(tmp_path, calls):
     """A noise-free campaign whose rows must all carry the oracle's label.
 
-    `calls` counts the calls that an injected fault wraps; one of them
-    failed, so there are more calls than sessions.
+    `calls` counts the calls that an injected fault wraps, or the switch
+    dials; one of them failed and was made again, so there are more calls
+    than sessions.
     """
     config = small_config(tmp_path, n=20, iterations=2, oracle=EASY_ORACLE)
     report = run_campaign(config)
@@ -421,7 +424,7 @@ def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu)
             next(calls)
             super().__init__(*args, **kwargs)
 
-        def close(self):
+        def close(self, reset=False):
             if (
                 not self.closed
                 and detect(self.outcome.observations) == PRESENCE
@@ -429,7 +432,7 @@ def test_timed_out_session_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu)
             ):
                 quiet = {"closed_early": False, "ping_ok": False, "flood_count": 0}
                 self.outcome = RunOutcome(observations=quiet, error="timeout")
-            super().close()
+            super().close(reset)
 
     monkeypatch.setattr(orchestrator, "SwitchSession", FlakySwitch)
     run_faulty_campaign(tmp_path, calls)
@@ -462,6 +465,58 @@ def test_controller_reset_after_the_target_frame_never_mislabels_a_row(
 
     monkeypatch.setattr(sut, "PlayerSession", ResettingSession)
     run_faulty_campaign(tmp_path, calls)
+
+
+def count_dials(monkeypatch):
+    """Count the switch sessions the campaign dials: one more than its rows per retry."""
+    calls = itertools.count()
+    real_switch = orchestrator.SwitchSession
+
+    def dial(*args, **kwargs):
+        next(calls)
+        return real_switch(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "SwitchSession", dial)
+    return calls
+
+
+@pytest.mark.parametrize("fault", range(12))
+def test_failed_send_to_the_controller_never_mislabels_a_row(
+    fault, tmp_path, monkeypatch, one_cpu
+):
+    # the proxy's fault-th send toward the controller fails, as it would
+    # once the controller is gone; ending only that leg would pass a clean
+    # close on to the switch, which reads as a disconnect: a presence label
+    controllers = record_constructions(monkeypatch, "MockController")
+    real_send = reactor.Connection.send
+    sends = itertools.count()
+
+    def flaky_send(conn, data):
+        peer = None
+        with contextlib.suppress(OSError):  # a socket already reset has no peer
+            peer = conn.sock.getpeername()
+        if peer == controllers[-1].endpoint and next(sends) == fault:
+            raise BrokenPipeError(errno.EPIPE, "injected")
+        return real_send(conn, data)
+
+    monkeypatch.setattr(reactor.Connection, "send", flaky_send)
+    run_faulty_campaign(tmp_path, count_dials(monkeypatch))
+
+
+@pytest.mark.parametrize("fault", range(12))
+def test_raising_controller_step_never_mislabels_a_row(fault, tmp_path, monkeypatch, one_cpu):
+    # the controller's fault-th step raises, as a bug in it would; a clean
+    # close of that session would read as a disconnect: a presence label
+    real_receive = sut.Player.receive
+    steps = itertools.count()
+
+    def flaky_receive(player, data):
+        if player._role == sut.CONTROLLER and next(steps) == fault:
+            raise RuntimeError("injected controller failure")
+        return real_receive(player, data)
+
+    monkeypatch.setattr(sut.Player, "receive", flaky_receive)
+    run_faulty_campaign(tmp_path, count_dials(monkeypatch))
 
 
 def record_constructions(monkeypatch, *names):

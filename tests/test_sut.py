@@ -346,7 +346,7 @@ def loop_drive(endpoint, procedure, oracle=None):
         switch = SwitchSession(loop.selector, endpoint, procedure, REGISTRY, oracle, ended.append)
         loop.add(switch)
         loop.run(lambda: bool(ended))
-    assert ended == [switch] and switch.unreachable is None
+    assert ended == [switch] and not switch.conn.connecting  # the connect succeeded
     return switch.outcome
 
 
@@ -501,8 +501,10 @@ def test_a_failed_send_ends_the_session_alike_direct_and_proxied(fault, monkeypa
                 assert not proxy._sessions and not controller._sessions
     direct, proxied = outcomes
     assert direct == proxied
-    # a failed send reads as the peer closing early, on either side
+    # a failed send fails the session on either side: the switch reads the
+    # peer closing early with an error, so the campaign runs the row again
     assert direct.observations["closed_early"] and not direct.observations["ping_ok"]
+    assert direct.error is not None and proxied.error is not None
     assert "session step failed" not in caplog.text
 
 
@@ -535,7 +537,7 @@ def test_switch_session_reports_a_refused_connect():
         loop.add(switch)
         loop.run(lambda: bool(ended))
     assert ended == [switch]
-    assert switch.unreachable.startswith(f"connect to {dead}: ")
+    assert switch.outcome.error.startswith(f"connect to {dead}: ")
 
 
 def test_switch_and_proxy_dials_time_out(monkeypatch):
@@ -564,10 +566,11 @@ def test_switch_and_proxy_dials_time_out(monkeypatch):
         loop.run(lambda: bool(ended and proxy.records) and not loop.sessions, start + 1)
         took = time.monotonic() - start
         assert not loop.sessions
-        assert client.recv(1) == b""  # the proxy closed its client
+        with pytest.raises(ConnectionResetError):  # the proxy reset its client
+            client.recv(1)
     assert took < 1
     assert ended == [switch]
-    assert switch.unreachable == f"connect to {full}: timed out"
+    assert switch.outcome.error == f"connect to {full}: timed out"
     assert [r.error for r in proxy.records] == ["upstream unreachable: timed out"]
 
 

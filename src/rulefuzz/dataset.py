@@ -5,13 +5,20 @@ message as injected, each in [0, U64_MAX], plus the outcome label.  Rows
 are append-only and kept in numpy columns; the CSV mirror uses the schema's
 field order as its header with a final `label` column, all values printed
 as decimal integers.
+
+A dataset also keeps the rank encoding of its rows, which the learner
+reads: each (field, observed value) pair is one bin.  Since rows are only
+appended, a read after appends extends the encoding it kept: only the new
+rows are sorted, their new values are merged into each field's sorted
+values, and the old codes are renumbered around them.  Encoding from
+scratch is extending the empty encoding, so there is one encode path.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,11 +47,62 @@ def minority_of(counts: Mapping[str, int]) -> str:
     return PRESENCE if counts[PRESENCE] <= counts[ABSENCE] else ABSENCE
 
 
+class RankEncoding(NamedTuple):
+    """A value matrix rank-encoded so that each (field, value) pair is one bin.
+
+    Bins run by field, then by ascending value: codes[i, f] is the bin of
+    row i's value in field f, and field[b], value[b] name bin b.
+    """
+
+    codes: np.ndarray
+    field: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def empty(cls, width: int) -> "RankEncoding":
+        return cls(np.empty((0, width), np.intp), np.empty(0, np.intp), np.empty(0, np.uint64))
+
+    def take(self, rows: np.ndarray) -> "RankEncoding":
+        """The given rows, by integer index (not a mask), under the same bins."""
+        return self._replace(codes=self.codes.take(rows, axis=0))
+
+    def extend(self, x: np.ndarray) -> "RankEncoding":
+        """The encoding of this encoding's rows followed by the rows of x.
+
+        Only x is sorted.  Its new values are inserted into each field's
+        sorted values, and every old bin is renumbered past the bins added
+        below it, in its field and the fields before; the result equals an
+        encoding of all rows made from scratch.
+        """
+        n, width = len(self.codes), x.shape[1]
+        codes = np.empty((n + len(x), width), np.intp)
+        starts = self.field.searchsorted(np.arange(width + 1))
+        renumber = np.empty(self.field.size, np.intp)
+        values = []
+        start = 0  # the first bin of field f, after the extension
+        for f in range(width):
+            old = self.value[starts[f] : starts[f + 1]]
+            fresh = np.unique(x[:, f])
+            at = old.searchsorted(fresh)
+            # a value old lacks has one insertion point from either side
+            added = at == old.searchsorted(fresh, "right")
+            merged = np.insert(old, at[added], fresh[added])
+            renumber[starts[f] : starts[f + 1]] = merged.searchsorted(old) + start
+            codes[n:, f] = merged.searchsorted(x[:, f]) + start
+            start += merged.size
+            values.append(merged)
+        # "clip" takes unbuffered (every code is in range): no third code matrix
+        np.take(renumber, self.codes, out=codes[:n], mode="clip")
+        field = np.repeat(np.arange(width), [v.size for v in values])
+        return RankEncoding(codes, field, np.concatenate([self.value[:0], *values]))
+
+
 class LabeledDataset:
     """Append-only labeled rows, stored in three columns that double when full.
 
     Growing allocates new columns, and an append writes only past the end
-    of every earlier `to_arrays()` view, so those views stay valid.
+    of every earlier `to_arrays()` view, so those views stay valid.  The
+    rank encoding of the rows is kept too, and extended when it is read.
     """
 
     def __init__(self, field_names: Sequence[str]):
@@ -56,6 +114,7 @@ class LabeledDataset:
         self._values = np.empty((_INITIAL_CAPACITY, len(self.field_names)), dtype=np.uint64)
         self._presence = np.empty(_INITIAL_CAPACITY, dtype=bool)
         self._iterations = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._encoding = RankEncoding.empty(len(self.field_names))
 
     def __len__(self) -> int:
         return self._n
@@ -105,6 +164,18 @@ class LabeledDataset:
         x, y = self._values[: self._n], self._presence[: self._n]
         x.flags.writeable = y.flags.writeable = False
         return x, y
+
+    def encoding(self) -> RankEncoding:
+        """The rank encoding of every row; only rows appended since the last
+        read are sorted.  A read never changes an earlier one.  Every reader
+        shares it, so none may write to it; it is not flagged read-only,
+        because numpy copies a read-only array that take() or bincount()
+        indexes by."""
+        encoding = self._encoding
+        done = len(encoding.codes)
+        if done < self._n:
+            encoding = self._encoding = encoding.extend(self._values[done : self._n])
+        return encoding
 
     # -- CSV ---------------------------------------------------------------
 

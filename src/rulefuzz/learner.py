@@ -9,9 +9,12 @@ each rule against a freshly grown replacement and revision, again decided
 by description length.  The learner only ever emits <= / >= atoms whose
 threshold is a value observed in the atom's field.
 
-Induction works on one matrix of bin codes.  learn() rank-encodes each
-column once, so every (field, observed value) pair is one bin, numbered
-by field and then by value, and an induction atom is (field, op, bin).
+Induction works on one matrix of bin codes: the dataset's rank encoding,
+in which every (field, observed value) pair is one bin, numbered by field
+and then by value, and an induction atom is (field, op, bin).  The
+dataset keeps that encoding and extends it by the rows appended since it
+was last read, so learn() and cross_validate() on one dataset state
+share one encoding, and a loop that appends rows sorts each row once.
 Within a field codes rank like values, so code <= b holds exactly when
 value <= value[b]: growing, pruning and description lengths compare bin
 codes, and learn() turns a threshold into a value only when it emits a
@@ -34,15 +37,15 @@ rows, and within one fit each rule's mask over the training rows is
 computed once, however many candidate rule sets it is scored in; a new
 rule's coverage of the rows left uncovered is read from that mask.
 
-Cross-validation stays in bin space too.  cross_validate() encodes the
-whole matrix once; each fold fits on its training rows' codes and scores
-its test rows on their codes from that same encoding, which is exact for
-the same reason.  The folds run on every core the process may use: the
-caller fits one share itself and pool.run() sends the encoding and each
-other share to one of the pool's worker processes; on one CPU every fold
-runs in-process.  A fold's seed and rows do not depend on where it
-runs, and each fold yields integer (tp, fp, fn) counts that are summed,
-so (P, R) is the same for any CPU count.
+Cross-validation stays in bin space too.  cross_validate() reads the
+dataset's encoding of all rows; each fold fits on its training rows'
+codes and scores its test rows on their codes from that same encoding,
+which is exact for the same reason.  The folds run on every core the
+process may use: the caller fits one share itself and pool.run() sends
+the encoding and each other share to one of the pool's worker processes;
+on one CPU every fold runs in-process.  A fold's seed and rows do not
+depend on where it runs, and each fold yields integer (tp, fp, fn)
+counts that are summed, so (P, R) is the same for any CPU count.
 
 Everything is deterministic under a fixed seed.
 """
@@ -50,12 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import pool
-from .dataset import ABSENCE, PRESENCE, LabeledDataset, minority_of
+from .dataset import ABSENCE, PRESENCE, LabeledDataset, RankEncoding, minority_of
 from .rules import OPS, Atom, Condition, DecisionRule, RuleSet
 
 _GAIN_EPS = 1e-12
@@ -112,35 +115,7 @@ class _RuleMasks(dict):
 # Growing
 # ---------------------------------------------------------------------------
 
-class _Bins(NamedTuple):
-    """A value matrix rank-encoded so that each (field, value) pair is one bin.
-
-    Bins run by field, then by ascending value: codes[i, f] is the bin of
-    row i's value in field f, and field[b], value[b] name bin b.
-    """
-
-    codes: np.ndarray
-    field: np.ndarray
-    value: np.ndarray
-
-    def take(self, rows: np.ndarray) -> "_Bins":
-        return self._replace(codes=self.codes[rows])
-
-
-def _encode(x: np.ndarray) -> _Bins:
-    codes = np.empty(x.shape, dtype=np.intp)
-    uniques = []
-    start = 0
-    for f in range(x.shape[1]):
-        uniq, inverse = np.unique(x[:, f], return_inverse=True)
-        codes[:, f] = inverse + start
-        start += uniq.size
-        uniques.append(uniq)
-    field = np.repeat(np.arange(x.shape[1]), [u.size for u in uniques])
-    return _Bins(codes, field, np.concatenate([np.empty(0, np.uint64), *uniques]))
-
-
-def _best_atom(covered: _Bins, y: np.ndarray) -> tuple[float, _IAtom] | None:
+def _best_atom(covered: RankEncoding, y: np.ndarray) -> tuple[float, _IAtom] | None:
     """Highest-FOIL-gain threshold atom over the covered rows and their labels."""
     m = y.size
     pos = int(np.count_nonzero(y))
@@ -149,11 +124,11 @@ def _best_atom(covered: _Bins, y: np.ndarray) -> tuple[float, _IAtom] | None:
     base = math.log2(pos / m)
     codes = covered.codes
     total = np.bincount(codes.ravel(), minlength=covered.field.size)
-    nonempty = np.flatnonzero(total > 0)
+    nonempty = (total > 0).nonzero()[0]
     field = covered.field[nonempty]
     # Covered rows and positives with a value <= each nonempty bin's, per field.
-    t_le = np.cumsum(total[nonempty]) - field * m
-    p_le = np.cumsum(np.bincount(codes[y].ravel(), minlength=total.size)[nonempty]) - field * pos
+    t_le = total[nonempty].cumsum() - field * m
+    p_le = np.bincount(codes[y].ravel(), minlength=total.size)[nonempty].cumsum() - field * pos
     # Row 0 holds the "<=" split at each nonempty bin and row 1 the ">=" split
     # at the next one; a field's last nonempty bin splits nothing off.
     p = np.array((p_le, pos - p_le))
@@ -167,7 +142,7 @@ def _best_atom(covered: _Bins, y: np.ndarray) -> tuple[float, _IAtom] | None:
     if not best > _GAIN_EPS:
         return None
     k = nonempty.size
-    ties = np.flatnonzero(gains == best)
+    ties = (gains.ravel() == best).nonzero()[0]
     if ties.size > 1:
         # Scan order of a per-field search: field, then "<=" before ">=", then value.
         w = int(ties[np.argmin(field[ties % k] * 2 + ties // k)])
@@ -175,11 +150,11 @@ def _best_atom(covered: _Bins, y: np.ndarray) -> tuple[float, _IAtom] | None:
     return best, (int(field[i]), "<=" if w < k else ">=", int(nonempty[i + w // k]))
 
 
-def _grow(bins: _Bins, y: np.ndarray, base_atoms: Sequence[_IAtom] = ()) -> list[_IAtom]:
+def _grow(bins: RankEncoding, y: np.ndarray, base_atoms: Sequence[_IAtom] = ()) -> list[_IAtom]:
     """Add highest-gain atoms until no negatives are covered or gain dries up."""
     atoms = list(base_atoms)
     if atoms:
-        keep = _rule_mask(atoms, bins.codes)
+        keep = _rule_mask(atoms, bins.codes).nonzero()[0]
         bins, y = bins.take(keep), y[keep]
     limit = 2 * bins.codes.shape[1] + len(atoms)
     # the covered rows narrow by each chosen atom's one column
@@ -189,7 +164,7 @@ def _grow(bins: _Bins, y: np.ndarray, base_atoms: Sequence[_IAtom] = ()) -> list
             break
         f, op, b = atom = found[1]
         atoms.append(atom)
-        keep = OPS[op](bins.codes[:, f], b)
+        keep = OPS[op](bins.codes[:, f], b).nonzero()[0]
         bins, y = bins.take(keep), y[keep]
     return atoms
 
@@ -267,15 +242,14 @@ def _ruleset_dl(
     masks: _RuleMasks,
     y: np.ndarray,
     n_possible: int,
-    exp_fp: float,
+    n_pos: int,
 ) -> float:
+    """Description length of a rule set over the fit's labels y, n_pos of them positive."""
     union = masks.union(rules)
-    cover = int(union.sum())
-    uncover = len(y) - cover
-    fp = int((union & ~y).sum())
-    fn = int((~union & y).sum())
+    cover = int(np.count_nonzero(union))
+    tp = int(np.count_nonzero(union & y))
     theory = sum(_theory_dl(len(atoms), n_possible) for atoms in rules)
-    return theory + _data_dl(exp_fp, cover, uncover, fp, fn)
+    return theory + _data_dl(n_pos / len(y), cover, len(y) - cover, cover - tp, n_pos - tp)
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +269,17 @@ def _stratified_split(
 
 
 def _induce(
-    bins: _Bins,
+    bins: RankEncoding,
     masks: _RuleMasks,
     y: np.ndarray,
     rng: np.random.Generator,
     n_possible: int,
-    exp_fp: float,
+    n_pos: int,
     rules: list[list[_IAtom]] | None = None,
 ) -> list[list[_IAtom]]:
     rules = list(rules or [])
     covered = masks.union(rules)
-    dl_min = _ruleset_dl(rules, masks, y, n_possible, exp_fp)
+    dl_min = _ruleset_dl(rules, masks, y, n_possible, n_pos)
     while True:
         rem = np.nonzero(~covered)[0]
         if rem.size == 0 or not y[rem].any():
@@ -323,7 +297,7 @@ def _induce(
             break
         if p_cov / t_cov <= 0.5:
             break
-        dl = _ruleset_dl(rules + [atoms], masks, y, n_possible, exp_fp)
+        dl = _ruleset_dl(rules + [atoms], masks, y, n_possible, n_pos)
         if dl > dl_min + _MDL_SLACK:
             break
         dl_min = min(dl_min, dl)
@@ -334,12 +308,12 @@ def _induce(
 
 def _optimize(
     rules: list[list[_IAtom]],
-    bins: _Bins,
+    bins: RankEncoding,
     masks: _RuleMasks,
     y: np.ndarray,
     rng: np.random.Generator,
     n_possible: int,
-    exp_fp: float,
+    n_pos: int,
 ) -> list[list[_IAtom]]:
     for _ in range(_OPTIMIZATION_PASSES):
         for i in range(len(rules)):
@@ -349,7 +323,7 @@ def _optimize(
                 continue
             grow_idx, prune_idx = _stratified_split(ctx, y, _GROW_FRACTION, rng)
             grow = bins.take(grow_idx)
-            best, best_dl = rules[i], _ruleset_dl(rules, masks, y, n_possible, exp_fp)
+            best, best_dl = rules[i], _ruleset_dl(rules, masks, y, n_possible, n_pos)
             # a replacement grown from scratch, then a revision of rules[i]
             for base_atoms in ((), rules[i]):
                 cand = _grow(grow, y[grow_idx], base_atoms)
@@ -358,19 +332,19 @@ def _optimize(
                 if not cand:
                     continue
                 trial = rules[:i] + [cand] + rules[i + 1 :]
-                dl = _ruleset_dl(trial, masks, y, n_possible, exp_fp)
+                dl = _ruleset_dl(trial, masks, y, n_possible, n_pos)
                 if dl < best_dl - _DL_EPS:
                     best, best_dl = cand, dl
             rules[i] = best
-        rules = _induce(bins, masks, y, rng, n_possible, exp_fp, rules=rules)
+        rules = _induce(bins, masks, y, rng, n_possible, n_pos, rules=rules)
     # Drop rules whose removal shortens the description.
     changed = True
     while changed and rules:
         changed = False
-        current_dl = _ruleset_dl(rules, masks, y, n_possible, exp_fp)
+        current_dl = _ruleset_dl(rules, masks, y, n_possible, n_pos)
         for i in range(len(rules) - 1, -1, -1):
             trial = rules[:i] + rules[i + 1 :]
-            if _ruleset_dl(trial, masks, y, n_possible, exp_fp) < current_dl - _DL_EPS:
+            if _ruleset_dl(trial, masks, y, n_possible, n_pos) < current_dl - _DL_EPS:
                 rules = trial
                 changed = True
                 break
@@ -388,8 +362,8 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     dataset.  A dataset with fewer than two samples, a single class, or no
     learnable structure yields a degenerate rule set (default rule only).
     """
-    x, presence = dataset.to_arrays()
-    bins = _encode(x)
+    _, presence = dataset.to_arrays()
+    bins = dataset.encoding()
     minority, rules = _fit(bins, presence, (params or RipperParams()).seed)
     majority = ABSENCE if minority == PRESENCE else PRESENCE
     y = presence if minority == PRESENCE else ~presence
@@ -411,7 +385,7 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
     return RuleSet(tuple(minority_rules), default)
 
 
-def _fit(bins: _Bins, presence: np.ndarray, seed: int) -> tuple[str, list[list[_IAtom]]]:
+def _fit(bins: RankEncoding, presence: np.ndarray, seed: int) -> tuple[str, list[list[_IAtom]]]:
     """The minority label of presence and the rules induced for it, as bin atoms.
 
     The bins may come from a larger matrix that these rows were taken
@@ -430,11 +404,10 @@ def _fit(bins: _Bins, presence: np.ndarray, seed: int) -> tuple[str, list[list[_
     n_possible = 2 * np.count_nonzero(
         np.bincount(bins.codes.ravel(), minlength=bins.field.size)
     )
-    exp_fp = n_minority / n
     masks = _RuleMasks(bins.codes)
-    rules = _induce(bins, masks, y, rng, n_possible, exp_fp)
+    rules = _induce(bins, masks, y, rng, n_possible, n_minority)
     if rules:
-        rules = _optimize(rules, bins, masks, y, rng, n_possible, exp_fp)
+        rules = _optimize(rules, bins, masks, y, rng, n_possible, n_minority)
     return minority, rules
 
 
@@ -459,8 +432,8 @@ def cross_validate(
     params = params or RipperParams()
     base_seed = params.seed if seed is None else seed
     rng = np.random.default_rng(base_seed)
-    x, y = dataset.to_arrays()
-    bins = _encode(x)
+    _, y = dataset.to_arrays()
+    bins = dataset.encoding()
     pos_idx = rng.permutation(np.nonzero(y)[0])
     neg_idx = rng.permutation(np.nonzero(~y)[0])
     folds = []
@@ -486,7 +459,7 @@ _Fold = tuple[np.ndarray, int]  # (test row indices, fold seed)
 
 
 def _fold_counts(
-    bins: _Bins, presence: np.ndarray, folds: Sequence[_Fold]
+    bins: RankEncoding, presence: np.ndarray, folds: Sequence[_Fold]
 ) -> tuple[int, int, int]:
     """(tp, fp, fn) of the folds, each fit on the rows outside its test rows.
 
@@ -495,8 +468,7 @@ def _fold_counts(
     """
     tp = fp = fn = 0
     for test_idx, fold_seed in folds:
-        train = np.ones(len(presence), dtype=bool)
-        train[test_idx] = False
+        train = np.delete(np.arange(len(presence)), test_idx)
         minority, rules = _fit(bins.take(train), presence[train], fold_seed)
         covered = _RuleMasks(bins.codes[test_idx]).union(rules)
         pred = covered if minority == PRESENCE else ~covered

@@ -11,6 +11,7 @@ from rulefuzz.dataset import (
     PRESENCE,
     DatasetFormatError,
     LabeledDataset,
+    RankEncoding,
     read_csv,
 )
 
@@ -133,6 +134,60 @@ def test_append_csv_equals_whole_write(tmp_path_factory, rows, cuts):
     ])
     assert chunked.read_bytes() == whole.read_bytes() == ref.getvalue().encode()
     assert [(s.iteration, (s.values["a"], s.values["b"]), s.label) for s in d] == rows
+
+
+def unique_encoding(x):
+    """A rank encoding by one np.unique per column of the whole matrix."""
+    codes = np.empty(x.shape, dtype=np.intp)
+    uniques = []
+    for f in range(x.shape[1]):
+        uniq, inverse = np.unique(x[:, f], return_inverse=True)
+        codes[:, f] = inverse + sum(u.size for u in uniques)
+        uniques.append(uniq)
+    field = np.repeat(np.arange(x.shape[1]), [u.size for u in uniques])
+    return codes, field, np.concatenate([np.empty(0, np.uint64), *uniques])
+
+
+def assert_same_encoding(got, want):
+    for name, a, b in zip(RankEncoding._fields, got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert (a == b).all(), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_extended_encoding_equals_a_fresh_one(data):
+    # values from a small pool repeat within and across the two parts
+    width = data.draw(st.integers(1, 3))
+    value = st.sampled_from((0, 2**64 - 1)) | st.integers(0, 4) | U64
+    rows = data.draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                              min_size=1, max_size=30))
+    x = np.array(rows, dtype=np.uint64)
+    a = data.draw(st.sampled_from((0, 1, len(rows))) | st.integers(0, len(rows)))
+    want = unique_encoding(x)
+    assert want[2].dtype == np.uint64
+    empty = RankEncoding.empty(width)
+    assert_same_encoding(empty.extend(x[:a]).extend(x[a:]), want)
+    # a dataset read after a rows, then after the rest, serves the same
+    d = LabeledDataset([f"f{i}" for i in range(width)])
+    for i, row in enumerate(rows):
+        if i == a:
+            assert_same_encoding(d.encoding(), unique_encoding(x[:a]))
+        d.append(dict(zip(d.field_names, row)), PRESENCE)
+    assert_same_encoding(d.encoding(), want)
+
+
+def test_encoding_is_kept_and_earlier_reads_stay_valid(ds):
+    first = ds.encoding()
+    assert ds.encoding() is first  # no append, no new encoding
+    ds.append({"a": 0, "b": 4}, ABSENCE)
+    second = ds.encoding()
+    # the new value 0 takes bin 0; every old bin moves up, but only in the new read
+    assert second.codes.tolist() == [[1, 4], [2, 5], [3, 6], [0, 5]]
+    assert first.codes.tolist() == [[0, 3], [1, 4], [2, 5]]
+    assert first.value.tolist() == [1, 3, 5, 2, 4, 6]
+    assert second.value.tolist() == [0, 1, 3, 5, 2, 4, 6]
+    assert second.field.tolist() == [0, 0, 0, 0, 1, 1, 1]
 
 
 def test_read_csv_rejects_bad_header(tmp_path):

@@ -21,12 +21,11 @@ from hypothesis import strategies as st
 
 import rulefuzz.learner as learner
 import rulefuzz.pool as pool
-from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
+from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset, RankEncoding
 from rulefuzz.learner import (
     _GAIN_EPS,
     RipperParams,
     _best_atom,
-    _encode,
     _fold_counts,
     _grow,
     _rule_mask,
@@ -192,6 +191,11 @@ U64_MAX = 2**64 - 1
 SPAN64 = make_schema({"a": 64})
 
 
+def encode(x):
+    """The rank encoding of x, made as a dataset makes it: by extending the empty one."""
+    return RankEncoding.empty(x.shape[1]).extend(x)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_bin_atoms_select_the_rows_their_values_do(data):
@@ -201,7 +205,7 @@ def test_bin_atoms_select_the_rows_their_values_do(data):
     value = st.sampled_from((0, U64_MAX)) | st.integers(0, 4) | st.integers(0, U64_MAX)
     rows = data.draw(st.lists(st.lists(value, min_size=width, max_size=width),
                               min_size=1, max_size=12))
-    bins = _encode(np.array(rows, dtype=np.uint64))
+    bins = encode(np.array(rows, dtype=np.uint64))
     drawn = data.draw(st.lists(
         st.tuples(st.integers(0, bins.field.size - 1), st.sampled_from(sorted(OPS))),
         max_size=4,
@@ -430,7 +434,7 @@ def split_problems(draw):
 def best_value_atom(bins, y, mask):
     """_best_atom over the masked rows, its (field, op, bin) atom mapped to
     (field, op, value)."""
-    found = _best_atom(bins.take(mask), y[mask])
+    found = _best_atom(bins.take(mask.nonzero()[0]), y[mask])
     if found is None:
         return None
     gain, (f, op, b) = found
@@ -442,7 +446,7 @@ def best_value_atom(bins, y, mask):
 @given(split_problems())
 def test_bin_count_search_matches_sorted_search(problem):
     x, y, rows, mask = problem
-    got = best_value_atom(_encode(x).take(rows), y[rows], mask)
+    got = best_value_atom(encode(x).take(rows), y[rows], mask)
     assert got == sorted_best_atom(x[rows], y[rows], mask)
 
 
@@ -450,15 +454,15 @@ def test_bin_count_search_tie_order():
     y = np.array([True, False, True])
     # one field: "a <= 0" and "a >= 2" both isolate one positive; <= wins
     a = np.array([[0], [1], [2]], dtype=np.uint64)
-    assert best_value_atom(_encode(a), y, np.ones(3, bool))[1] == (0, "<=", 0)
+    assert best_value_atom(encode(a), y, np.ones(3, bool))[1] == (0, "<=", 0)
     # a copied and a mirrored field tie with field 0; the first field wins
     x = np.array([[2, 2, 7], [1, 1, 8], [0, 0, 9]], dtype=np.uint64)
     for mask in (np.ones(3, bool), np.array([True, True, False])):
-        got = best_value_atom(_encode(x), y, mask)
+        got = best_value_atom(encode(x), y, mask)
         assert got == sorted_best_atom(x, y, mask)
         assert got[1][0] == 0
-    assert best_value_atom(_encode(x), y, np.zeros(3, bool)) is None
-    assert best_value_atom(_encode(x), y, y) is None  # no negatives: nothing to gain
+    assert best_value_atom(encode(x), y, np.zeros(3, bool)) is None
+    assert best_value_atom(encode(x), y, y) is None  # no negatives: nothing to gain
 
 
 def sorted_grow(x, y, base_atoms):
@@ -485,7 +489,7 @@ def test_grow_matches_value_space_grow(problem, data):
     # _grow narrows its covered rows atom by atom; the reference recomputes
     # the cover from scratch each step
     x, y, rows, _ = problem
-    bins = _encode(x)
+    bins = encode(x)
     drawn = data.draw(st.lists(
         st.tuples(st.integers(0, bins.field.size - 1), st.sampled_from(("<=", ">="))),
         max_size=2,
@@ -577,6 +581,60 @@ def test_cross_validate_matches_subset_folds_for_an_absence_minority(seed, cpus)
     cpus(1)
     for k in (2, 3, 10):
         assert cross_validate(ds, k=k, params=params) == subset_cross_validate(ds, k, params)
+
+
+# ---------------------------------------------------------------------------
+# The dataset's kept encoding: extended on read, never served stale
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cut", [0, 1, 97])
+def test_a_grown_dataset_learns_as_a_fresh_one(cut, cpus):
+    whole = list(mixed_dataset(2, 60))
+    fresh = LabeledDataset(MIXED.field_names())
+    for s in whole:
+        fresh.append(s.values, s.label, s.iteration)
+    params = RipperParams(seed=2)
+    for n in (1, 2):
+        cpus(n)
+        want = learn(fresh, params), cross_validate(fresh, k=4, params=params)
+        grown = LabeledDataset(MIXED.field_names())
+        for i, s in enumerate(whole):
+            if i == cut:  # read, so that the rest extends a kept encoding
+                learn(grown, params)
+                cross_validate(grown, k=4, params=params)
+            grown.append(s.values, s.label, s.iteration)
+        assert (learn(grown, params), cross_validate(grown, k=4, params=params)) == want
+
+
+def test_each_dataset_state_is_encoded_once(cpus, monkeypatch):
+    cpus(1)
+    ds = mixed_dataset(3, 100)
+    extended, sorted_sizes = [], []
+    extend, unique = RankEncoding.extend, np.unique
+
+    def count_extend(self, x):
+        extended.append(len(x))
+        return extend(self, x)
+
+    def count_unique(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(RankEncoding, "extend", count_extend)
+    monkeypatch.setattr(np, "unique", count_unique)
+    learn(ds)
+    cross_validate(ds)
+    assert extended == [len(ds)]
+    rng = random.Random(5)
+    for _ in range(200):
+        ds.append(draw(MIXED, rng), ABSENCE)
+    extended.clear()
+    sorted_sizes.clear()
+    learn(ds)
+    cross_validate(ds)
+    # the next read sorts the 200 new rows, once per field, and no old row
+    assert extended == [200]
+    assert sorted_sizes == [200] * len(ds.field_names)
 
 
 # ---------------------------------------------------------------------------

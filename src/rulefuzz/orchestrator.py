@@ -7,6 +7,9 @@ planned per-rule budget so that the growing dataset stays balanced and
 the rule model sharpens.  All randomness is pre-drawn into per-run fuzz
 plans before any session starts, which makes results byte-identical for
 a given seed regardless of worker count, CPU count or scheduling.
+The loop stops after `iterations` iterations, or after the first one
+that ends past the budget's time.monotonic() deadline, meets both metric
+targets or shows a metric plateau (planner.should_stop).
 
 Sessions run on every core the process may use.  Each iteration's rows
 are dealt round-robin into one share per process (at most `workers`):
@@ -39,6 +42,7 @@ import contextlib
 import json
 import logging
 import os
+import time
 from dataclasses import asdict, dataclass, replace
 from operator import itemgetter
 from pathlib import Path
@@ -65,7 +69,7 @@ from .fuzzer import (
     make_initial_plan,
 )
 from .learner import RipperParams, cross_validate, learn
-from .planner import BudgetClock, plan, should_stop
+from .planner import plan, should_stop
 from .proxy import InterceptConfig, InterceptProxy
 from .reactor import Loop
 from .rules import RuleSet, format_ruleset, parse_ruleset
@@ -117,6 +121,8 @@ class CampaignConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError(f"mutation_rate must be in [0, 1], got {self.mutation_rate}")
         if self.iterations is not None and self.iterations < 1:
@@ -272,8 +278,9 @@ class _Share:
     """One share's rows, driven on its loop with at most `in_flight` rows in flight.
 
     Each attempt at a row is a SwitchSession dialled through the proxy,
-    its PlannedHook paired by the session's address.  A row whose
-    attempt failed is dialled again, up to _MAX_RETRIES attempts; a row
+    its PlannedHook paired by the session's address, and is settled as
+    its session closes.  A row whose attempt failed goes to the front of
+    the queue to be dialled again, up to _MAX_RETRIES attempts; a row
     that exhausts them stops the share from starting new rows, and the
     rows in flight finish.
     """
@@ -284,35 +291,29 @@ class _Share:
         self._in_flight, self._iteration = in_flight, iteration
         # (index, plan, attempts made); a row to dial again goes to the front
         self._todo = collections.deque((j, plan, 0) for j, plan in zip(indices, plans))
-        self._ended: list[tuple] = []  # (index, plan, attempts, hook, session)
         self._running = 0  # attempts in flight
         self.rows: list[_Row] = []
         self.failures: list[_Failure] = []
 
     def advance(self) -> bool:
-        """Settle the attempts that ended and dial the next ones; True once the share is done."""
+        """Dial the next attempts; True once the share is done."""
         dials = 0
-        while True:
-            ended, self._ended = self._ended, []
-            for attempt in ended:
-                self._settle(*attempt)
-            while dials < _DIALS and self._todo and self._running < self._in_flight:
-                index, plan, attempts = self._todo[0]
-                if self.failures and not attempts:
-                    break  # rows already started finish, no new row starts
-                self._todo.popleft()
-                self._running += 1
-                # a connect that failed at once needs no room in the backlog
-                dials += not self._dial(index, plan, attempts + 1).closed
-            if not self._ended:
-                return not self._running and (not self._todo or bool(self.failures))
+        while dials < _DIALS and self._todo and self._running < self._in_flight:
+            index, plan, attempts = self._todo[0]
+            if self.failures and not attempts:
+                break  # rows already started finish, no new row starts
+            self._todo.popleft()
+            self._running += 1
+            # a connect that failed at once needs no room in the backlog
+            dials += not self._dial(index, plan, attempts + 1).closed
+        return not self._running and (not self._todo or bool(self.failures))
 
     def _dial(self, index: int, plan: FuzzPlan, attempts: int) -> SwitchSession:
         sessions = self._sessions
         hook = PlannedHook(plan, sessions.schema)
         switch = SwitchSession(
             self._loop.selector, self._endpoint, sessions.procedure, sessions.registry,
-            sessions.oracle, lambda s: self._ended.append((index, plan, attempts, hook, s)),
+            sessions.oracle, lambda s: self._settle(index, plan, attempts, hook, s),
         )
         if not switch.closed:
             self._proxy.expect(switch.address, hook)
@@ -447,7 +448,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         raise PersistenceFailureError(f"cannot create {out}: {exc}") from exc
 
     dataset = LabeledDataset(schema.field_names())
-    clock = BudgetClock(config.budget_seconds)
+    deadline = None if config.budget_seconds is None else time.monotonic() + config.budget_seconds
     history: list[tuple[float, float]] = []
     records: list[IterationRecord] = []
     ruleset: RuleSet | None = None
@@ -519,7 +520,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
         stop, reason = should_stop(
             history,
-            clock,
+            deadline,
             epsilon=config.plateau_epsilon,
             window=config.plateau_window,
             precision_target=config.precision_target,

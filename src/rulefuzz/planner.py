@@ -4,13 +4,13 @@ Given the accumulated dataset and the current rule set, the planner
 decides how many of the next n messages should target the minority class
 (driving the dataset toward a 50/50 label balance) and splits each class
 share across that class's rules proportionally to rule confidence.
-It also owns the campaign stopping decision.
+It also owns the campaign stopping decision, whose wall-clock budget is
+one time.monotonic() deadline.
 """
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dataset import LabeledDataset
@@ -105,23 +105,9 @@ def plan(
 progress = cross_validate
 
 
-@dataclass
-class BudgetClock:
-    """Wall-clock budget; budget_seconds=None never expires."""
-
-    budget_seconds: float | None
-    started: float = field(default_factory=time.monotonic)
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
-
-    def expired(self) -> bool:
-        return self.budget_seconds is not None and self.elapsed() >= self.budget_seconds
-
-
 def should_stop(
     history: Sequence[tuple[float, float]],
-    clock: BudgetClock,
+    deadline: float | None,
     epsilon: float = 0.01,
     window: int = 3,
     precision_target: float | None = None,
@@ -129,12 +115,14 @@ def should_stop(
 ) -> tuple[bool, str | None]:
     """Stop on budget exhaustion, metric targets, or a metric plateau.
 
-    The plateau check compares the latest precision and recall against the
+    The budget is spent once time.monotonic() reaches `deadline`, the
+    campaign's start plus its budget; None, no budget, never passes.  The
+    plateau check compares the latest precision and recall against the
     values window iterations back, so it needs window + 1 entries; both
     improving by less than epsilon means the loop stalled.  window=0
     disables the plateau check.
     """
-    if clock.expired():
+    if deadline is not None and time.monotonic() >= deadline:
         return True, "budget"
     if history:
         precision, recall = history[-1]

@@ -70,6 +70,7 @@ def test_campaign_rejects_a_lone_metric_target_before_starting(tmp_path, capsys,
     ["--precision-target", "1.5", "--recall-target", "0.9"],
     ["--budget-seconds", "nan"],
     ["--plateau-epsilon", "nan"],
+    ["--seed", "-1"],
 ])
 def test_campaign_rejects_unusable_settings_before_starting(tmp_path, capsys, flags):
     out = tmp_path / "run"

@@ -167,6 +167,18 @@ def test_guided_mode_switches_after_learning(tmp_path):
             assert set(cond.fields()).issubset(entry["replacements"].keys())
 
 
+def test_an_explicit_mutation_rate_reaches_the_plans(tmp_path):
+    config = small_config(tmp_path, n=60, seed=1, oracle=EASY_ORACLE, mutation_rate=0.0)
+    report = run_campaign(config)
+    assert report.iterations[1].fuzz_mode == "guided"
+    plans = json.loads((report.out_dir / "plans" / "iter_002.json").read_text())
+    guided = [entry for entry in plans if entry["mode"] == "guided"]
+    assert guided
+    assert not any(entry["mutations"] for entry in guided)
+    doc = json.loads((report.out_dir / "report.json").read_text())
+    assert doc["config"]["mutation_rate"] == 0.0
+
+
 def test_degenerate_ruleset_falls_back_to_initial():
     config = CampaignConfig(out_dir=Path("/nonexistent-unused"), n=4, seed=9)
     dataset = LabeledDataset(PACKET_IN.field_names())
@@ -782,6 +794,13 @@ def test_config_rejects_a_negative_budget(tmp_path):
     small_config(tmp_path, budget_seconds=0.0)
 
 
+def test_config_rejects_a_negative_seed(tmp_path):
+    # the learner seeds numpy with it, which takes no negative seed
+    with pytest.raises(ValueError, match="seed"):
+        small_config(tmp_path, seed=-1)
+    small_config(tmp_path, seed=0)
+
+
 @pytest.mark.parametrize("rate", [1.5, -0.1])
 def test_config_rejects_mutation_rate_outside_unit_interval(tmp_path, rate):
     with pytest.raises(ValueError, match="mutation_rate"):
@@ -824,6 +843,23 @@ def test_target_stop_reason(tmp_path):
     report = run_campaign(config)
     assert report.stop_reason == "target"
     assert len(report.iterations) < 6
+
+
+def test_a_spent_budget_stops_the_campaign_after_one_iteration(tmp_path):
+    # no iteration cap and no plateau check: only the budget can stop it
+    config = small_config(tmp_path, iterations=None, budget_seconds=0.0, plateau_window=0)
+    report = run_campaign(config)
+    out = report.out_dir
+    assert report.stop_reason == "budget"
+    assert [r.iteration for r in report.iterations] == [1]
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["stop_reason"] == "budget"
+    assert [r["iteration"] for r in doc["iterations"]] == [1]
+    rows = read_rows(out / "dataset.csv")[1:]
+    assert len(rows) == config.n
+    assert {row[0] for row in rows} == {"1"}
+    assert [p.name for p in (out / "rulesets").iterdir()] == ["iter_001.txt"]
+    assert [p.name for p in (out / "plans").iterdir()] == ["iter_001.json"]
 
 
 def test_persistence_failure_surfaces(tmp_path):

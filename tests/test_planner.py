@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
 from rulefuzz.planner import (
-    BudgetClock,
     distribute_quotas,
     estimate_class_targets,
     plan,
@@ -144,71 +144,70 @@ def test_plan_upper_clamp_gives_whole_budget_to_minority():
 
 
 def test_should_stop_budget_beats_everything():
-    clock = BudgetClock(budget_seconds=0.0)
+    deadline = time.monotonic()  # already passed
     stop, reason = should_stop(
-        [(1.0, 1.0)] * 5, clock, precision_target=0.5, recall_target=0.5
+        [(1.0, 1.0)] * 5, deadline, precision_target=0.5, recall_target=0.5
     )
     assert (stop, reason) == (True, "budget")
 
 
 def test_should_stop_target():
-    clock = BudgetClock(budget_seconds=None)
+    deadline = None
     stop, reason = should_stop(
-        [(0.96, 0.85)], clock, precision_target=0.95, recall_target=0.80
+        [(0.96, 0.85)], deadline, precision_target=0.95, recall_target=0.80
     )
     assert (stop, reason) == (True, "target")
     stop, reason = should_stop(
-        [(0.96, 0.70)], clock, precision_target=0.95, recall_target=0.80
+        [(0.96, 0.70)], deadline, precision_target=0.95, recall_target=0.80
     )
     assert (stop, reason) == (False, None)
 
 
 def test_should_stop_requires_both_targets():
-    clock = BudgetClock(budget_seconds=None)
-    stop, _ = should_stop([(0.99, 0.99)], clock, precision_target=0.95,
+    deadline = None
+    stop, _ = should_stop([(0.99, 0.99)], deadline, precision_target=0.95,
                           recall_target=None)
     assert not stop
 
 
 def test_should_stop_plateau():
-    clock = BudgetClock(budget_seconds=None)
+    deadline = None
     # window=3 compares the last entry with the one three iterations back
     flat = [(0.5, 0.5), (0.5, 0.5), (0.5, 0.5), (0.5, 0.5)]
-    stop, reason = should_stop(flat, clock, window=3)
+    stop, reason = should_stop(flat, deadline, window=3)
     assert (stop, reason) == (True, "plateau")
     rising = [(0.5, 0.5), (0.6, 0.6), (0.8, 0.8), (0.8, 0.8)]
-    stop, reason = should_stop(rising, clock, window=3)
+    stop, reason = should_stop(rising, deadline, window=3)
     assert (stop, reason) == (False, None)
     # improvement on one metric alone keeps the loop alive
     rising_p = [(0.5, 0.5), (0.6, 0.5), (0.8, 0.5), (0.8, 0.5)]
-    assert should_stop(rising_p, clock, window=3) == (False, None)
+    assert should_stop(rising_p, deadline, window=3) == (False, None)
 
 
 def test_should_stop_plateau_of_one_iteration():
-    clock = BudgetClock(budget_seconds=None)
+    deadline = None
     # one entry has nothing one iteration back to compare with
-    assert should_stop([(0.5, 0.5)], clock, window=1) == (False, None)
-    assert should_stop([(0.5, 0.5), (0.5, 0.5)], clock, window=1) == (True, "plateau")
-    assert should_stop([(0.5, 0.5), (0.6, 0.6)], clock, window=1) == (False, None)
-    assert should_stop([(0.6, 0.6), (0.5, 0.5)], clock, window=1) == (True, "plateau")
+    assert should_stop([(0.5, 0.5)], deadline, window=1) == (False, None)
+    assert should_stop([(0.5, 0.5), (0.5, 0.5)], deadline, window=1) == (True, "plateau")
+    assert should_stop([(0.5, 0.5), (0.6, 0.6)], deadline, window=1) == (False, None)
+    assert should_stop([(0.6, 0.6), (0.5, 0.5)], deadline, window=1) == (True, "plateau")
 
 
 def test_should_stop_plateau_disabled_and_short_history():
-    clock = BudgetClock(budget_seconds=None)
+    deadline = None
     flat = [(0.5, 0.5)] * 10
-    assert should_stop(flat, clock, window=0) == (False, None)
-    assert should_stop(flat[:2], clock, window=3) == (False, None)
+    assert should_stop(flat, deadline, window=0) == (False, None)
+    assert should_stop(flat[:2], deadline, window=3) == (False, None)
     # three entries hold only two iterations of change
-    assert should_stop(flat[:3], clock, window=3) == (False, None)
-    assert should_stop(flat[:4], clock, window=3) == (True, "plateau")
+    assert should_stop(flat[:3], deadline, window=3) == (False, None)
+    assert should_stop(flat[:4], deadline, window=3) == (True, "plateau")
 
 
 def test_budget_clock():
-    assert not BudgetClock(budget_seconds=None).expired()
-    assert BudgetClock(budget_seconds=0.0).expired()
-    clock = BudgetClock(budget_seconds=3600.0)
-    assert not clock.expired()
-    assert clock.elapsed() < 60
+    # a budget is one time.monotonic() deadline, and None never passes
+    assert should_stop([], None) == (False, None)
+    assert should_stop([], time.monotonic()) == (True, "budget")
+    assert should_stop([], time.monotonic() + 3600.0) == (False, None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -72,7 +72,7 @@ from .learner import RipperParams, cross_validate, learn
 from .planner import plan, should_stop
 from .proxy import InterceptConfig, InterceptProxy
 from .reactor import Loop
-from .rules import RuleSet, format_ruleset, parse_ruleset
+from .rules import DecisionRule, RuleSet, format_ruleset, parse_ruleset
 from .sampler import UnsatisfiableError, solve
 from .sut import (
     FailureOracle,
@@ -246,7 +246,7 @@ def build_iteration_plans(
                 budget = [entry for entry in budget if entry[0] != rule]
                 log.warning(
                     "iteration %d: rule %s is unsatisfiable, quota released",
-                    iteration, rule.condition,
+                    iteration, _rule_text(rule),
                 )
         plans.append(make_initial_plan(schema, rng, True))
     return plans, MODE_GUIDED, clamp
@@ -379,15 +379,16 @@ def _run_share(
 # Persistence
 # ---------------------------------------------------------------------------
 
+def _rule_text(rule: DecisionRule) -> str:
+    """A rule's condition, or `<default>` for the default rule's empty one."""
+    return str(rule.condition) or "<default>"
+
+
 def _plan_entry(index: int, fuzz_plan: FuzzPlan) -> dict:
-    if fuzz_plan.rule is None:
-        rule_text = None
-    else:
-        rule_text = str(fuzz_plan.rule.condition) or "<default>"
     return {
         "index": index,
         "mode": fuzz_plan.mode,
-        "rule": rule_text,
+        "rule": None if fuzz_plan.rule is None else _rule_text(fuzz_plan.rule),
         "replacements": dict(sorted(fuzz_plan.replacements.items())),
         "mutations": dict(sorted(fuzz_plan.mutations.items())),
     }

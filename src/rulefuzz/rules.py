@@ -15,8 +15,9 @@ import operator
 import re
 from dataclasses import dataclass
 
-# The one definition of comparator semantics: sampler, learner and oracle
-# all compare through this table.  It works on ints and numpy arrays alike.
+# The one definition of comparator semantics: the parser reads its keys, and
+# sampler, learner and oracle all compare through this table.  It works on
+# ints and numpy arrays alike.
 OPS = {
     "=": operator.eq,
     "!=": operator.ne,
@@ -26,15 +27,11 @@ OPS = {
     ">": operator.gt,
 }
 
-_ATOM_RE = re.compile(r"^\s*(\w+)\s*(<=|>=|!=|=|<|>)\s*(-?\d+)\s*$")
-_RULE_RE = re.compile(
-    r"^IF (?P<cond>.+) THEN class=(?P<cls>\w+)"
-    r" \(t=(?P<t>\d+), f=(?P<f>\d+), confidence=(?P<conf>[^)]+)\)$"
-)
-_DEFAULT_RE = re.compile(
-    r"^ELSE class=(?P<cls>\w+)"
-    r"(?: \(t=(?P<t>\d+), f=(?P<f>\d+), confidence=(?P<conf>[^)]+)\))?$"
-)
+_OPS_RE = "|".join(map(re.escape, OPS))
+_ATOM_RE = re.compile(rf"^\s*(\w+)\s*({_OPS_RE})\s*(-?\d+)\s*$")
+_STATS = r" \(t=(?P<t>\d+), f=(?P<f>\d+), confidence=(?P<conf>[^)]+)\)"
+_RULE_RE = re.compile(rf"^IF (?P<cond>.+) THEN class=(?P<cls>\w+){_STATS}$")
+_DEFAULT_RE = re.compile(rf"^ELSE class=(?P<cls>\w+)(?:{_STATS})?$")
 
 
 class RuleParseError(Exception):
@@ -128,20 +125,19 @@ def parse_condition(text: str) -> Condition:
     return Condition(tuple(atoms))
 
 
+def _stats(rule: DecisionRule) -> str:
+    # repr keeps every bit of the confidence, so the text round-trips
+    return f"(t={rule.t}, f={rule.f}, confidence={rule.confidence!r})"
+
+
 def format_rule(rule: DecisionRule) -> str:
     if rule.condition.is_empty:
         raise ValueError("minority rules must have a nonempty condition")
-    return (
-        f"IF {rule.condition} THEN class={rule.prediction} "
-        f"(t={rule.t}, f={rule.f}, confidence={rule.confidence!r})"
-    )
+    return f"IF {rule.condition} THEN class={rule.prediction} {_stats(rule)}"
 
 
 def format_default(rule: DecisionRule) -> str:
-    return (
-        f"ELSE class={rule.prediction} "
-        f"(t={rule.t}, f={rule.f}, confidence={rule.confidence!r})"
-    )
+    return f"ELSE class={rule.prediction} {_stats(rule)}"
 
 
 def format_ruleset(ruleset: RuleSet) -> str:
@@ -150,16 +146,18 @@ def format_ruleset(ruleset: RuleSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_rule_line(line: str) -> DecisionRule:
-    m = _RULE_RE.match(line)
+def _read_rule(pattern: re.Pattern[str], line: str, error: str) -> DecisionRule:
+    """The rule `line` spells in `pattern`'s form; absent statistics read as 0."""
+    m = pattern.match(line)
     if m is None:
-        raise RuleParseError(f"bad rule line {line!r}")
+        raise RuleParseError(f"{error}: {line!r}")
+    parts = m.groupdict(default="0")
     return DecisionRule(
-        condition=parse_condition(m.group("cond")),
-        prediction=m.group("cls"),
-        t=int(m.group("t")),
-        f=int(m.group("f")),
-        confidence=float(m.group("conf")),
+        condition=parse_condition(parts.get("cond", "")),
+        prediction=parts["cls"],
+        t=int(parts["t"]),
+        f=int(parts["f"]),
+        confidence=float(parts["conf"]),
     )
 
 
@@ -177,15 +175,6 @@ def parse_ruleset(text: str) -> RuleSet:
     ]
     if not lines:
         raise RuleParseError("empty rule-set text")
-    m = _DEFAULT_RE.match(lines[-1])
-    if m is None:
-        raise RuleParseError(f"last line is not a default rule: {lines[-1]!r}")
-    default = DecisionRule(
-        condition=Condition(),
-        prediction=m.group("cls"),
-        t=int(m.group("t") or 0),
-        f=int(m.group("f") or 0),
-        confidence=float(m.group("conf")) if m.group("conf") else 0.0,
-    )
-    minority = tuple(_parse_rule_line(ln) for ln in lines[:-1])
+    default = _read_rule(_DEFAULT_RE, lines[-1], "last line is not a default rule")
+    minority = tuple(_read_rule(_RULE_RE, ln, "bad rule line") for ln in lines[:-1])
     return RuleSet(minority, default)

@@ -252,16 +252,25 @@ def test_guided_default_rule_plans_avoid_minority_conditions():
 
 
 def test_unsatisfiable_rule_quota_goes_to_initial_plans(caplog):
-    ruleset = hand_built_ruleset("cookie_hi >= 5 AND cookie_hi <= 2", GUIDED_RULES[0])
-    bad = ruleset.minority_rules[0]
-    with caplog.at_level(logging.WARNING, logger="rulefuzz.orchestrator"):
-        quotas, plans = guided_iteration(ruleset)
-    assert quotas[bad] > 0
-    assert all(p.rule != bad for p in plans)
-    assert sum(p.mode == "initial" for p in plans) == quotas[bad]
-    assert [r.message for r in caplog.records] == [
-        f"iteration 2: rule {bad.condition} is unsatisfiable, quota released"
-    ]
+    contradiction = hand_built_ruleset("cookie_hi >= 5 AND cookie_hi <= 2", GUIDED_RULES[0])
+    # presence rules that cover the whole plane leave the default rule no
+    # value to draw; the log names it as the plans file does
+    covered = hand_built_ruleset("cookie_hi <= 2147483647", "cookie_hi >= 2147483648")
+    for ruleset, bad, text in (
+        (contradiction, contradiction.minority_rules[0], "cookie_hi >= 5 AND cookie_hi <= 2"),
+        (covered, covered.default_rule, "<default>"),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="rulefuzz.orchestrator"):
+            quotas, plans = guided_iteration(ruleset)
+        assert quotas[bad] > 0
+        assert all(p.rule != bad for p in plans)
+        assert sum(p.mode == "initial" for p in plans) == quotas[bad]
+        assert [r.message for r in caplog.records] == [
+            f"iteration 2: rule {text} is unsatisfiable, quota released"
+        ]
+    # the last case: all 20 of the default rule's rows became initial plans
+    assert quotas[covered.default_rule] == 20
 
 
 def test_identical_seeds_reproduce_artifacts_across_worker_counts(tmp_path):

@@ -2,6 +2,7 @@
 import pytest
 
 from rulefuzz.rules import (
+    OPS,
     Atom,
     Condition,
     DecisionRule,
@@ -16,10 +17,18 @@ from rulefuzz.rules import (
 
 
 def test_parse_condition_operators():
-    cond = parse_condition("a <= 5 AND b >= 3 AND c = 1 AND d != 0 AND e < 9 AND f > 2")
-    assert [a.op for a in cond.atoms] == ["<=", ">=", "=", "!=", "<", ">"]
-    assert [a.field for a in cond.atoms] == list("abcdef")
-    assert [a.value for a in cond.atoms] == [5, 3, 1, 0, 9, 2]
+    for text in (
+        "a <= 5 AND b >= 3 AND c = 1 AND d != 0 AND e < 9 AND f > 2",
+        "a<=5 AND b>=3 AND c=1 AND d!=0 AND e<9 AND f>2",
+    ):
+        cond = parse_condition(text)
+        assert [a.op for a in cond.atoms] == ["<=", ">=", "=", "!=", "<", ">"]
+        assert [a.field for a in cond.atoms] == list("abcdef")
+        assert [a.value for a in cond.atoms] == [5, 3, 1, 0, 9, 2]
+    assert parse_condition("a >= -3").atoms == (Atom("a", ">=", -3),)
+    for op in OPS:
+        cond = Condition((Atom("a", op, 7), Atom("b", op, -2)))
+        assert parse_condition(str(cond)) == cond
 
 
 def test_parse_condition_rejects_garbage():
@@ -74,8 +83,10 @@ def test_round_trip_is_bit_exact():
 def test_parse_ruleset_bare_default():
     rs = parse_ruleset("ELSE class=absence\n")
     assert rs.is_degenerate
-    assert rs.default_rule.prediction == "absence"
-    assert rs.default_rule.t == 0 and rs.default_rule.f == 0
+    assert rs.default_rule == DecisionRule(Condition(), "absence", t=0, f=0, confidence=0.0)
+    # only the default may leave its statistics out
+    with pytest.raises(RuleParseError):
+        parse_ruleset("IF a >= 1 THEN class=presence\nELSE class=absence\n")
 
 
 def test_parse_ruleset_skips_comments_and_blanks():

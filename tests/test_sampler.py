@@ -52,7 +52,9 @@ def random_condition(rng, schema):
     for _ in range(rng.randint(1, 3)):
         spec = rng.choice(schema.fields)
         op = rng.choice(["<=", ">=", "=", "!=", "<", ">"])
-        atoms.append(Atom(spec.name, op, rng.randint(0, spec.raw_max)))
+        # thresholds past either end of the raw range reach the sampler
+        # through parsed conditions, saved rule sets and oracle files
+        atoms.append(Atom(spec.name, op, rng.randint(-2, spec.raw_max + 2)))
     return Condition(tuple(atoms))
 
 
@@ -115,6 +117,16 @@ def test_equality_collapses_and_inequality_splits():
     (iv,) = intervals_for(parse_condition("a != 7"), TINY)
     assert iv.allowed == ((0, 6), (8, 15))
     assert iv.size == 15
+    # the allowed values at and to one side of a threshold form one interval
+    below, above = intervals_for(parse_condition("a <= 7 AND b >= 7"), TINY)
+    assert (below.allowed, above.allowed) == (((0, 7),), ((7, 15),))
+    # a threshold outside the raw range [0, 15]
+    for text in ("a = 16", "a = -1"):
+        (iv,) = intervals_for(parse_condition(text), TINY)
+        assert iv.allowed == ()
+    for text in ("a != 16", "a != -1"):
+        (iv,) = intervals_for(parse_condition(text), TINY)
+        assert iv.allowed == ((0, 15),)
 
 
 def test_contradiction_unsatisfiable():

@@ -75,8 +75,10 @@ from .reactor import Loop
 from .rules import DecisionRule, RuleSet, format_ruleset, parse_ruleset
 from .sampler import UnsatisfiableError, solve
 from .sut import (
+    SWITCH,
     FailureOracle,
     MockController,
+    Script,
     SutUnavailableError,
     SwitchSession,
     build_procedure,
@@ -269,9 +271,7 @@ class _Sessions:
 
 _Row = tuple[int, dict, str]  # (index in the iteration, fuzzed field values, label)
 _Failure = tuple[int, SutUnavailableError]  # (index in the iteration, why it failed)
-# connects started between two waits of a share's loop; the listeners accept
-# every pending connection at each wait, so their backlog of 128 never fills
-_DIALS = 64
+_DIALS = 64  # a share's unaccepted connections: one accepted per wait, no backlog of 128 fills
 
 
 class _Share:
@@ -288,6 +288,7 @@ class _Share:
     def __init__(self, sessions, proxy, loop, in_flight, iteration, indices, plans):
         self._sessions, self._proxy, self._loop = sessions, proxy, loop
         self._endpoint = proxy.endpoint
+        self._script = Script(sessions.procedure, sessions.registry, SWITCH)
         self._in_flight, self._iteration = in_flight, iteration
         # (index, plan, attempts made); a row to dial again goes to the front
         self._todo = collections.deque((j, plan, 0) for j, plan in zip(indices, plans))
@@ -297,28 +298,24 @@ class _Share:
 
     def advance(self) -> bool:
         """Dial the next attempts; True once the share is done."""
-        dials = 0
-        while dials < _DIALS and self._todo and self._running < self._in_flight:
+        while self._todo and self._running < self._in_flight and self._proxy.waiting() < _DIALS:
             index, plan, attempts = self._todo[0]
             if self.failures and not attempts:
                 break  # rows already started finish, no new row starts
             self._todo.popleft()
             self._running += 1
-            # a connect that failed at once needs no room in the backlog
-            dials += not self._dial(index, plan, attempts + 1).closed
+            self._dial(index, plan, attempts + 1)
         return not self._running and (not self._todo or bool(self.failures))
 
-    def _dial(self, index: int, plan: FuzzPlan, attempts: int) -> SwitchSession:
+    def _dial(self, index: int, plan: FuzzPlan, attempts: int) -> None:
         sessions = self._sessions
         hook = PlannedHook(plan, sessions.schema)
         switch = SwitchSession(
-            self._loop.selector, self._endpoint, sessions.procedure, sessions.registry,
-            sessions.oracle, lambda s: self._settle(index, plan, attempts, hook, s),
+            self._loop, self._endpoint, self._script, sessions.oracle,
+            lambda s: self._settle(index, plan, attempts, hook, s),
         )
         if not switch.closed:
             self._proxy.expect(switch.address, hook)
-            self._loop.add(switch)
-        return switch
 
     def _settle(
         self, index: int, plan: FuzzPlan, attempts: int, hook: PlannedHook, switch: SwitchSession
@@ -332,8 +329,10 @@ class _Share:
             last = "target frame never intercepted"
         else:
             sessions = self._sessions
-            label_rng = Random(f"{sessions.seed}/noise/{self._iteration}/{index}")
-            label = observe_label(outcome, sessions.oracle.noise_rate, label_rng)
+            noise = sessions.oracle.noise_rate
+            # a noise-free label draws nothing from its row's stream
+            rng = Random(f"{sessions.seed}/noise/{self._iteration}/{index}") if noise else None
+            label = observe_label(outcome, noise, rng)
             self.rows.append((index, hook.action.after.values, label))
             return
         if attempts < _MAX_RETRIES:

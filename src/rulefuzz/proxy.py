@@ -10,34 +10,35 @@ types the registry does not know, is forwarded unmodified and in order.
 InterceptProxy is a `reactor.TcpServer`: its sessions run on a
 `reactor.Loop`, and its upstream dial waits at most `reactor.STEP_TIMEOUT`.
 
-A session relays two legs, each with its own framing.  A leg that
-reaches EOF forwards its trailing bytes and half-closes its destination
-while the other leg relays on; if that leg stays quiet for STEP_TIMEOUT,
-the session ends.  A read or send that fails on either leg, as a peer's
-reset or departure makes it, and an upstream dial that fails or times
-out, fail the session as every `reactor.Session` fails: with a reset on
-both legs, so the switch's read fails as it would on a direct
-connection instead of reading a clean close, and the record's `error`
-says why.  Every socket has its own output buffer, and a leg whose
+A session relays two legs, each with its own framing.  A step reads one
+leg once and sends on what it read; while both legs are open and nothing
+is queued, that is all it does, with no watch change and no clock read.
+A leg that reaches EOF forwards its trailing bytes and half-closes its
+destination while the other leg relays on; if that leg stays quiet for
+STEP_TIMEOUT, the session ends, and once it has ended too, the session
+closes both sockets, with no shutdown for a peer whose EOF was read.  A
+read or send that fails on either leg, as a peer's reset or departure
+makes it, and an upstream dial that fails or times out, fail the session
+as every `reactor.Session` fails: with a reset on both legs, so the
+switch's read fails as it would on a direct connection instead of
+reading a clean close, and the record's `error` says why.  A session
+that fails or is aborted logs a warning; one that ends cleanly logs
+nothing.  Every socket has its own output buffer, and a leg whose
 destination still holds unsent bytes stops reading until they drain, so
 a peer that stops reading stalls only its own session.
 
 One accepted connection is one independent session.  A client on the
 proxy's own loop pairs its hook with its connection by address through
-expect(), so pairing does not depend on accept order.  A client on
-another thread pairs through reserve(): under its one lock it queues
-the hook and makes its connect, so accept order matches queue order.
-The loop's thread alone takes hooks off the queue, and a connect that
-fails inside reserve() retracts its hook on that thread too, so the
-hook cannot be handed to a later session.  A session with no hook is
-relayed untouched.  Hooks run on the loop's thread.
+expect(); a client on another thread pairs through reserve(), under
+one lock that makes accept order match the order of its hook queue.  A
+session with no hook is relayed untouched.  Hooks run on the loop's
+thread.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
 import logging
-import selectors
 import socket
 import threading
 import time
@@ -93,32 +94,30 @@ class StreamSegmenter:
 
     def feed(self, data: bytes) -> list[bytes]:
         """Consume a chunk, returning every message completed by it."""
-        self.residual += data
+        buf = self.residual + data if self.residual else data
         frames = []
-        while True:
-            buf = self.residual
-            if len(buf) < 4:
-                break
-            declared = int.from_bytes(buf[2:4], "big")
+        start, end = 0, len(buf)
+        while end - start >= 4:
+            declared = buf[start + 2] << 8 | buf[start + 3]
             if declared < HEADER_BYTES:
+                self.residual = buf[start:]
                 raise LengthFieldInvalidError(
                     f"declared length {declared} below header size {HEADER_BYTES}", frames
                 )
-            if len(buf) < declared:
+            if end - start < declared:
                 break
-            frames.append(buf[:declared])
-            self.residual = buf[declared:]
+            frames.append(buf[start:start + declared])
+            start += declared
+        self.residual = buf[start:]
         return frames
 
 
-class _Leg:
+class _Leg(StreamSegmenter):
     """One direction of a proxied session: frames read from `src` go to `dst`."""
 
-    __slots__ = ("src", "dst", "direction", "segmenter", "open")
-
     def __init__(self, src: Connection, dst: Connection, direction: str):
+        super().__init__()
         self.src, self.dst, self.direction = src, dst, direction
-        self.segmenter = StreamSegmenter()
         self.open = True  # src is still read
 
 
@@ -127,34 +126,44 @@ class _ProxySession(Session):
 
     def __init__(
         self,
-        selector: selectors.BaseSelector,
+        loop: Loop,
         client: socket.socket,
         upstream: tuple[str, int],
         target_code: int,
         hook: Hook | None,
         record: SessionRecord,
     ):
-        super().__init__(selector, client)
+        dial = socket.socket(socket.AF_INET, socket.SOCK_STREAM | socket.SOCK_NONBLOCK)
+        super().__init__(loop, client)
         self._target_code, self._hook, self.record = target_code, hook, record
-        self.upstream = Connection(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
-        self._legs = (_Leg(self.conn, self.upstream, _C2U), _Leg(self.upstream, self.conn, _U2C))
+        self.upstream = Connection(loop, dial, self._upstream_ready)
+        self._c2u = _Leg(self.conn, self.upstream, _C2U)
+        self._u2c = _Leg(self.upstream, self.conn, _U2C)
         # the client's bytes wait in the kernel until upstream is reached
         try:
-            self.deadline = self.upstream.connect(selector, self, upstream)
+            self.deadline = self.upstream.connect(upstream)
         except OSError as exc:
             self.fail(str(exc))
 
-    def ready(self, sock: socket.socket, events: int) -> None:
+    def ready(self) -> None:
+        self._step(self._c2u, self._u2c)
+
+    def _upstream_ready(self) -> None:
         if self.upstream.connecting:
             self.upstream.connected()
+            self._settle()
         else:
-            # a socket is the source of one leg and the destination of the other
-            c2u, u2c = self._legs
-            reading, writing = (c2u, u2c) if sock is self.conn.sock else (u2c, c2u)
-            if events & selectors.EVENT_WRITE:
-                self._count(writing, writing.dst.flush())
-            if events & selectors.EVENT_READ and reading.open:
-                self._relay(reading)
+            self._step(self._u2c, self._c2u)
+
+    def _step(self, reading: _Leg, writing: _Leg) -> None:
+        """The socket that `reading` reads from and `writing` writes to is ready."""
+        flushed = bool(writing.dst.out)
+        if flushed:
+            self._count(writing, writing.dst.flush())
+        if reading.open and not reading.dst.out:  # what its socket is watched for
+            self._relay(reading)
+            if not flushed and reading.open and writing.open and not reading.dst.out:
+                return  # both legs relay on and nothing is queued: nothing to settle
         self._settle()
 
     def expire(self) -> None:
@@ -166,13 +175,7 @@ class _ProxySession(Session):
         self.close()
 
     def close(self, reset: bool = False) -> None:
-        record = self.record
-        log.info(
-            "session %d done: target_seen=%s hook_fired=%s c2u=%d u2c=%d error=%s",
-            record.session_id, record.target_seen, record.hook_fired,
-            record.bytes_client_to_upstream, record.bytes_upstream_to_client, record.error,
-        )
-        self.upstream.close(self.selector, reset)
+        self.upstream.close(reset)
         super().close(reset)
 
     def fail(self, why: str) -> None:
@@ -184,17 +187,16 @@ class _ProxySession(Session):
 
     def _settle(self) -> None:
         """Half-close drained legs, then end the session or watch what is left."""
-        for leg in self._legs:
-            if not leg.open and not leg.dst.out and not leg.dst.shut:
-                leg.dst.shut_write()
-        if all(leg.dst.shut for leg in self._legs):
+        c2u, u2c = self._c2u, self._u2c
+        if not (c2u.open or u2c.open or self.conn.out or self.upstream.out):
             self.close()
             return
-        for leg in self._legs:
+        for leg in (c2u, u2c):
+            if not leg.open and not leg.dst.out and not leg.dst.shut:
+                leg.dst.shut_write()
             # a leg whose destination holds unsent bytes stops reading
-            leg.src.watch(self.selector, self, leg.open and not leg.dst.out)
-        both_open = all(leg.open for leg in self._legs)
-        self.deadline = None if both_open else time.monotonic() + reactor.STEP_TIMEOUT
+            leg.src.watch(leg.open and not leg.dst.out)
+        self.deadline = None if c2u.open and u2c.open else time.monotonic() + reactor.STEP_TIMEOUT
 
     def _relay(self, leg: _Leg) -> None:
         """Relay one read of a readable leg; OSError if the read or the send failed."""
@@ -203,46 +205,41 @@ class _ProxySession(Session):
             return
         ended = not chunk
         try:
-            frames = leg.segmenter.feed(chunk)
+            frames = leg.feed(chunk)
         except LengthFieldInvalidError as exc:
             self.record.error = f"{leg.direction}: {exc}"
             log.warning("session %d aborted: %s", self.record.session_id, exc)
             # relay the frames before the bad header; the rest of this leg
             # cannot be framed, so it is dropped
-            frames, ended, leg.segmenter.residual = exc.frames, True, b""
-        out = b"".join(self._intercept(frame) for frame in frames)
+            frames, ended, leg.residual = exc.frames, True, b""
+        target = self._target_code
+        out = b"".join([self._intercept(f) if f[1] == target else f for f in frames])
         if ended:
-            out += leg.segmenter.residual  # incomplete trailing bytes go too
+            out += leg.residual  # incomplete trailing bytes go too
             # the other leg relays on; dst is half-closed once drained
             leg.open = False
         if out:
             self._count(leg, leg.dst.send(out))
 
     def _count(self, leg: _Leg, sent: int) -> None:
-        if leg.direction == _C2U:
+        if leg is self._c2u:
             self.record.bytes_client_to_upstream += sent
         else:
             self.record.bytes_upstream_to_client += sent
 
     def _intercept(self, frame: bytes) -> bytes:
-        """Apply the hook if this frame is the session's first target frame."""
-        if frame[1] != self._target_code:
-            return frame
+        """Apply the hook if this target frame is the session's first."""
         record = self.record
         record.target_seen = True
         if record.hook_fired or self._hook is None:
             return frame
         record.hook_fired = True
         try:
-            out = self._hook(frame)
+            return self._hook(frame)
         except Exception as exc:  # hook bugs must not wedge the relay
             log.warning("session %d hook failed: %s", record.session_id, exc)
             record.error = f"hook: {exc}"
             return frame
-        log.debug(
-            "session %d fuzzed frame (%d -> %d bytes)", record.session_id, len(frame), len(out)
-        )
-        return out
 
 
 class InterceptProxy(TcpServer):
@@ -258,6 +255,7 @@ class InterceptProxy(TcpServer):
         self._hooks: collections.deque[Hook] = collections.deque()
         self._reserve_lock = threading.Lock()
         self._expected: dict[tuple[str, int], Hook] = {}
+        self._upstream = (config.upstream_host, config.upstream_port)
         super().__init__(config.listen_host, config.listen_port, loop)
 
     @contextlib.contextmanager
@@ -294,6 +292,10 @@ class InterceptProxy(TcpServer):
         """
         self._expected[client] = hook
 
+    def waiting(self) -> int:
+        """How many connections paired through expect() the proxy has not accepted."""
+        return len(self._expected)
+
     def forget(self, client: tuple[str, int]) -> None:
         """Drop the pairing of `client`, if the proxy never accepted its connection."""
         self._expected.pop(client, None)
@@ -304,5 +306,4 @@ class InterceptProxy(TcpServer):
             hook = self._hooks.popleft()
         record = SessionRecord(session_id=len(self.records) + 1)
         self.records.append(record)
-        upstream = (self.config.upstream_host, self.config.upstream_port)
-        return _ProxySession(self._loop.selector, sock, upstream, self._target_code, hook, record)
+        return _ProxySession(self._loop, sock, self._upstream, self._target_code, hook, record)

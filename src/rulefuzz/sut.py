@@ -11,25 +11,25 @@ the caller, never inside the deterministic endpoints.
 
 A procedure is a tuple of steps, one message each.  Its target step is
 the slot the proxy fuzzes and the one whose receiver checks the oracle.
-One procedure player serves both roles: `Player` is the step loop with
-no I/O of its own, which sends the steps of its role, reads the peer's,
-and enacts the failure when it receives a target that matches.  It runs
-only as a `PlayerSession` on a `reactor.Loop`, on the thread that serves
-that loop: the mock controller, a `reactor.TcpServer`, runs one per
-accepted connection, and the switch driver `SwitchSession` dials its
-peer without blocking, so every role of a session can share one loop.
-`run_procedure_on` is the blocking front of the same switch half for a
-caller on another thread: it hands the connection to the process loop
-(`reactor.process_loop()`) and waits until the session closes.  There is
-one session timeout, `reactor.STEP_TIMEOUT`: the switch's connect and each
-step wait at most that long for the peer.  A connection from
-`connect_sut(endpoint, timeout)` carries its own: `run_procedure_on`
-takes the socket's timeout as each step's deadline, and STEP_TIMEOUT
-when the socket has none, so no step waits for ever.  A session fails
-one way, as every `reactor.Session` does: a connect, read or send that
-fails, or a step that raises, resets the connection, so the peer's read
-fails too, and the role's outcome reads the peer closing early with an
-`error`, which a campaign retries instead of labelling.
+One procedure player serves both roles: `PlayerSession`, on a
+`reactor.Loop`, sends the steps of its role, reads the peer's, and
+enacts the failure when it receives a target that matches.  It plays a
+`Script`, its role's half of the procedure with the frames encoded once,
+by the mock controller and by a campaign share for all their sessions.
+The mock controller, a `reactor.TcpServer`, runs one per accepted
+connection, and the switch driver `SwitchSession` dials its peer without
+blocking, so every role of a session can share one loop.  A step makes
+one read, plays it (receive() does no I/O), makes at most one send,
+changes what the loop watches only when that changes, and reads the
+clock once, for its deadline.  `run_procedure_on` is the blocking front of the same switch
+half for a caller on another thread: it hands the connection to the
+process loop and waits until the session closes.  Each step waits at
+most `reactor.STEP_TIMEOUT` for the peer, or the timeout of the socket
+handed to `run_procedure_on`.  A session fails one way, as every
+`reactor.Session` does: a connect, read or send that fails, or a step
+that raises, resets the connection, so the peer's read fails too, and
+the role's outcome reads the peer closing early with an `error`, which
+a campaign retries instead of labelling.
 
 Both endpoints read the fuzzed slot as a fixed-size byte span dictated
 by the procedure script rather than trusting the (possibly corrupted)
@@ -38,7 +38,6 @@ values that were injected.
 """
 from __future__ import annotations
 
-import selectors
 import socket
 import threading
 import time
@@ -255,7 +254,7 @@ def build_procedure(name: str, target_type: str) -> tuple[Step, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Procedure player
+# Procedure sessions on a loop
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -266,131 +265,123 @@ class RunOutcome:
     error: str | None = None
 
 
-class Player:
-    """One role's half of a procedure, with no I/O of its own.
+class Script:
+    """One role's half of a procedure, its frames encoded once.
 
-    start() returns the bytes the role sends before its first read, and
-    receive() takes the bytes read from the peer (b"" at EOF) and returns
-    the bytes to send next: a role's consecutive steps leave in one
-    write.  `done` is set once the role has nothing left to send or read,
-    and `outcome` holds what it observed.  The oracle is consulted only
-    for a received target step; on a match this side enacts the failure
-    itself, by ending the session or by flooding the peer with
-    unsolicited barrier requests.  A target slot is read verbatim; ahead
-    of any other expected slot, unsolicited barrier requests (the storm
-    failure mode) are counted and dropped.
+    `opening` is what the role sends before its first read.  Each of
+    `reads` is one slot of the peer's, in order: (its size, mark and
+    schema, whether unsolicited barrier requests ahead of it are dropped,
+    and what the role sends once it is read, its steps in one write).
+    """
+
+    def __init__(self, procedure: tuple[Step, ...], registry: SchemaRegistry, role: str):
+        flood = registry.by_name("barrier_request")
+        self.role, self.flood_code = role, flood.header_type_code
+        self.storm = default_frame(flood) * STORM_FRAMES
+        sends, reads = [b""], []  # what the role sends before each read, and after the last
+        for step in procedure:
+            schema = registry.by_name(step.message)
+            if step.sender == role:
+                sends[-1] += default_frame(schema)
+                continue
+            drops = step.mark != MARK_TARGET and schema.header_type_code != self.flood_code
+            reads.append((schema.total_bytes, step.mark, schema, drops))
+            sends.append(b"")
+        self.opening = sends[0]
+        self.reads = tuple((*read, then) for read, then in zip(reads, sends[1:]))
+
+
+class PlayerSession(Session):
+    """One role of a procedure, played from its Script on a reactor.Loop.
+
+    begin() sends what the role sends before its first read.  Each step
+    then reads what the peer sent, plays it through receive(), which
+    does no I/O, and sends what the role sends next; it waits at most
+    `timeout` seconds for the peer.  `done` is set once the role has
+    nothing left to send or read, and `outcome` holds what it observed.
+    The oracle is consulted only for a received target step; on a match
+    this side enacts the failure itself, by ending the session or by
+    flooding the peer with unsolicited barrier requests, which are
+    counted and dropped ahead of any slot but a target, read verbatim.
+    Output the socket does not take at once is flushed as it drains.
+    The session ends once the role is done and its output has left, or
+    when it fails: a failed send or read, or a step that raises, fails it
+    as every `reactor.Session` fails, and the role reads it as the peer
+    closing early, with `outcome.error` saying why, or "timeout".
     """
 
     def __init__(
         self,
-        procedure: tuple[Step, ...],
-        registry: SchemaRegistry,
+        loop: Loop,
+        sock: socket.socket,
+        script: Script,
         oracle: FailureOracle | None,
-        role: str,
+        timeout: float,
     ):
-        self._steps = procedure
-        self._registry = registry
-        self._oracle = oracle
-        self._role = role
-        self._next = 0  # index of the next step to play
+        super().__init__(loop, sock)
+        self._script, self._oracle, self._timeout = script, oracle, timeout
+        self._next = 0  # index of the next read in the script
         self._received = bytearray()
-        self._flood = registry.by_name("barrier_request")
         self.done = False
         self.outcome = RunOutcome({"closed_early": False, "ping_ok": False, "flood_count": 0})
 
-    def start(self) -> bytes:
-        return self._advance()
+    def begin(self) -> None:
+        """Send what the role sends before its first read; a failed send fails the session."""
+        self.done = not self._script.reads
+        try:
+            self._play(self._script.opening)
+        except OSError as exc:
+            self.fail(str(exc))
+
+    def ready(self) -> None:
+        out = b""
+        if self.conn.out:
+            self.conn.flush()
+        if not self.done:
+            data = self.conn.recv()
+            if data is not None:
+                out = self.receive(data)
+        self._play(out)
 
     def receive(self, data: bytes) -> bytes:
+        """Play `data` read from the peer (b"" at EOF); the bytes the role sends next."""
+        obs = self.outcome.observations
         if not data:
             if not self.done:
-                self.outcome.observations["closed_early"] = True
+                obs["closed_early"] = True
                 self.done = True
             return b""
-        self._received += data
-        return self._advance()
-
-    def _advance(self) -> bytes:
-        out = bytearray()
-        obs = self.outcome.observations
         buf = self._received
-        while self._next < len(self._steps):
-            step = self._steps[self._next]
-            schema = self._registry.by_name(step.message)
-            if step.sender == self._role:
-                out += default_frame(schema)
-                self._next += 1
-                continue
-            flood_code = self._flood.header_type_code
-            if step.mark != MARK_TARGET and schema.header_type_code != flood_code:
-                while len(buf) >= HEADER_BYTES and buf[1] == flood_code:
+        buf += data
+        script = self._script
+        reads = script.reads
+        out = b""
+        while self._next < len(reads):
+            size, mark, schema, drops, then = reads[self._next]
+            if drops:
+                while len(buf) >= HEADER_BYTES and buf[1] == script.flood_code:
                     del buf[:HEADER_BYTES]
                     obs["flood_count"] += 1
-            if len(buf) < schema.total_bytes:
-                return bytes(out)
-            data = bytes(buf[: schema.total_bytes])
-            del buf[: schema.total_bytes]
+            if len(buf) < size:
+                return out
+            slot = bytes(buf[:size]) if mark == MARK_TARGET else None
+            del buf[:size]
             self._next += 1
-            if step.mark == MARK_ACK:
+            if mark == MARK_ACK:
                 obs["ping_ok"] = True
-            if (
-                step.mark == MARK_TARGET
+            elif (
+                mark == MARK_TARGET
                 and self._oracle is not None
-                and self._oracle.matches(decode_as(data, schema).values)
+                and self._oracle.matches(decode_as(slot, schema).values)
             ):
                 if self._oracle.failure_mode == "switch_disconnect":
                     obs["closed_early"] = True
                     break
-                out += default_frame(self._flood) * STORM_FRAMES
+                out += script.storm
                 obs["flood_count"] += STORM_FRAMES
+            out += then
         self.done = True
-        return bytes(out)
-
-
-# ---------------------------------------------------------------------------
-# Procedure sessions on a loop
-# ---------------------------------------------------------------------------
-
-class PlayerSession(Session):
-    """One role of a procedure played on a reactor.Loop.
-
-    Each step waits at most `timeout` seconds for the peer.  Output the
-    socket does not take at once is queued and flushed as the socket
-    drains.  The session ends once the player is done and its output has
-    left, or when it fails: a failed send or read, or a step that raises,
-    fails it as every `reactor.Session` fails, and the role reads it as
-    the peer closing early, with `outcome.error` saying why.  A step
-    that times out sets `outcome.error` to "timeout".
-    """
-
-    def __init__(
-        self,
-        selector: selectors.BaseSelector,
-        sock: socket.socket,
-        player: Player,
-        timeout: float,
-    ):
-        super().__init__(selector, sock)
-        self._player = player
-        self._timeout = timeout
-        self.outcome = player.outcome
-
-    def begin(self) -> None:
-        """Send what the role sends before its first read; a failed send fails the session."""
-        try:
-            self._play(self._player.start())
-        except OSError as exc:
-            self.fail(str(exc))
-
-    def ready(self, sock: socket.socket, events: int) -> None:
-        out = b""
-        if events & selectors.EVENT_WRITE:
-            self.conn.flush()
-        if events & selectors.EVENT_READ:
-            data = self.conn.recv()
-            if data is not None:
-                out = self._player.receive(data)
-        self._play(out)
+        return out
 
     def expire(self) -> None:
         self.outcome.error = "timeout"
@@ -404,40 +395,37 @@ class PlayerSession(Session):
     def _play(self, out: bytes) -> None:
         if out:
             self.conn.send(out)
-        if self._player.done and not self.conn.out:
+        if self.done and not self.conn.out:
             self.close()
             return
-        self.conn.watch(self.selector, self, not self._player.done)
+        self.conn.watch(not self.done)
         self.deadline = time.monotonic() + self._timeout
 
 
 class SwitchSession(PlayerSession):
     """The switch half of a procedure, dialled without blocking on a loop.
 
-    The connect and each step get `reactor.STEP_TIMEOUT`, as every
-    `reactor.Connection.connect` does.  A connect that fails or times
-    out fails the session, and `outcome.error` names the endpoint.
+    `script` is the procedure's Script for the switch role.  The connect
+    and each step get `reactor.STEP_TIMEOUT`.  A connect that fails or
+    times out fails the session, and `outcome.error` names the endpoint.
     `address` is the local address the connect was made from, and
     on_close(session) runs once the session closes.
     """
 
     def __init__(
         self,
-        selector: selectors.BaseSelector,
+        loop: Loop,
         endpoint: tuple[str, int],
-        procedure: tuple[Step, ...],
-        registry: SchemaRegistry,
+        script: Script,
         oracle: FailureOracle | None,
         on_close: Callable[[SwitchSession], None],
     ):
-        super().__init__(
-            selector, socket.socket(socket.AF_INET, socket.SOCK_STREAM),
-            Player(procedure, registry, oracle, SWITCH), reactor.STEP_TIMEOUT,
-        )
+        dial = socket.socket(socket.AF_INET, socket.SOCK_STREAM | socket.SOCK_NONBLOCK)
+        super().__init__(loop, dial, script, oracle, reactor.STEP_TIMEOUT)
         self._endpoint, self.on_close = endpoint, on_close
         self.address: tuple[str, int] | None = None
         try:
-            self.deadline = self.conn.connect(selector, self, endpoint)
+            self.deadline = self.conn.connect(endpoint)
             self.address = self.conn.sock.getsockname()[:2]
         except OSError as exc:
             self.fail(str(exc))
@@ -447,9 +435,9 @@ class SwitchSession(PlayerSession):
             why = f"connect to {self._endpoint}: {why}"
         super().fail(why)
 
-    def ready(self, sock: socket.socket, events: int) -> None:
+    def ready(self) -> None:
         if not self.conn.connecting:
-            super().ready(sock, events)
+            super().ready()
             return
         self.conn.connected()
         self.begin()
@@ -477,14 +465,12 @@ class MockController(TcpServer):
         port: int = 0,
         loop: Loop | None = None,
     ):
-        self._registry = registry
-        self._procedure = procedure
+        self._script = Script(procedure, registry, CONTROLLER)
         self._oracle = oracle
         super().__init__(host, port, loop)
 
     def open(self, sock: socket.socket, peer: tuple[str, int]) -> Session:
-        player = Player(self._procedure, self._registry, self._oracle, CONTROLLER)
-        session = PlayerSession(self._loop.selector, sock, player, reactor.STEP_TIMEOUT)
+        session = PlayerSession(self._loop, sock, self._script, self._oracle, reactor.STEP_TIMEOUT)
         session.begin()
         return session
 
@@ -525,16 +511,17 @@ def run_procedure_on(
     loop = reactor.process_loop()
     if threading.current_thread() is loop.thread:
         raise RuntimeError("run_procedure_on cannot wait on the loop thread that serves it")
-    player = Player(procedure, registry, oracle, SWITCH)
+    script = Script(procedure, registry, SWITCH)
     timeout = sock.gettimeout() or reactor.STEP_TIMEOUT
     ended: Future = Future()
 
     def begin() -> None:
         try:
-            session = PlayerSession(loop.selector, sock, player, timeout)
-            session.on_close = lambda _session: ended.set_result(player.outcome)
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            session = PlayerSession(loop, sock, script, oracle, timeout)
+            session.on_close = lambda closed: ended.set_result(closed.outcome)
             session.begin()
-            loop.add(session)
         except BaseException as exc:  # the caller's wait raises it
             sock.close()
             ended.set_exception(exc)
@@ -561,12 +548,12 @@ def detect(observations: Mapping) -> str:
     return ABSENCE
 
 
-def apply_noise(label: str, noise_rate: float, rng: Random) -> str:
-    """Flip the label with probability noise_rate."""
+def apply_noise(label: str, noise_rate: float, rng: Random | None) -> str:
+    """Flip the label with probability noise_rate; `rng` may be None at rate 0."""
     if noise_rate > 0.0 and rng.random() < noise_rate:
         return ABSENCE if label == PRESENCE else PRESENCE
     return label
 
 
-def observe_label(outcome: RunOutcome, noise_rate: float, rng: Random) -> str:
+def observe_label(outcome: RunOutcome, noise_rate: float, rng: Random | None) -> str:
     return apply_noise(detect(outcome.observations), noise_rate, rng)

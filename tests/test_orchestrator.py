@@ -6,12 +6,15 @@ controller), so iteration counts and n stay tiny to keep the suite fast.
 import contextlib
 import csv
 import errno
+import gc
 import hashlib
 import itertools
 import json
 import logging
 import math
 import os
+import pickle
+import select
 import signal
 import socket
 import subprocess
@@ -21,6 +24,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -28,7 +32,7 @@ import rulefuzz.orchestrator as orchestrator
 import rulefuzz.pool as pool
 import rulefuzz.reactor as reactor
 import rulefuzz.sut as sut
-from rulefuzz.codec import builtin_registry, decode_as
+from rulefuzz.codec import MessageSchema, builtin_registry, decode_as
 from rulefuzz.orchestrator import (
     CampaignConfig,
     PersistenceFailureError,
@@ -40,7 +44,7 @@ from rulefuzz.orchestrator import (
     run_campaign,
 )
 from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset
-from rulefuzz.fuzzer import FuzzPlan, apply_plan
+from rulefuzz.fuzzer import FuzzPlan, apply_plan, make_initial_plan
 from rulefuzz.planner import plan
 from rulefuzz.rules import (
     Condition,
@@ -475,11 +479,11 @@ def test_controller_reset_after_the_target_frame_never_mislabels_a_row(
 
         def _play(self, out):
             if (
-                self._player.done
+                self.done
                 and not self.outcome.observations["closed_early"]
                 and next(resets) == 0
             ):
-                self.conn.close(self.selector, reset=True)
+                self.conn.close(reset=True)
                 self.close()
                 return
             super()._play(out)
@@ -528,15 +532,15 @@ def test_failed_send_to_the_controller_never_mislabels_a_row(
 def test_raising_controller_step_never_mislabels_a_row(fault, tmp_path, monkeypatch, one_cpu):
     # the controller's fault-th step raises, as a bug in it would; a clean
     # close of that session would read as a disconnect: a presence label
-    real_receive = sut.Player.receive
+    real_receive = sut.PlayerSession.receive
     steps = itertools.count()
 
-    def flaky_receive(player, data):
-        if player._role == sut.CONTROLLER and next(steps) == fault:
+    def flaky_receive(session, data):
+        if session._script.role == sut.CONTROLLER and next(steps) == fault:
             raise RuntimeError("injected controller failure")
-        return real_receive(player, data)
+        return real_receive(session, data)
 
-    monkeypatch.setattr(sut.Player, "receive", flaky_receive)
+    monkeypatch.setattr(sut.PlayerSession, "receive", flaky_receive)
     run_faulty_campaign(tmp_path, count_dials(monkeypatch))
 
 
@@ -560,7 +564,7 @@ def assert_stopped(server):
     # serves in the background, and which is closed
     assert server._listener.fileno() == -1
     assert server._loop.thread is None
-    assert not server._sessions and server._loop.selector.get_map() is None
+    assert not server._sessions and server._loop.epoll.closed
 
 
 def test_exhausted_retries_fail_the_campaign_after_its_last_whole_iteration(
@@ -760,6 +764,117 @@ def test_many_sessions_in_flight_on_one_loop(tmp_path, one_cpu):
     one = run_campaign(replace(config, out_dir=tmp_path / "one", workers=1))
     for name in ("dataset.csv", "ruleset.txt", "report.json"):
         assert (report.out_dir / name).read_bytes() == (one.out_dir / name).read_bytes()
+
+
+def share_sessions():
+    procedure = sut.build_procedure("ping_exchange", "packet_in")
+    return orchestrator._Sessions(REGISTRY, procedure, default_oracle(), PACKET_IN, 5)
+
+
+def run_share(sessions, rows):
+    """Run `rows` random rows through one share, one row in flight."""
+    plans = [make_initial_plan(PACKET_IN, Random(f"share/{j}"), True) for j in range(rows)]
+    got, failure = orchestrator._run_share(sessions, 1, 1, range(rows), plans)
+    assert failure is None and len(got) == rows
+
+
+def test_a_share_on_unpickled_sessions_compares_no_schema_per_session(monkeypatch):
+    # a pool worker unpickles a fresh copy of the sessions every iteration:
+    # its schemas equal those whose default frames are cached, but are not
+    # them, so each lookup of a frame compares two schemas field by field
+    sessions = share_sessions()
+    run_share(sessions, 1)
+    compared = []
+    real_eq = MessageSchema.__eq__
+
+    def eq(schema, other):
+        compared.append(schema.type_name)
+        return real_eq(schema, other)
+
+    monkeypatch.setattr(MessageSchema, "__eq__", eq)
+    counts = []
+    for rows in (1, 20):
+        compared.clear()
+        run_share(pickle.loads(pickle.dumps(sessions)), rows)
+        counts.append(len(compared))
+    assert counts[0] == counts[1]  # the frames are looked up once per share
+
+
+def test_a_share_leaves_no_reference_cycle():
+    # a closed session, its sockets and its buffers are freed at once; a
+    # cycle through a session would hold them until the cyclic collector
+    # runs, and make it run more often
+    sessions = share_sessions()
+    run_share(sessions, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        run_share(sessions, 20)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_socket_work_of_a_session_is_counted(monkeypatch):
+    # these counts do not depend on timing: a session at one row in flight
+    # makes each call the same number of times, as listed
+    counts = Counter()
+    real_epoll = select.epoll
+
+    class CountingEpoll:
+        def __init__(self):
+            self._epoll = real_epoll()
+
+        def __getattr__(self, name):
+            call = getattr(self._epoll, name)
+            if name not in ("register", "modify", "unregister"):
+                return call
+
+            def counted(*args):
+                counts[name] += 1
+                return call(*args)
+            return counted
+
+    def counting(name, real):
+        def counted(sock, *args, **kwargs):
+            try:
+                return real(sock, *args, **kwargs)
+            except BlockingIOError:
+                counts["failed " + name] += 1
+                raise
+            finally:
+                counts[name] += 1
+        return counted
+
+    monkeypatch.setattr(select, "epoll", CountingEpoll)
+    for name in ("__init__", "setblocking", "shutdown", "_accept"):
+        monkeypatch.setattr(socket.socket, name, counting(name, getattr(socket.socket, name)))
+    rows = 50
+    run_share(share_sessions(), rows)
+    per_session = {
+        "register": 4, "modify": 2, "unregister": 1,  # the proxy's upstream, once its EOF is read
+        "__init__": 4, "setblocking": 2,  # the accepted sockets; a dialled one is made non-blocking
+        "shutdown": 3,  # none before a close whose peer's EOF was read
+        "_accept": 2,  # one per ready report: none fails
+    }
+    per_share = {"register": 2, "__init__": 2, "setblocking": 2}  # the two listeners
+    assert counts == {
+        name: rows * count + per_share.get(name, 0) for name, count in per_session.items()
+    }
+
+
+def test_a_campaign_logs_the_same_records_on_any_cpu_count(tmp_path, cpus, caplog):
+    # a pool worker configures no logging, so a line logged per session
+    # would show for the sessions of the caller's share alone
+    logged = []
+    for n_cpus in (1, 2):
+        cpus(n_cpus)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="rulefuzz"):
+            run_campaign(small_config(tmp_path, out_dir=tmp_path / str(n_cpus), n=20, workers=2))
+        logged.append([(r.name, r.levelname, r.getMessage()) for r in caplog.records])
+    assert logged[0] == logged[1]
+    assert [name for name, _, _ in logged[0]] == ["rulefuzz.orchestrator"] * 2
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):

@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import errno
+import gc
 import logging
 import os
 import random
@@ -32,6 +33,7 @@ from rulefuzz.sut import (
     FailureOracle,
     MockController,
     OracleConfigError,
+    Script,
     SutUnavailableError,
     SwitchSession,
     apply_noise,
@@ -343,8 +345,7 @@ def loop_drive(endpoint, procedure, oracle=None):
     """Play the switch half once as a SwitchSession, on a loop of its own."""
     ended = []
     with Loop() as loop:
-        switch = SwitchSession(loop.selector, endpoint, procedure, REGISTRY, oracle, ended.append)
-        loop.add(switch)
+        switch = SwitchSession(loop, endpoint, Script(procedure, REGISTRY, SWITCH), oracle, ended.append)
         loop.run(lambda: bool(ended))
     assert ended == [switch] and not switch.conn.connecting  # the connect succeeded
     return switch.outcome
@@ -533,8 +534,7 @@ def test_switch_session_reports_a_refused_connect():
     ended = []
     procedure = build_procedure("ping_exchange", "packet_in")
     with Loop() as loop:
-        switch = SwitchSession(loop.selector, dead, procedure, REGISTRY, None, ended.append)
-        loop.add(switch)
+        switch = SwitchSession(loop, dead, Script(procedure, REGISTRY, SWITCH), None, ended.append)
         loop.run(lambda: bool(ended))
     assert ended == [switch]
     assert switch.outcome.error.startswith(f"connect to {dead}: ")
@@ -560,8 +560,7 @@ def test_switch_and_proxy_dials_time_out(monkeypatch):
         config = InterceptConfig("127.0.0.1", 0, *full, target_type="packet_in")
         proxy = stack.enter_context(InterceptProxy(config, REGISTRY, loop=loop))
         start = time.monotonic()
-        switch = SwitchSession(loop.selector, full, procedure, REGISTRY, None, ended.append)
-        loop.add(switch)
+        switch = SwitchSession(loop, full, Script(procedure, REGISTRY, SWITCH), None, ended.append)
         client = stack.enter_context(socket.create_connection(proxy.endpoint, timeout=5))
         loop.run(lambda: bool(ended and proxy.records) and not loop.sessions, start + 1)
         took = time.monotonic() - start
@@ -625,6 +624,22 @@ def test_blocking_switches_on_many_threads_share_the_process_loop():
     assert [r.hook_fired for r in proxy.records] == [True] * len(results)
     # the threads grew by the clients and the process's one loop thread only
     assert seen - before <= set(clients) | {rulefuzz.reactor.process_loop().thread}
+
+
+def test_a_blocking_session_leaves_no_reference_cycle():
+    # the blocking front hands its session's outcome over without a cycle
+    # through the session, so each one is freed as it closes
+    procedure = build_procedure("ping_exchange", "packet_in")
+    with MockController(REGISTRY, procedure, default_oracle()) as controller:
+        run_procedure_on(connect_sut(controller.endpoint, 5.0), procedure, REGISTRY)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                run_procedure_on(connect_sut(controller.endpoint, 5.0), procedure, REGISTRY)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_run_procedure_on_the_loop_thread_raises():

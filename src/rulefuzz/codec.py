@@ -73,7 +73,7 @@ class MessageSchema:
     def __post_init__(self) -> None:
         self._validate()
         object.__setattr__(self, "_by_name", {f.name: f for f in self.fields})
-        # (name, right shift, mask) of each field in the big-endian integer
+        # the wire layout that encode and decode_as read: (name, shift, mask) per field
         layout = []
         shift = 8 * self.total_bytes
         for f in self.fields:
@@ -131,8 +131,9 @@ class ControlMessage:
 
     def with_values(self, updates: Mapping[str, int]) -> "ControlMessage":
         """Copy with some fields replaced; unknown names are rejected."""
+        by_name = self.schema._by_name  # type: ignore[attr-defined]
         for name in updates:
-            if name not in self.schema:
+            if name not in by_name:
                 raise KeyError(f"{self.schema.type_name} has no field {name!r}")
         merged = dict(self.values)
         merged.update(updates)
@@ -178,21 +179,20 @@ class SchemaRegistry:
 
 def encode(msg: ControlMessage) -> bytes:
     """Pack field values into big-endian bytes, most significant field first."""
+    schema, values = msg.schema, msg.values
     acc = 0
-    for f in msg.schema.fields:
+    for name, shift, mask in schema._layout:  # type: ignore[attr-defined]
         try:
-            value = msg.values[f.name]
+            value = values[name]
         except KeyError:
+            raise ValueOverflowError(f"{schema.type_name}.{name}: missing value") from None
+        if not 0 <= value <= mask:
             raise ValueOverflowError(
-                f"{msg.schema.type_name}.{f.name}: missing value"
-            ) from None
-        if not 0 <= value <= f.raw_max:
-            raise ValueOverflowError(
-                f"{msg.schema.type_name}.{f.name}: value {value} does not fit "
-                f"in {f.width_bits} bits"
+                f"{schema.type_name}.{name}: value {value} does not fit "
+                f"in {mask.bit_length()} bits"
             )
-        acc = (acc << f.width_bits) | value
-    return acc.to_bytes(msg.schema.total_bytes, "big")
+        acc |= value << shift
+    return acc.to_bytes(schema.total_bytes, "big")
 
 
 def decode_as(data: bytes, schema: MessageSchema) -> ControlMessage:

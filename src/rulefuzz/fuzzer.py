@@ -25,25 +25,25 @@ MODE_GUIDED = "guided"
 
 
 @dataclass(frozen=True)
-class FuzzAction:
-    """What a single fuzz application did to a message."""
-
-    mode: str
-    applied_rule: DecisionRule | None
-    replaced_fields: frozenset[str]
-    mutated_fields: frozenset[str]
-    before: ControlMessage
-    after: ControlMessage
-
-
-@dataclass(frozen=True)
 class FuzzPlan:
     """Pre-drawn field assignments, ready to overlay on a sniffed message."""
 
-    mode: str
     rule: DecisionRule | None
     replacements: dict[str, int]
     mutations: dict[str, int]
+
+    @property
+    def mode(self) -> str:
+        return MODE_INITIAL if self.rule is None else MODE_GUIDED
+
+
+@dataclass(frozen=True)
+class FuzzAction:
+    """What a single fuzz application did to a message: the plan it applied."""
+
+    plan: FuzzPlan
+    before: ControlMessage
+    after: ControlMessage
 
 
 def draw_field_subset(schema: MessageSchema, rng: random.Random) -> list[str]:
@@ -66,7 +66,7 @@ def make_initial_plan(
             replacements[name] = rng.randint(spec.domain_lo, spec.domain_hi)
         else:
             replacements[name] = rng.randrange(spec.raw_max + 1)
-    return FuzzPlan(MODE_INITIAL, None, replacements, {})
+    return FuzzPlan(None, replacements, {})
 
 
 def make_guided_plan(
@@ -94,21 +94,13 @@ def make_guided_plan(
             continue
         if rng.random() < mutation_rate:
             mutations[spec.name] = rng.randrange(spec.raw_max + 1)
-    return FuzzPlan(MODE_GUIDED, rule, replacements, mutations)
+    return FuzzPlan(rule, replacements, mutations)
 
 
 def apply_plan(msg: ControlMessage, plan: FuzzPlan) -> tuple[ControlMessage, FuzzAction]:
-    overlap = set(plan.replacements) & set(plan.mutations)
+    overlap = plan.replacements.keys() & plan.mutations.keys()
     if overlap:
         raise ValueError(f"plan touches fields twice: {sorted(overlap)}")
     after = msg.with_values({**plan.replacements, **plan.mutations})
-    action = FuzzAction(
-        mode=plan.mode,
-        applied_rule=plan.rule,
-        replaced_fields=frozenset(plan.replacements),
-        mutated_fields=frozenset(plan.mutations),
-        before=msg,
-        after=after,
-    )
-    return after, action
+    return after, FuzzAction(plan, msg, after)
 

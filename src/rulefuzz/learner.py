@@ -358,7 +358,7 @@ def _optimize(
 def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSet:
     """Induce an ordered rule set for the dataset's minority class.
 
-    Each returned rule carries (t, f, confidence) computed over the whole
+    Each returned rule's (t, f), and so its confidence, count the whole
     dataset.  A dataset with fewer than two samples, a single class, or no
     learnable structure yields a degenerate rule set (default rule only).
     """
@@ -375,13 +375,10 @@ def learn(dataset: LabeledDataset, params: RipperParams | None = None) -> RuleSe
             tuple(Atom(names[f], op, int(bins.value[b])) for f, op, b in atoms)
         )
         mask = masks[tuple(atoms)]
-        minority_rules.append(
-            DecisionRule.build(cond, minority, int(mask.sum()), int((mask & ~y).sum()))
-        )
+        rule = DecisionRule(cond, minority, int(mask.sum()), int((mask & ~y).sum()))
+        minority_rules.append(rule)
     uncovered = ~masks.union(rules)
-    default = DecisionRule.build(
-        Condition(), majority, int(uncovered.sum()), int((uncovered & y).sum())
-    )
+    default = DecisionRule(Condition(), majority, int(uncovered.sum()), int((uncovered & y).sum()))
     return RuleSet(tuple(minority_rules), default)
 
 

@@ -73,7 +73,7 @@ from .planner import plan, should_stop
 from .proxy import InterceptConfig, InterceptProxy
 from .reactor import Loop
 from .rules import DecisionRule, RuleSet, format_ruleset, parse_ruleset
-from .sampler import UnsatisfiableError, solve
+from .sampler import UnsatisfiableError, intervals_for, solve
 from .sut import (
     SWITCH,
     FailureOracle,
@@ -167,12 +167,18 @@ class IterationRecord:
 
 @dataclass
 class CampaignReport:
+    """What a campaign found; run_campaign fills it in as the iterations end."""
+
     out_dir: Path
     dataset: LabeledDataset
-    ruleset: RuleSet
+    ruleset: RuleSet | None  # the last one learned; None before the first
     iterations: list[IterationRecord]
-    history: list[tuple[float, float]]
     stop_reason: str
+
+    @property
+    def history(self) -> list[tuple[float, float]]:
+        """(precision, recall) after each iteration."""
+        return [(r.precision, r.recall) for r in self.iterations]
 
 
 class PlannedHook:
@@ -449,10 +455,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     dataset = LabeledDataset(schema.field_names())
     deadline = None if config.budget_seconds is None else time.monotonic() + config.budget_seconds
-    history: list[tuple[float, float]] = []
-    records: list[IterationRecord] = []
-    ruleset: RuleSet | None = None
-    stop_reason = "iterations"
+    report = CampaignReport(out, dataset, ruleset=None, iterations=[], stop_reason="iterations")
 
     # one share of each iteration's rows per process (share 0 is the
     # caller's), and config.workers rows in flight dealt between them
@@ -463,7 +466,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     while config.iterations is None or iteration < config.iterations:
         iteration += 1
         plans, fuzz_mode, clamp = build_iteration_plans(
-            config, schema, dataset, ruleset, iteration, mutation_rate
+            config, schema, dataset, report.ruleset, iteration, mutation_rate
         )
         replies = pool.run([
             (_run_share, (sessions, in_flight[s], iteration, range(len(plans))[s::shares],
@@ -480,11 +483,10 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             dataset.append(values, label, iteration=iteration)
             presence += int(label == PRESENCE)
 
-        ruleset = learn(dataset, params)
+        report.ruleset = ruleset = learn(dataset, params)
         precision, recall = cross_validate(dataset, k=config.cv_folds, seed=config.seed)
-        history.append((precision, recall))
         counts = dataset.class_counts()
-        records.append(
+        report.iterations.append(
             IterationRecord(
                 iteration=iteration,
                 fuzz_mode=fuzz_mode,
@@ -519,7 +521,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         )
 
         stop, reason = should_stop(
-            history,
+            report.history,
             deadline,
             epsilon=config.plateau_epsilon,
             window=config.plateau_window,
@@ -527,7 +529,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             recall_target=config.recall_target,
         )
         if stop:
-            stop_reason = reason or "stopped"
+            report.stop_reason = reason or "stopped"
             break
 
     _write_text(out / "ruleset.txt", _ruleset_text(ruleset, config.message_type))
@@ -553,29 +555,22 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
                 "noise_rate": oracle.noise_rate,
             },
         },
-        "iterations": [asdict(r) for r in records],
-        "stop_reason": stop_reason,
+        "iterations": [asdict(r) for r in report.iterations],
+        "stop_reason": report.stop_reason,
         "totals": {
             "rows": len(dataset),
             "presence": dataset.class_counts()[PRESENCE],
             "absence": len(dataset) - dataset.class_counts()[PRESENCE],
         },
         "final": {
-            "precision": history[-1][0],
-            "recall": history[-1][1],
+            "precision": report.iterations[-1].precision,
+            "recall": report.iterations[-1].recall,
             "rule_count": len(ruleset.minority_rules),
             "ruleset_file": "ruleset.txt",
         },
     }
     _write_json(out / "report.json", report_doc)
-    return CampaignReport(
-        out_dir=out,
-        dataset=dataset,
-        ruleset=ruleset,
-        iterations=records,
-        history=history,
-        stop_reason=stop_reason,
-    )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +601,8 @@ def replay(
     Each corpus message picks a learned rule with probability proportional
     to its confidence, solves the rule's condition, and fills every other
     field with a fresh domain draw.  Writes msg_NNNNN.bin files plus a
-    manifest; returns the corpus directory.
+    manifest; returns the corpus directory.  A rule that admits no message
+    raises ValueError before anything is written.
     """
     if count < 0:
         raise ValueError(f"count must not be negative, got {count}")
@@ -624,6 +620,9 @@ def replay(
     missing = sorted({f for r in rules for f in r.condition.fields() if f not in schema})
     if missing:
         raise ValueError(f"rule set uses fields {missing} that {message_type!r} lacks")
+    for rule in rules:
+        if not all(interval.allowed for interval in intervals_for(rule.condition, schema)):
+            raise ValueError(f"rule {rule.condition} admits no {message_type!r} message")
 
     rng = Random(f"{seed}/replay")
     weights = [r.confidence for r in rules]
@@ -701,8 +700,8 @@ def compare(
             "presence": counts[PRESENCE],
             "absence": len(report.dataset) - counts[PRESENCE],
             "presence_by_iteration": [r.presence for r in report.iterations],
-            "final_precision": report.history[-1][0],
-            "final_recall": report.history[-1][1],
+            "final_precision": report.iterations[-1].precision,
+            "final_recall": report.iterations[-1].recall,
             "stop_reason": report.stop_reason,
         }
     _write_json(root / "comparison.json", summary)

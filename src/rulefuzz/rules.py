@@ -15,6 +15,8 @@ import operator
 import re
 from dataclasses import dataclass
 
+from .dataset import LABELS
+
 # The one definition of comparator semantics: the parser reads its keys, and
 # sampler, learner and oracle all compare through this table.  It works on
 # ints and numpy arrays alike.
@@ -77,19 +79,18 @@ class DecisionRule:
     """Condition -> class prediction, annotated with dataset statistics.
 
     t is the number of samples matching the condition, f the mismatched
-    ones among them; confidence is (t - f) / t, or 0 when t == 0.
+    ones among them.
     """
 
     condition: Condition
     prediction: str
     t: int = 0
     f: int = 0
-    confidence: float = 0.0
 
-    @classmethod
-    def build(cls, condition: Condition, prediction: str, t: int, f: int) -> "DecisionRule":
-        conf = 0.0 if t == 0 else (t - f) / t
-        return cls(condition, prediction, t, f, conf)
+    @property
+    def confidence(self) -> float:
+        """(t - f) / t, or 0 when t == 0."""
+        return 0.0 if self.t == 0 else (self.t - self.f) / self.t
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,17 @@ def _read_rule(pattern: re.Pattern[str], line: str, error: str) -> DecisionRule:
     if m is None:
         raise RuleParseError(f"{error}: {line!r}")
     parts = m.groupdict(default="0")
-    return DecisionRule(
-        condition=parse_condition(parts.get("cond", "")),
-        prediction=parts["cls"],
-        t=int(parts["t"]),
-        f=int(parts["f"]),
-        confidence=float(parts["conf"]),
-    )
+    rule = DecisionRule(parse_condition(parts.get("cond", "")), parts["cls"],
+                        int(parts["t"]), int(parts["f"]))
+    if "cond" in parts and rule.condition.is_empty:
+        raise RuleParseError(f"minority rule with an empty condition: {line!r}")
+    if rule.prediction not in LABELS:
+        raise RuleParseError(f"class must be one of {LABELS}: {line!r}")
+    if rule.f > rule.t:
+        raise RuleParseError(f"f exceeds t: {line!r}")
+    if m.group("conf") not in (None, repr(rule.confidence)):
+        raise RuleParseError(f"confidence must be {rule.confidence!r}: {line!r}")
+    return rule
 
 
 def parse_ruleset(text: str) -> RuleSet:
@@ -166,7 +171,10 @@ def parse_ruleset(text: str) -> RuleSet:
 
     The final line must be the default; a default without statistics
     (bare 'ELSE class=c') is accepted and reads as t=f=0.  Lines starting
-    with '#' are comments and are ignored.
+    with '#' are comments and are ignored.  Text that format_ruleset
+    cannot write (a minority rule without a condition, a class other than
+    presence or absence, f > t, or confidence text other than the repr of
+    the rule's derived confidence) raises RuleParseError naming its line.
     """
     lines = [
         ln

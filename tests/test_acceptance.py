@@ -129,7 +129,7 @@ def test_criterion_02_quota_distribution(check):
 
 
 def test_criterion_03_rule_confidence(check):
-    rule = DecisionRule.build(parse_condition("a >= 1"), "presence", t=88, f=7)
+    rule = DecisionRule(parse_condition("a >= 1"), "presence", t=88, f=7)
     delta = abs(rule.confidence - 81 / 88)
     check(3, "rule_confidence", delta <= 1e-12, f"delta={delta:.2e}")
 
@@ -326,7 +326,7 @@ def test_criterion_09_balanced_accumulation_after_clamp(check, guided_run):
 
 
 def test_criterion_10_guided_fuzz_rule_adherence(check):
-    rule = DecisionRule.build(
+    rule = DecisionRule(
         parse_condition("cookie_hi >= 4211081216 AND version >= 5"),
         "presence",
         t=10,

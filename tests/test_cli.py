@@ -105,10 +105,10 @@ def test_compare_writes_comparison(tmp_path, capsys):
 
 
 def test_replay_cli_round_trip(tmp_path, capsys):
-    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    rule = DecisionRule(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
     ruleset = RuleSet(
         minority_rules=(rule,),
-        default_rule=DecisionRule.build(Condition(), "absence", 7, 1),
+        default_rule=DecisionRule(Condition(), "absence", 7, 1),
     )
     saved = tmp_path / "model.txt"
     saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
@@ -120,14 +120,29 @@ def test_replay_cli_round_trip(tmp_path, capsys):
 
 
 def test_replay_rejects_a_negative_count(tmp_path, capsys):
-    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
-    ruleset = RuleSet((rule,), DecisionRule.build(Condition(), "absence", 7, 1))
+    rule = DecisionRule(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule(Condition(), "absence", 7, 1))
     saved = tmp_path / "model.txt"
     saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
     out = tmp_path / "corpus"
     assert main(["replay", str(saved), "--count", "-2", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_replay_unsatisfiable_rule_is_reported_before_the_corpus(tmp_path, capsys):
+    saved = tmp_path / "model.txt"
+    saved.write_text(
+        "# message_type: packet_in\n"
+        "IF cookie_hi >= 99 THEN class=presence (t=4, f=0, confidence=1.0)\n"
+        "IF cookie_hi >= 5 AND cookie_hi <= 4 THEN class=presence (t=4, f=0, confidence=1.0)\n"
+        "ELSE class=absence\n"
+    )
+    out = tmp_path / "corpus"
+    assert main(["replay", str(saved), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: rule cookie_hi >= 5 AND cookie_hi <= 4 admits no" in err
     assert not out.exists()
 
 
@@ -148,8 +163,8 @@ def test_campaign_unknown_message_type_is_reported(tmp_path, capsys):
 
 
 def test_replay_unknown_message_type_is_reported(tmp_path, capsys):
-    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
-    ruleset = RuleSet((rule,), DecisionRule.build(Condition(), "absence", 7, 1))
+    rule = DecisionRule(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule(Condition(), "absence", 7, 1))
     saved = tmp_path / "model.txt"
     saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
     out = tmp_path / "corpus"
@@ -164,8 +179,8 @@ def test_replay_unknown_message_type_is_reported(tmp_path, capsys):
     ("packet_in", ["--message-type", "hello"]),
 ])
 def test_replay_fields_the_message_type_lacks_are_reported(tmp_path, capsys, header, flags):
-    rule = DecisionRule.build(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
-    ruleset = RuleSet((rule,), DecisionRule.build(Condition(), "absence", 7, 1))
+    rule = DecisionRule(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule(Condition(), "absence", 7, 1))
     saved = tmp_path / "model.txt"
     saved.write_text(f"# message_type: {header}\n" + format_ruleset(ruleset))
     out = tmp_path / "corpus"

@@ -33,7 +33,7 @@ def base_message():
 
 
 def rule(cond_text, conf_t=10, conf_f=1):
-    return DecisionRule.build(parse_condition(cond_text), "presence", conf_t, conf_f)
+    return DecisionRule(parse_condition(cond_text), "presence", conf_t, conf_f)
 
 
 def test_field_subset_nonempty_and_half_inclusion():
@@ -84,18 +84,19 @@ def test_initial_plan_raw_mode_escapes_domains():
 
 def test_apply_plan_replaces_exactly_named_fields():
     msg = base_message()
-    plan = FuzzPlan(MODE_INITIAL, None, {"b": 8}, {})
+    plan = FuzzPlan(None, {"b": 8}, {})
     fuzzed, action = apply_plan(msg, plan)
     assert fuzzed.values == {"a": 4, "b": 8, "c": 0, "d": 9}
-    assert action.replaced_fields == frozenset({"b"})
-    assert action.mutated_fields == frozenset()
+    assert action.plan is plan and plan.mode == MODE_INITIAL
+    assert set(action.plan.replacements) == {"b"}
+    assert set(action.plan.mutations) == set()
     assert action.before is msg and action.after is fuzzed
     assert msg.values["b"] == 2  # input untouched
 
 
 def test_apply_plan_rejects_overlap():
     with pytest.raises(ValueError):
-        apply_plan(base_message(), FuzzPlan(MODE_GUIDED, None, {"b": 1}, {"b": 2}))
+        apply_plan(base_message(), FuzzPlan(rule("a >= 1"), {"b": 1}, {"b": 2}))
 
 
 def test_initial_fuzz_changes_subset_only():
@@ -120,7 +121,7 @@ def test_guided_plan_satisfies_rule_and_never_mutates_rule_fields():
         assert not set(plan.replacements) & set(plan.mutations)
         fuzzed, action = apply_plan(base_message(), plan)
         assert evaluate(r.condition, fuzzed.values)
-        assert not action.mutated_fields & {"a", "c"}
+        assert not action.plan.mutations.keys() & {"a", "c"}
 
 
 def test_guided_mutation_rate_frequency():
@@ -138,7 +139,7 @@ def test_guided_mutation_rate_frequency():
 
 def test_guided_default_rule_avoids_minority_conditions():
     rng = random.Random(8)
-    default = DecisionRule.build(Condition(), "absence", 50, 2)
+    default = DecisionRule(Condition(), "absence", 50, 2)
     avoid = [parse_condition("a >= 5"), parse_condition("b <= 20 AND d >= 200")]
     for _ in range(1000):
         plan = make_guided_plan(SCHEMA, default, 0.3, rng, avoid=avoid)
@@ -176,4 +177,4 @@ def test_guided_output_always_satisfies_rule_property(seed, rate):
     plan = make_guided_plan(SCHEMA, r, rate, rng)
     fuzzed, action = apply_plan(base_message(), plan)
     assert evaluate(r.condition, fuzzed.values)
-    assert not action.mutated_fields & set(r.condition.fields())
+    assert not action.plan.mutations.keys() & set(r.condition.fields())

@@ -179,10 +179,10 @@ def test_single_class_and_tiny_datasets_degenerate():
 
 def test_classify_first_match_order():
     rules = (
-        DecisionRule.build(parse_condition("a <= 5"), PRESENCE, 10, 0),
-        DecisionRule.build(parse_condition("b >= 2"), PRESENCE, 8, 1),
+        DecisionRule(parse_condition("a <= 5"), PRESENCE, 10, 0),
+        DecisionRule(parse_condition("b >= 2"), PRESENCE, 8, 1),
     )
-    rs = RuleSet(rules, DecisionRule.build(Condition(), ABSENCE, 20, 2))
+    rs = RuleSet(rules, DecisionRule(Condition(), ABSENCE, 20, 2))
     rows = [{"a": 3, "b": 9}, {"a": 9, "b": 9}, {"a": 9, "b": 0}]
     assert predict_rows(rs, rows).tolist() == [True, True, False]
 

@@ -188,7 +188,7 @@ def test_degenerate_ruleset_falls_back_to_initial():
     dataset = LabeledDataset(PACKET_IN.field_names())
     empty = RuleSet(
         minority_rules=(),
-        default_rule=DecisionRule.build(Condition(), "absence", 0, 0),
+        default_rule=DecisionRule(Condition(), "absence", 0, 0),
     )
     plans, mode, clamp = build_iteration_plans(
         config, PACKET_IN, dataset, empty, iteration=2, mutation_rate=0.1
@@ -220,10 +220,10 @@ GUIDED_RULES = ("cookie_hi >= 1073741824", "table_id <= 100 AND reason >= 7")
 def hand_built_ruleset(*conditions):
     """Presence rules of falling confidence (0.9, 0.85, ...) and an absence default."""
     rules = tuple(
-        DecisionRule.build(parse_condition(text), PRESENCE, 40, 4 + 2 * i)
+        DecisionRule(parse_condition(text), PRESENCE, 40, 4 + 2 * i)
         for i, text in enumerate(conditions)
     )
-    return RuleSet(rules, DecisionRule.build(Condition(), ABSENCE, 30, 3))
+    return RuleSet(rules, DecisionRule(Condition(), ABSENCE, 30, 3))
 
 
 def test_guided_plans_spend_each_rule_quota():
@@ -239,9 +239,9 @@ def test_guided_plans_satisfy_their_rules():
     base = default_message(PACKET_IN)
     for fuzz_plan in plans:
         after, action = apply_plan(base, fuzz_plan)
-        assert action.applied_rule in ruleset.minority_rules + (ruleset.default_rule,)
-        if action.applied_rule is not ruleset.default_rule:
-            assert evaluate(action.applied_rule.condition, after.values)
+        assert action.plan.rule in ruleset.minority_rules + (ruleset.default_rule,)
+        if action.plan.rule is not ruleset.default_rule:
+            assert evaluate(action.plan.rule.condition, after.values)
 
 
 def test_guided_default_rule_plans_avoid_minority_conditions():
@@ -664,7 +664,7 @@ def test_the_lowest_failed_row_is_the_one_reported(tmp_path, monkeypatch, cpus, 
         plans, fuzz_mode, clamp = real_plans(*args)
         if args[4] == 2:  # the iteration
             for j in (5, 6):
-                plans[j] = FuzzPlan("initial", None, {"cookie_hi": 1}, {"cookie_hi": 2})
+                plans[j] = FuzzPlan(None, {"cookie_hi": 1}, {"cookie_hi": 2})
         return plans, fuzz_mode, clamp
 
     monkeypatch.setattr(orchestrator, "build_iteration_plans", poisoned_plans)
@@ -994,7 +994,7 @@ def test_persistence_failure_surfaces(tmp_path):
 
 
 def test_replay_corpus_satisfies_saved_rules(tmp_path):
-    rule = DecisionRule.build(
+    rule = DecisionRule(
         parse_condition("cookie_hi >= 4211081216 AND table_id <= 100"),
         "presence",
         10,
@@ -1002,7 +1002,7 @@ def test_replay_corpus_satisfies_saved_rules(tmp_path):
     )
     ruleset = RuleSet(
         minority_rules=(rule,),
-        default_rule=DecisionRule.build(Condition(), "absence", 90, 2),
+        default_rule=DecisionRule(Condition(), "absence", 90, 2),
     )
     saved = tmp_path / "ruleset.txt"
     saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
@@ -1025,10 +1025,10 @@ def test_replay_corpus_satisfies_saved_rules(tmp_path):
 
 
 def test_replay_requires_message_type(tmp_path):
-    rule = DecisionRule.build(parse_condition("cookie_hi >= 10"), "presence", 3, 0)
+    rule = DecisionRule(parse_condition("cookie_hi >= 10"), "presence", 3, 0)
     ruleset = RuleSet(
         minority_rules=(rule,),
-        default_rule=DecisionRule.build(Condition(), "absence", 5, 0),
+        default_rule=DecisionRule(Condition(), "absence", 5, 0),
     )
     bare = tmp_path / "bare.txt"
     bare.write_text(format_ruleset(ruleset))
@@ -1042,7 +1042,7 @@ def test_replay_requires_message_type(tmp_path):
 def test_replay_rejects_degenerate_ruleset(tmp_path):
     empty = RuleSet(
         minority_rules=(),
-        default_rule=DecisionRule.build(Condition(), "absence", 5, 0),
+        default_rule=DecisionRule(Condition(), "absence", 5, 0),
     )
     path = tmp_path / "empty.txt"
     path.write_text("# message_type: packet_in\n" + format_ruleset(empty))

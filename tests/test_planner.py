@@ -34,11 +34,11 @@ def ruleset_with_confidences(minority_confs, default_conf=0.8):
         t = 100
         f = round(t * (1 - c))
         rules.append(
-            DecisionRule.build(parse_condition(f"a >= {i + 1}"), PRESENCE, t, f)
+            DecisionRule(parse_condition(f"a >= {i + 1}"), PRESENCE, t, f)
         )
     t_def = 100
     f_def = round(t_def * (1 - default_conf))
-    default = DecisionRule.build(Condition(), ABSENCE, t_def, f_def)
+    default = DecisionRule(Condition(), ABSENCE, t_def, f_def)
     return RuleSet(tuple(rules), default)
 
 
@@ -125,8 +125,8 @@ def test_plan_drops_zero_quota_entries():
 def test_plan_when_minority_is_absence():
     # rules predicting absence share the minority target
     ds = dataset_with_counts(220, 180)
-    rules = (DecisionRule.build(parse_condition("b <= 4"), ABSENCE, 50, 5),)
-    rs = RuleSet(rules, DecisionRule.build(Condition(), PRESENCE, 350, 50))
+    rules = (DecisionRule(parse_condition("b <= 4"), ABSENCE, 50, 5),)
+    rs = RuleSet(rules, DecisionRule(Condition(), PRESENCE, 350, 50))
     budget, clamp = plan(ds, rs, 100)
     assert clamp is None
     minor_next = 250 - 180  # (400+100)/2 - 180

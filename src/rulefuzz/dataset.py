@@ -156,9 +156,6 @@ class LabeledDataset:
         presence = int(np.count_nonzero(self._presence[: self._n]))
         return {PRESENCE: presence, ABSENCE: self._n - presence}
 
-    def minority_label(self) -> str:
-        return minority_of(self.class_counts())
-
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(values matrix as uint64, presence mask): read-only views, no copy."""
         x, y = self._values[: self._n], self._presence[: self._n]

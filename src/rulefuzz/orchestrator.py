@@ -34,6 +34,9 @@ these names (and of nothing else), so that it holds one campaign:
   plans/iter_NNN.json   the fuzz plans executed in each iteration
   ruleset.txt           final rule set (with a message-type header)
   report.json           deterministic campaign summary, no wall-clock data
+A replay corpus (msg_*.bin, manifest.json) and a compare root
+(comparison.json) are cleared of their own files the same way.  Every
+whole file is written atomically, so a failed write leaves the old one.
 """
 from __future__ import annotations
 
@@ -192,8 +195,9 @@ class PlannedHook:
     def __call__(self, frame: bytes) -> bytes:
         msg = decode_as(frame, self.schema)
         after, action = apply_plan(msg, self.fuzz_plan)
-        self.action = action
-        return encode(after)
+        frame = encode(after)
+        self.action = action  # not before encode: a hook that raises leaves its row unfuzzed
+        return frame
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +403,35 @@ def _plan_entry(index: int, fuzz_plan: FuzzPlan) -> dict:
     }
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Replace path's content at once: a failed write leaves the old file."""
+def _prepare(out: Path, patterns: Sequence[str]) -> None:
+    """Make out and every subdirectory its patterns name, then remove the
+    files an earlier run left under those patterns, and nothing else."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for pattern in patterns:
+            (out / pattern).parent.mkdir(exist_ok=True)
+            for stale in out.glob(pattern):
+                stale.unlink()
+    except OSError as exc:
+        raise PersistenceFailureError(f"cannot prepare {out}: {exc}") from exc
+
+
+def _write(path: Path, data: str | bytes) -> None:
+    """Replace path's content at once: a failed or interrupted write leaves
+    the old file, and no temp file."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
         raise PersistenceFailureError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)  # already gone if the replace ran
 
 
 def _write_json(path: Path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _ruleset_text(ruleset: RuleSet, message_type: str) -> str:
@@ -442,16 +461,8 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     params = RipperParams(seed=config.seed)
 
     out = Path(config.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "rulesets").mkdir(exist_ok=True)
-        (out / "plans").mkdir(exist_ok=True)
-        for pattern in ("dataset.csv", "ruleset.txt", "report.json",
-                        "rulesets/iter_*.txt", "plans/iter_*.json"):
-            for stale in out.glob(pattern):
-                stale.unlink()
-    except OSError as exc:
-        raise PersistenceFailureError(f"cannot create {out}: {exc}") from exc
+    _prepare(out, ("dataset.csv", "ruleset.txt", "report.json",
+                   "rulesets/iter_*.txt", "plans/iter_*.json"))
 
     dataset = LabeledDataset(schema.field_names())
     deadline = None if config.budget_seconds is None else time.monotonic() + config.budget_seconds
@@ -511,7 +522,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             dataset.append_csv(out / "dataset.csv", start=start_row)
         except OSError as exc:
             raise PersistenceFailureError(f"dataset.csv: {exc}") from exc
-        _write_text(
+        _write(
             out / "rulesets" / f"iter_{iteration:03d}.txt",
             _ruleset_text(ruleset, config.message_type),
         )
@@ -532,7 +543,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             report.stop_reason = reason or "stopped"
             break
 
-    _write_text(out / "ruleset.txt", _ruleset_text(ruleset, config.message_type))
+    _write(out / "ruleset.txt", _ruleset_text(ruleset, config.message_type))
     report_doc = {
         "config": {
             "mode": config.mode,
@@ -601,8 +612,9 @@ def replay(
     Each corpus message picks a learned rule with probability proportional
     to its confidence, solves the rule's condition, and fills every other
     field with a fresh domain draw.  Writes msg_NNNNN.bin files plus a
-    manifest; returns the corpus directory.  A rule that admits no message
-    raises ValueError before anything is written.
+    manifest, after removing those an earlier replay left there, so the
+    corpus directory holds one corpus; returns it.  A rule that admits no
+    message raises ValueError before the directory is made.
     """
     if count < 0:
         raise ValueError(f"count must not be negative, got {count}")
@@ -630,11 +642,7 @@ def replay(
         weights = None  # uniform fallback
 
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PersistenceFailureError(f"cannot create {out}: {exc}") from exc
-
+    _prepare(out, ("msg_*.bin", "manifest.json"))
     entries = []
     for idx in range(count):
         rule = rng.choices(rules, weights=weights, k=1)[0]
@@ -642,12 +650,8 @@ def replay(
             f.name: rng.randint(f.domain_lo, f.domain_hi) for f in schema.fields
         }
         values.update(solve(rule.condition, schema, rng))
-        frame = encode(ControlMessage(schema, values))
         name = f"msg_{idx:05d}.bin"
-        try:
-            (out / name).write_bytes(frame)
-        except OSError as exc:
-            raise PersistenceFailureError(f"cannot write {name}: {exc}") from exc
+        _write(out / name, encode(ControlMessage(schema, values)))
         entries.append(
             {
                 "file": name,
@@ -680,14 +684,11 @@ def compare(
 
     Every campaign shares seed, iteration count, and per-iteration budget,
     so failure counts are directly comparable.  Results land in
-    mode_<name>/ subdirectories of base_config.out_dir plus a combined
-    comparison.json.
+    mode_<name>/ subdirectories of base_config.out_dir, each a campaign
+    directory, plus a combined comparison.json, which is removed first.
     """
     root = Path(base_config.out_dir)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise PersistenceFailureError(f"cannot create {root}: {exc}") from exc
+    _prepare(root, ("comparison.json",))
 
     summary: dict[str, dict] = {}
     for mode in modes:

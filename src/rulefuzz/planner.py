@@ -2,8 +2,9 @@
 
 Given the accumulated dataset and the current rule set, the planner
 decides how many of the next n messages should target the minority class
-(driving the dataset toward a 50/50 label balance) and splits each class
-share across that class's rules proportionally to rule confidence.
+that the rule set was learned for (driving the dataset toward a 50/50
+label balance), splits that share across the minority rules
+proportionally to rule confidence, and gives the rest to the default.
 It also owns the campaign stopping decision, whose wall-clock budget is
 one time.monotonic() deadline.
 """
@@ -72,31 +73,23 @@ def plan(
 ) -> tuple[list[tuple[DecisionRule, int]], str | None]:
     """Split the next iteration's n messages into per-rule quotas.
 
-    Rules predicting the dataset's minority label share the minority
-    target; the remaining rules (normally just the default) share the
-    majority target.  Returns (budget, clamp): budget lists the nonzero
-    (rule, quota) pairs, minority group first and rule order within each
-    group; clamp is None, "lower" (estimate <= 0) or "upper" (>= n).
+    The rule set names the minority class, as learn() wrote it: its
+    minority rules predict that class and its default the other.  The
+    minority rules share the minority target by confidence, and the
+    default takes the majority target.  Returns (budget, clamp): budget
+    lists the nonzero (rule, quota) pairs, minority rules first in rule
+    order; clamp is None, "lower" (estimate <= 0) or "upper" (>= n).
     """
-    minority = dataset.minority_label()
-    minor = dataset.class_counts()[minority]
+    majority = ruleset.default_rule.prediction
+    minor = len(dataset) - dataset.class_counts()[majority]
     minor_next, major_next, clamp = estimate_class_targets(len(dataset), minor, n)
 
-    minority_rules = [r for r in ruleset.minority_rules if r.prediction == minority]
-    majority_rules = [r for r in ruleset.minority_rules if r.prediction != minority]
-    if ruleset.default_rule.prediction == minority:
-        minority_rules.append(ruleset.default_rule)
-    else:
-        majority_rules.append(ruleset.default_rule)
-
-    budget: list[tuple[DecisionRule, int]] = []
-    for rules_group, share in ((minority_rules, minor_next), (majority_rules, major_next)):
-        if share <= 0:
-            continue  # an empty share would still warn on zero confidences
-        quotas = distribute_quotas([r.confidence for r in rules_group], share)
-        budget.extend(
-            (rule, quota) for rule, quota in zip(rules_group, quotas) if quota > 0
-        )
+    rules = ruleset.minority_rules
+    # an empty share would still warn on zero confidences
+    quotas = distribute_quotas([r.confidence for r in rules], minor_next) if minor_next else []
+    budget = [(rule, quota) for rule, quota in zip(rules, quotas) if quota > 0]
+    if major_next:
+        budget.append((ruleset.default_rule, major_next))
     return budget, clamp
 
 

@@ -119,6 +119,26 @@ def test_replay_cli_round_trip(tmp_path, capsys):
     assert json.loads((out / "manifest.json").read_text())["count"] == 5
 
 
+def test_a_replay_rerun_holds_only_the_new_corpus(tmp_path, capsys):
+    # a smaller --count into the same directory must not leave the last
+    # corpus's later messages beside a manifest that no longer lists them
+    rule = DecisionRule(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
+    ruleset = RuleSet((rule,), DecisionRule(Condition(), "absence", 7, 1))
+    saved = tmp_path / "model.txt"
+    saved.write_text("# message_type: packet_in\n" + format_ruleset(ruleset))
+    out, fresh = tmp_path / "corpus", tmp_path / "fresh"
+    assert main(["replay", str(saved), "--count", "10", "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["replay", str(saved), "--count", "3", "--out", str(out)]) == 0
+    assert main(["replay", str(saved), "--count", "3", "--out", str(fresh)]) == 0
+    messages = json.loads((out / "manifest.json").read_text())["messages"]
+    assert sorted(p.name for p in out.glob("msg_*.bin")) == [m["file"] for m in messages]
+    assert len(messages) == 3
+    assert (out / "notes.txt").read_text() == "kept\n"  # not a corpus file: it stays
+    rerun = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "notes.txt"}
+    assert rerun == {p.name: p.read_bytes() for p in fresh.iterdir()}
+
+
 def test_replay_rejects_a_negative_count(tmp_path, capsys):
     rule = DecisionRule(parse_condition("cookie_hi >= 99"), "presence", 4, 0)
     ruleset = RuleSet((rule,), DecisionRule(Condition(), "absence", 7, 1))

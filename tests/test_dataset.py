@@ -12,6 +12,7 @@ from rulefuzz.dataset import (
     DatasetFormatError,
     LabeledDataset,
     RankEncoding,
+    minority_of,
     read_csv,
 )
 
@@ -28,14 +29,14 @@ def ds():
 def test_append_and_counts(ds):
     assert len(ds) == 3
     assert ds.class_counts() == {PRESENCE: 1, ABSENCE: 2}
-    assert ds.minority_label() == PRESENCE
+    assert minority_of(ds.class_counts()) == PRESENCE
 
 
 def test_minority_tie_prefers_presence():
     d = LabeledDataset(("a",))
     d.append({"a": 1}, PRESENCE)
     d.append({"a": 2}, ABSENCE)
-    assert d.minority_label() == PRESENCE
+    assert minority_of(d.class_counts()) == PRESENCE
 
 
 def test_append_rejects_bad_label():

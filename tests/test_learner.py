@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import rulefuzz.learner as learner
 import rulefuzz.pool as pool
-from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset, RankEncoding
+from rulefuzz.dataset import ABSENCE, PRESENCE, LabeledDataset, RankEncoding, minority_of
 from rulefuzz.learner import (
     _GAIN_EPS,
     RipperParams,
@@ -144,7 +144,7 @@ def test_rule_stats_recompute_from_dataset(ds, seed):
     # the rows' values must give the same integers
     model = learn(ds, RipperParams(seed=seed))
     samples = list(ds)
-    minority = ds.minority_label()
+    minority = minority_of(ds.class_counts())
     observed = {name: {s.values[name] for s in samples} for name in ds.field_names}
     matched = [False] * len(samples)
     for rule in model.minority_rules:
@@ -160,6 +160,30 @@ def test_rule_stats_recompute_from_dataset(ds, seed):
     uncovered = [s for s, m in zip(samples, matched) if not m]
     assert model.default_rule.t == len(uncovered)
     assert model.default_rule.f == sum(s.label == minority for s in uncovered)
+
+
+def tied_dataset(pairs):
+    """pairs rows of each class over one 8-bit field, presence below 128."""
+    ds = LabeledDataset(("a",))
+    for i in range(pairs):
+        ds.append({"a": i % 128}, PRESENCE)
+        ds.append({"a": 128 + i % 128}, ABSENCE)
+    return ds
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=labeled_datasets(), seed=st.integers(0, 2**32))
+@example(ds=tied_dataset(1), seed=0)
+@example(ds=tied_dataset(40), seed=0)
+@example(ds=balanced_dataset(WIDE, PLANTED, 50, random.Random(5)), seed=0)
+def test_learned_rule_set_names_the_dataset_minority(ds, seed):
+    # planner.plan reads the minority class off the rule set: every
+    # minority rule predicts the minority of the counts (a tie goes to
+    # presence), and the default predicts the other class
+    minority = minority_of(ds.class_counts())
+    model = learn(ds, RipperParams(seed=seed))
+    assert all(r.prediction == minority for r in model.minority_rules)
+    assert model.default_rule.prediction != minority
 
 
 def test_single_class_and_tiny_datasets_degenerate():
@@ -253,7 +277,7 @@ def test_minority_class_may_be_absence():
             added[label] += 1
             ds.append(values, label)
     model = learn(ds)
-    assert ds.minority_label() == ABSENCE
+    assert minority_of(ds.class_counts()) == ABSENCE
     assert model.minority_rules
     assert all(r.prediction == ABSENCE for r in model.minority_rules)
     assert model.default_rule.prediction == PRESENCE
@@ -576,7 +600,7 @@ def test_cross_validate_matches_subset_folds_for_an_absence_minority(seed, cpus)
     ds = LabeledDataset(mixed.field_names)
     for s in mixed:
         ds.append(s.values, ABSENCE if s.label == PRESENCE else PRESENCE, s.iteration)
-    assert ds.minority_label() == ABSENCE
+    assert minority_of(ds.class_counts()) == ABSENCE
     params = RipperParams(seed=seed)
     cpus(1)
     for k in (2, 3, 10):

@@ -414,6 +414,22 @@ def test_raising_hook_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     run_faulty_campaign(tmp_path, calls)
 
 
+def test_hook_whose_encode_raises_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
+    # the hook applied its plan but never made the frame, so the proxy
+    # relays the unfuzzed one; the row must be dialled again, not kept
+    # under the plan's values with the unfuzzed session's label
+    real_encode = orchestrator.encode
+    calls = itertools.count()
+
+    def flaky_encode(message):
+        if next(calls) == 2:
+            raise RuntimeError("injected encode failure")
+        return real_encode(message)
+
+    monkeypatch.setattr(orchestrator, "encode", flaky_encode)
+    run_faulty_campaign(tmp_path, calls)
+
+
 def test_refused_upstream_never_mislabels_a_row(tmp_path, monkeypatch, one_cpu):
     # the controller refuses the proxy's upstream connect for one session
     upstreams = []
@@ -882,16 +898,32 @@ def test_failed_write_keeps_previous_artifact(tmp_path):
     # leaves the artifact it was replacing whole and no temp file behind
     resource = pytest.importorskip("resource")
     path = tmp_path / "report.json"
-    orchestrator._write_text(path, "previous\n")
+    orchestrator._write(path, "previous\n")
     soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
     handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # EFBIG, not a kill
     resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, hard))
     try:
         with pytest.raises(PersistenceFailureError):
-            orchestrator._write_text(path, "x" * (4 << 20))
+            orchestrator._write(path, "x" * (4 << 20))
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_interrupted_write_keeps_previous_artifact(tmp_path, monkeypatch):
+    # a Ctrl-C between the temp write and the rename leaves the artifact
+    # it was replacing whole and no temp file, and stays a KeyboardInterrupt
+    path = tmp_path / "report.json"
+    orchestrator._write(path, "previous\n")
+
+    def interrupted_replace(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    with pytest.raises(KeyboardInterrupt):
+        orchestrator._write(path, b"next\n")
     assert path.read_bytes() == b"previous\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -1061,6 +1093,23 @@ def test_compare_summarizes_modes(tmp_path):
         assert (tmp_path / "cmp" / f"mode_{mode}" / "report.json").is_file()
     on_disk = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
     assert on_disk == summary
+
+
+def test_a_failed_compare_rerun_leaves_no_earlier_comparison(tmp_path, monkeypatch):
+    # comparison.json summarizes one compare run: a rerun removes the
+    # last one before its first campaign starts
+    base = small_config(tmp_path, out_dir=tmp_path / "cmp", n=6, iterations=1)
+    compare(base, modes=("random",))
+    assert (tmp_path / "cmp" / "comparison.json").is_file()
+
+    def failing_campaign(config):
+        raise SutUnavailableError("injected campaign failure")
+
+    monkeypatch.setattr(orchestrator, "run_campaign", failing_campaign)
+    with pytest.raises(SutUnavailableError):
+        compare(base, modes=("random",))
+    assert not (tmp_path / "cmp" / "comparison.json").exists()
+    assert (tmp_path / "cmp" / "mode_random" / "report.json").is_file()
 
 
 def test_default_oracle_campaign_mostly_absence(tmp_path):
